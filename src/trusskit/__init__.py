@@ -18,7 +18,7 @@ from .graph import (
     load_edge_list,
     vertex_ranking,
 )
-from .triangles import SupportMap, brute_force_supports, edge_supports
+from .triangles import SupportMap, brute_force_supports, edge_supports, triangle_list
 from .truss import (
     ClusterFamily,
     KClassDecomposition,

@@ -140,13 +140,16 @@ def load_input(path: str, weighted: bool) -> Graph:
 
 def cmd_decompose(args: argparse.Namespace) -> None:
     weighted = args.command == "weighted-truss"
-    graph = load_input(args.input, weighted=weighted or args.weighted)
+    # arguments are checked before any loading, computing or writing
+    if args.command != "summit" and args.k < 2:
+        raise CommandError("k must be at least 2")
     if weighted:
         fn = "minimum" if args.weight_fn == "min" else "harmonic"
         spec = TriangleWeightSpec(fn, _parse_alpha(args.alpha))
-        decomposition = weighted_k_classes(graph, spec)
-    else:
-        decomposition = k_classes(graph, edge_supports(graph))
+    graph = load_input(args.input, weighted=weighted or args.weighted)
+    decomposition = (
+        weighted_k_classes(graph, spec) if weighted else k_classes(graph, edge_supports(graph))
+    )
 
     outdir = Path(args.out)
     fmt = args.format
@@ -160,16 +163,12 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 
     if args.command in ("truss", "weighted-truss"):
         k = args.k
-        if k < 2:
-            raise CommandError("k must be at least 2")
         rows = renumber([(k, mem) for mem in trusses_at(decomposition, graph, k).members])
         kind = None
         family = truss_dendrogram(decomposition, graph)
         write(outdir, "dendrogram.tsv", dendrogram_tsv(family))
     elif args.command == "strong-truss":
         k = args.k
-        if k < 2:
-            raise CommandError("k must be at least 2")
         family = strong_truss_family(graph, decomposition)
         rows = renumber([(k, mem) for mem in strong_trusses_at(family, k)])
         kind = "strong"
@@ -391,10 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_bench(args)
         elif args.command == "stats":
             cmd_stats(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CommandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,20 +1,23 @@
 """Trussness decomposition and the truss cluster family.
 
 An edge's trussness is 2 plus the highest support level at which it still
-belongs to a truss. Peeling edges in ascending residual-support order yields
-the full decomposition in O(m^1.5); maximal k-trusses are then components of
-the edges at class k and above, and agglomerating classes from the top down
-produces the whole dendrogram in linear extra work.
+belongs to a truss. One level-synchronous peel over the triangle list
+(frontier sub-rounds, as in Kabir & Madduri's PKT) yields the full
+decomposition, plain or weighted, with near-linear work in the triangles after
+the O(m^1.5) listing; maximal k-trusses are then components of the edges at
+class k and above, and agglomerating classes from the top down produces the
+whole dendrogram in linear extra work.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .graph import DisjointSet, Graph, component_edge_sets, edge_nodes
-from .triangles import SupportMap
+from .triangles import SupportMap, triangle_list
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,17 @@ class KClassDecomposition:
     phi: tuple[int, ...]
     k_max: int
     classes: dict[int, list[int]]  # k -> edge ids with phi == k, ascending
+
+    @classmethod
+    def from_phi(cls, phi: np.ndarray) -> KClassDecomposition:
+        """The decomposition of a per-edge phi array. Classes are keyed in
+        order of each level's first edge, with ids ascending within."""
+        order = np.argsort(phi, kind="stable")
+        levels, first = np.unique(phi[order], return_index=True)
+        groups = sorted(zip(levels.tolist(), np.split(order, first[1:])), key=lambda lg: lg[1][0])
+        classes = {level: eids.tolist() for level, eids in groups}
+        k_max = max(classes) if classes else 0
+        return cls(phi=tuple(phi.tolist()), k_max=k_max, classes=classes)
 
     def edges_at_least(self, k: int) -> list[int]:
         out: list[int] = []
@@ -45,79 +59,128 @@ class TrussSet:
         return edge_nodes(graph, self.members[index])
 
 
-def peel_classes(
-    graph: Graph,
-    initial: Sequence[int],
-    triangle_delta: Callable[[int, int, int], int] | None = None,
-) -> KClassDecomposition:
-    """Shared peeling engine for plain and weighted trussness.
+class _LevelQueue:
+    """Alive edges keyed by residual support, popped one key at a time.
 
-    Edges come off a bucket queue in (residual support, edge id) order; when
-    edge (u, v) is peeled at level k, each surviving triangle (u, v, w) found
-    from the lower-degree endpoint decrements s((u,w)) and s((v,w)) by the
-    triangle's weight (1 when triangle_delta is None), clamped at k-2 so the
-    queue never runs ahead of the current level.
+    An entry (key, e) is current while e is alive and cur[e] == key; an
+    edge whose support drops is pushed again and its older entry goes
+    stale. Entries live in sorted runs: a pushed run absorbs every older run
+    at most twice its length, dropping stale entries, so there are O(log)
+    runs and two sorted runs merge in linear time under the stable
+    (run-detecting) sort.
     """
-    m = graph.m
-    edges = graph.edges
-    adj = graph.adj
-    deg = [len(a) for a in adj]
 
-    cur = list(initial)
-    alive = bytearray([1]) * m
-    heap: list[tuple[int, int]] = [(cur[e], e) for e in range(m)]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
+    def __init__(self, cur: np.ndarray, alive: np.ndarray) -> None:
+        self.cur, self.alive = cur, alive
+        self.runs: list[tuple[np.ndarray, np.ndarray]] = []
 
-    phi = [0] * m
+    def push(self, keys: np.ndarray, ids: np.ndarray) -> None:
+        while self.runs and len(self.runs[-1][0]) <= 2 * len(keys):
+            old_keys, old_ids = self.runs.pop()
+            keep = self.alive[old_ids] & (self.cur[old_ids] == old_keys)
+            keys = np.concatenate((old_keys[keep], keys))
+            ids = np.concatenate((old_ids[keep], ids))
+        order = np.argsort(keys, kind="stable")
+        self.runs.append((keys[order], ids[order]))
+
+    def pop(self) -> tuple[int, np.ndarray]:
+        """The smallest key with a current entry, and its current ids."""
+        while True:
+            key = min(int(keys[0]) for keys, _ in self.runs)
+            out = []
+            for i, (keys, ids) in enumerate(self.runs):
+                if keys[0] == key:
+                    cut = int(np.searchsorted(keys, key, side="right"))
+                    out.append(ids[:cut])
+                    self.runs[i] = (keys[cut:], ids[cut:])
+            self.runs = [run for run in self.runs if len(run[0])]
+            ids = np.concatenate(out)
+            ids = ids[self.alive[ids] & (self.cur[ids] == key)]
+            if len(ids):
+                return key, ids
+
+
+def peel_triangles(
+    m: int,
+    triangles: np.ndarray,
+    initial: Sequence[int] | np.ndarray,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-edge trussness phi by the level-synchronous peel shared by plain
+    and weighted trussness.
+
+    Levels are visited in increasing order of the smallest residual support
+    f left, giving trussness k = f+2. Each sub-round removes every alive
+    edge whose residual support is at most f, kills the alive triangles
+    those edges touch, and subtracts each killed triangle's weight (1 when
+    weights is None) from its surviving edges, clamped at f; the edges that
+    reach f form the next sub-round. Supports and decrements are exact
+    int64 arithmetic. The level queue keeps the cost of finding each level
+    proportional to the edges it touches, not to m.
+    """
+    tri = np.asarray(triangles).reshape(-1, 3)
+    flat = tri.ravel()
+    # edge -> triangle CSR: the triangles of edge e are tri_of[ptr[e]:ptr[e+1]]
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=m), out=ptr[1:])
+    order = np.argsort(flat)
+    order //= 3
+    tri_of = order.astype(np.int32)
+    del order
+    if weights is not None:
+        weights = np.repeat(weights, 3).reshape(-1, 3)   # aligned with tri
+    stamp = np.empty(max(m, len(tri)), dtype=np.int32)
+
+    def distinct(ids: np.ndarray) -> np.ndarray:
+        # one copy of each id: whichever write won its stamp slot
+        pos = np.arange(len(ids))
+        stamp[ids] = pos
+        return ids[stamp[ids] == pos]
+
+    # an edge's residual support freezes at f when it is peeled: phi = f+2
+    cur = np.array(initial, dtype=np.int64)
+    alive = np.ones(m, dtype=bool)
+    tri_alive = np.ones(len(tri), dtype=bool)
+    queue = _LevelQueue(cur, alive)
+    queue.push(cur, np.arange(m, dtype=np.int32))
     remaining = m
-    k = 2
     while remaining:
-        frontier = k - 2
-        while heap and heap[0][0] <= frontier:
-            s, e = pop(heap)
-            if not alive[e] or cur[e] != s:
-                continue
-            alive[e] = 0
-            phi[e] = k
-            remaining -= 1
-            u, v = edges[e]
-            if deg[u] > deg[v]:
-                u, v = v, u
-            av = adj[v]
-            for w, e_uw in adj[u].items():
-                if not alive[e_uw]:
-                    continue
-                e_vw = av.get(w)
-                if e_vw is None or not alive[e_vw]:
-                    continue
-                d = 1 if triangle_delta is None else triangle_delta(e, e_uw, e_vw)
-                if d:
-                    for x in (e_uw, e_vw):
-                        ns = cur[x] - d
-                        if ns < frontier:
-                            ns = frontier
-                        if ns != cur[x]:
-                            cur[x] = ns
-                            push(heap, (ns, x))
-        if remaining:
-            while heap and (not alive[heap[0][1]] or cur[heap[0][1]] != heap[0][0]):
-                pop(heap)
-            # skip levels with empty classes straight to the next frontier
-            k = max(k + 1, heap[0][0] + 2)
-
-    classes: dict[int, list[int]] = {}
-    for e in range(m):
-        classes.setdefault(phi[e], []).append(e)
-    k_max = max(classes) if classes else 0
-    return KClassDecomposition(phi=tuple(phi), k_max=k_max, classes=classes)
+        f, peel = queue.pop()
+        peel = distinct(peel)
+        while len(peel):
+            alive[peel] = False
+            remaining -= len(peel)
+            lens = ptr[peel + 1] - ptr[peel]
+            idx = np.arange(int(lens.sum())) + np.repeat(ptr[peel] - (np.cumsum(lens) - lens), lens)
+            killed = tri_of[idx]
+            killed = distinct(killed[tri_alive[killed]])
+            tri_alive[killed] = False
+            touched = tri[killed]
+            survives = alive[touched]
+            hit = touched[survives]
+            np.subtract.at(cur, hit, 1 if weights is None else weights[killed][survives])
+            hit = distinct(hit)
+            low = np.maximum(cur[hit], f)
+            cur[hit] = low
+            later = low > f
+            if later.any():
+                queue.push(low[later], hit[later])
+            peel = hit[~later]
+    return cur + 2
 
 
 def k_classes(graph: Graph, supports: SupportMap) -> KClassDecomposition:
-    """Trussness of every edge from its triangle supports."""
+    """Trussness of every edge from its triangle supports.
+
+    Reuses the triangle list the supports were counted from; supports from
+    elsewhere (the oracle) get a fresh listing.
+    """
     if len(supports.sup) != graph.m:
         raise ValueError("support map does not match graph")
-    return peel_classes(graph, supports.sup)
+    triangles = supports.triangles
+    if triangles is None:
+        triangles = triangle_list(graph)
+    return KClassDecomposition.from_phi(peel_triangles(graph.m, triangles, supports.sup))
 
 
 def trusses_at(decomposition: KClassDecomposition, graph: Graph, k: int) -> TrussSet:
@@ -212,8 +275,6 @@ class ClusterFamily:
         Returns (formation level, edge set) pairs ordered by cluster id.
         """
         nleaf = len(self.leaf_edges)
-        ds = DisjointSet(nleaf)
-        cid = list(range(nleaf))
         members: dict[int, list[int]] = {i: [i] for i in range(nleaf)}
         pure: dict[int, bool] = {i: True for i in range(nleaf)}
         level_of: dict[int, int] = {}
@@ -236,8 +297,6 @@ class ClusterFamily:
                 merged.extend(members.pop(a))
                 pure.pop(a, None)
                 level_of.pop(a, None)
-                root = ds.union(ds.find(merge.survivor), ds.find(a))
-                cid[root] = merge.survivor
             members[merge.survivor] = merged
             pure[merge.survivor] = ok
             level_of[merge.survivor] = merge.level
@@ -317,11 +376,3 @@ def summit_trusses(
             if all(phi[e] == k for e in member):
                 out.append((k, member))
     return out
-
-
-def trussness_tsv(graph: Graph, decomposition: KClassDecomposition) -> str:
-    """One "u<TAB>v<TAB>phi" line per edge."""
-    lines = []
-    for eid, (lo, hi) in enumerate(graph.edges):
-        lines.append(f"{graph.labels[lo]}\t{graph.labels[hi]}\t{decomposition.phi[eid]}")
-    return "\n".join(lines) + "\n"

@@ -182,3 +182,35 @@ def test_stats_subcommand(k4_file, capsys):
     assert main(["stats", str(k4_file)]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["n"] == 5 and stats["m"] == 7 and stats["k_max"] == 4
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["truss", "--k", "1"], "k must be at least 2"),
+        (["strong-truss", "--k", "0"], "k must be at least 2"),
+        (["weighted-truss", "--k", "1"], "k must be at least 2"),
+        (["weighted-truss", "--k", "4", "--alpha", "0"], "--alpha must be positive"),
+        (["weighted-truss", "--k", "4", "--alpha", "x"], "bad --alpha"),
+    ],
+)
+def test_bad_arguments_fail_before_any_work(args, message, k4_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(args + [str(k4_file), "-o", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    # checked before the input is even read
+    assert main(args + [str(tmp_path / "missing.tsv"), "-o", str(out)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_triangle_cap_exits_1_without_output(k4_file, tmp_path, capsys, monkeypatch):
+    import trusskit.triangles
+
+    monkeypatch.setattr(trusskit.triangles, "DEFAULT_TRIANGLE_CAP", 1)
+    out = tmp_path / "out"
+    assert main(["truss", "--k", "3", str(k4_file), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "over the cap of 1" in err
+    assert not out.exists()

@@ -1,6 +1,12 @@
-from trusskit import brute_force_supports, edge_supports, vertex_ranking
+import random
+
+import numpy as np
+import pytest
+
+import trusskit.triangles as triangles_module
+from trusskit import brute_force_supports, build_graph, edge_supports, vertex_ranking
 from trusskit.graph import VertexRanking
-from trusskit.triangles import supports_tsv
+from trusskit.triangles import supports_tsv, triangle_list
 from conftest import complete_graph, cycle_graph, er_graph, graph_from, random_graphs
 
 
@@ -64,3 +70,50 @@ def test_supports_tsv_shape():
     lines = text.strip().split("\n")
     assert len(lines) == 3
     assert all(line.split("\t")[2] == "1" for line in lines)
+
+
+def _triangle_rows(g, triangles):
+    """Rows as sets of edge ids, checked to close a triangle each."""
+    rows = []
+    for row in triangles.tolist():
+        ends = [v for e in row for v in g.edges[e]]
+        assert len(set(row)) == 3 and len(set(ends)) == 3
+        assert all(ends.count(v) == 2 for v in ends)
+        rows.append(frozenset(row))
+    return rows
+
+
+def test_triangle_list_properties():
+    for _, g in random_graphs(60, 30, seed=808):
+        triangles = triangle_list(g)
+        assert triangles.dtype == np.int32 and triangles.shape[1:] == (3,)
+        rows = _triangle_rows(g, triangles)
+        assert len(rows) == len(set(rows))
+        counts = np.bincount(triangles.ravel(), minlength=g.m)
+        assert tuple(counts.tolist()) == brute_force_supports(g).sup
+        # any total order lists the same triangles, each once
+        order = list(range(g.n))
+        random.Random(g.m).shuffle(order)
+        rank = [0] * g.n
+        for r, v in enumerate(order):
+            rank[v] = r
+        alt = VertexRanking(rank=tuple(rank), order=tuple(order))
+        assert sorted(_triangle_rows(g, triangle_list(g, alt)), key=sorted) == sorted(
+            rows, key=sorted
+        )
+
+
+def test_triangle_list_empty_and_triangle_free():
+    assert triangle_list(build_graph(3, [])).shape == (0, 3)
+    assert triangle_list(cycle_graph(6)).shape == (0, 3)
+    assert edge_supports(build_graph(2, [(0, 1)])).sup == (0,)
+
+
+def test_triangle_cap_fails_fast(monkeypatch):
+    k6 = complete_graph(6)
+    # every wedge of K6 closes: 20 wedges, 20 triangles
+    monkeypatch.setattr(triangles_module, "DEFAULT_TRIANGLE_CAP", 20)
+    assert len(triangle_list(k6)) == 20
+    monkeypatch.setattr(triangles_module, "DEFAULT_TRIANGLE_CAP", 19)
+    with pytest.raises(ValueError, match=r"test 20 wedges, over the cap of 19"):
+        edge_supports(k6)

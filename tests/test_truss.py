@@ -1,6 +1,7 @@
 import pytest
 
 from trusskit import (
+    brute_force_supports,
     build_graph,
     edge_supports,
     iterative_deletion_oracle,
@@ -165,3 +166,20 @@ def test_summit_union_edge_disjoint():
         for _, member in summit_trusses(decompose(g), g):
             assert not (member & seen)
             seen |= member
+
+
+def test_networkx_k_truss_differential():
+    nx = pytest.importorskip("networkx")
+    for _, g in random_graphs(40, 30, seed=909):
+        dec = decompose(g)
+        reference = nx.Graph(g.edges)
+        for k in range(2, dec.k_max + 2):
+            truss = nx.k_truss(reference, k)
+            expected = {g.edge_id(u, v) for u, v in truss.edges}
+            assert expected == {e for e in range(g.m) if dec.phi[e] >= k}
+
+
+def test_peel_reuses_and_matches_oracle_supports():
+    # supports without a triangle list (the oracle's) get a fresh listing
+    for _, g in random_graphs(20, 25, seed=1010):
+        assert k_classes(g, brute_force_supports(g)) == decompose(g)

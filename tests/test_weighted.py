@@ -206,3 +206,54 @@ def test_weighted_separation_beats_unweighted():
     k_match = 2 + 5 * (k - 2)
     part_w = clusters_to_node_partition(g, list(trusses_at(dec_w, g, k_match).members))
     assert nmi(truth, part_w) >= nmi(truth, part_u)
+
+
+def weighted_deletion_survivors(g, spec, k):
+    """Oracle: delete edges whose weighted support among survivors is
+    below k-2, to a fixpoint."""
+    nbr = [dict(a) for a in g.adj]
+    alive = set(range(g.m))
+    changed = True
+    while changed:
+        changed = False
+        for eid in sorted(alive):
+            lo, hi = g.edges[eid]
+            support = 0
+            for w, e1 in nbr[lo].items():
+                e2 = nbr[hi].get(w)
+                if e2 is not None:
+                    support += triangle_weight(
+                        spec, g.weights[eid], g.weights[e1], g.weights[e2]
+                    )
+            if support < k - 2:
+                alive.discard(eid)
+                del nbr[lo][hi], nbr[hi][lo]
+                changed = True
+    return alive
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(min_value=3, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, keep in zip(pairs, chosen) if keep]
+    weights = draw(
+        st.lists(st.integers(min_value=1, max_value=12), min_size=len(edges), max_size=len(edges))
+    )
+    return build_graph(n, edges, weights)
+
+
+@given(
+    weighted_graphs(),
+    st.sampled_from(["minimum", "harmonic"]),
+    st.sampled_from([1, 3, Fraction(1, 2), Fraction(7, 3)]),
+)
+def test_weighted_peel_matches_deletion_oracle(g, kind, alpha):
+    spec = TriangleWeightSpec(kind, alpha)
+    dec = weighted_k_classes(g, spec)
+    assert weighted_supports(g, spec).sup == brute_weighted(g, spec)
+    for k in range(2, dec.k_max + 2):
+        assert weighted_deletion_survivors(g, spec, k) == {
+            e for e in range(g.m) if dec.phi[e] >= k
+        }
