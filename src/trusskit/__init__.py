@@ -41,7 +41,6 @@ from .weighted import (
     WeightedSupportMap,
     triangle_weight,
     weighted_k_classes,
-    weighted_strong_family,
     weighted_supports,
 )
 from .trapeze import (

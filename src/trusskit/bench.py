@@ -333,6 +333,8 @@ def run_benchmark(
             score = nmi(truth, part)
             sums[None] = sums.get(None, 0.0) + score
             seen_counts[None] = seen_counts.get(None, 0) + 1
+        # free this trial's graph and triangle list before the next is drawn
+        del graph, truth, decomposition
     elapsed = time.perf_counter() - started
 
     rows = []

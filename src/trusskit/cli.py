@@ -27,7 +27,7 @@ from .truss import (
     truss_dendrogram,
     trusses_at,
 )
-from .weighted import TriangleWeightSpec, weighted_k_classes, weighted_strong_family
+from .weighted import TriangleWeightSpec, weighted_k_classes
 
 
 class CommandError(Exception):
@@ -194,7 +194,7 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 
 
 def cmd_trapeze(args: argparse.Namespace) -> None:
-    graph = load_input(args.input, weighted=False)
+    # the schedule is checked before any loading, computing or writing
     if args.levels:
         try:
             schedule = [int(tok) for tok in args.levels.split(",") if tok]
@@ -206,6 +206,9 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
         b <= a for a, b in zip(schedule, schedule[1:])
     ):
         raise CommandError("levels must be strictly ascending and at least 1")
+    graph = load_input(args.input, weighted=False)
+    if args.check_bipartite:
+        print(f"bipartite: {is_bipartite(graph)}")
 
     run = trapeze_level_run(graph, schedule)
     outdir = Path(args.out)
@@ -320,31 +323,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_k=False):
-        p.add_argument("input", help="edge list file: 'u v [w]' per line")
+    def common(p):
+        p.add_argument("input", help="edge list file, one edge per line")
         p.add_argument("-o", "--out", default="trusskit-out", help="output directory")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+
+    def decompose(p, needs_k=False):
+        common(p)
         p.add_argument("--weighted", action="store_true", help="input has edge weights")
         p.add_argument("--dot", action="store_true", help="also write DOT export")
         p.add_argument("--graphml", action="store_true", help="also write GraphML export")
         if needs_k:
             p.add_argument("--k", type=int, required=True, help="support level")
 
-    common(sub.add_parser("truss", help="maximal k-trusses"), needs_k=True)
-    common(sub.add_parser("strong-truss", help="strong k-trusses"), needs_k=True)
+    decompose(sub.add_parser("truss", help="maximal k-trusses"), needs_k=True)
+    decompose(sub.add_parser("strong-truss", help="strong k-trusses"), needs_k=True)
     p = sub.add_parser("summit", help="summit trusses")
-    common(p)
+    decompose(p)
     p.add_argument("--strong", action="store_true", help="summit strong trusses")
     p = sub.add_parser("weighted-truss", help="weighted k-trusses")
-    common(p, needs_k=True)
+    decompose(p, needs_k=True)
     p.add_argument("--weight-fn", choices=("min", "harmonic"), default="min")
     p.add_argument("--alpha", default="1", help="positive rational scaling constant")
 
     for name in ("trapeze", "strong-trapeze", "summit-trapeze"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')}s over a level schedule")
-        p.add_argument("input")
-        p.add_argument("-o", "--out", default="trusskit-out")
-        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        common(p)
         p.add_argument("--levels", help="comma-separated ascending support levels")
         p.add_argument(
             "--geometric", type=int, default=6,
@@ -382,9 +386,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("truss", "strong-truss", "summit", "weighted-truss"):
             cmd_decompose(args)
         elif args.command in ("trapeze", "strong-trapeze", "summit-trapeze"):
-            if args.check_bipartite:
-                graph = load_input(args.input, weighted=False)
-                print(f"bipartite: {is_bipartite(graph)}")
             cmd_trapeze(args)
         elif args.command == "bench":
             cmd_bench(args)
@@ -392,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
             cmd_stats(args)
     except (CommandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     return 0
 

@@ -1,73 +1,72 @@
 """Strong trusses: triangle-connected refinements of maximal trusses.
 
-Edges are replayed from the highest class downward; whenever a new edge
-closes a triangle with two edges already present, their clusters merge at
-the new edge's class level. The resulting family contains every strong
-truss at every level, plus the summit selection.
+Edges are added from the highest class downward. The family replays the
+triangle list the decomposition was peeled from, each triangle when its
+last edge arrives: the clusters of its three edges merge at that edge's
+class level. The resulting family contains every strong truss at every
+level, plus the summit selection.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
+
+import numpy as np
 
 from .graph import DisjointSet, Graph
-from .truss import ClusterFamily, KClassDecomposition, Merge, class_order
+from .truss import ClusterFamily, KClassDecomposition, Merge, arrival_order
+
+# triangle rows converted to Python per step of the replay; bounds the
+# lists the conversion makes
+_REPLAY_CHUNK = 1 << 10
 
 
 def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> ClusterFamily:
     """Agglomerative family of strong trusses from the k-classes.
 
-    Within a class, edges enter in ascending edge id; the lower-degree
-    endpoint of each arrival is scanned for triangles closed with edges
-    already present. Cluster ids follow addition order and the lowest id
-    survives a merge, which pins the merge log for snapshot tests.
+    Within a class, edges enter in ascending edge id. Each row of the
+    decomposition's triangle list is replayed once, when its last edge
+    enters; triangles closed by the same edge go in ascending id of their
+    third vertex, the one that edge does not touch. Cluster ids follow
+    addition order and the lowest id survives a merge, which pins the merge
+    log for snapshot tests.
     """
     if len(decomposition.phi) != graph.m:
         raise ValueError("decomposition does not match graph")
-    edges = graph.edges
-    adj = graph.adj
+    m = graph.m
+    phi = decomposition.phi
+    order = arrival_order(decomposition)
+    leaf_of_edge = np.empty(m, dtype=np.int32)
+    leaf_of_edge[order] = np.arange(m, dtype=np.int32)
+    rows = np.sort(leaf_of_edge[decomposition.triangles], axis=1)
+    # the third vertex is the endpoint of the first edge off the last edge
+    ends = np.fromiter(chain.from_iterable(graph.edges), np.int32, 2 * m).reshape(m, 2)
+    first, last = ends[order[rows[:, 0]]], ends[order[rows[:, 2]]]
+    off = (first[:, 0] != last[:, 0]) & (first[:, 0] != last[:, 1])
+    third = np.where(off, first[:, 0], first[:, 1])
+    del ends, first, last, off
+    rows = rows[np.lexsort((third, rows[:, 2]))]
+    del third
 
-    present = bytearray(graph.m)          # the membership set D
-    leaf_of_edge = [0] * graph.m
-    leaf_edges: list[int] = []
-    leaf_levels: list[int] = []
+    leaf_edges = order.tolist()
+    leaf_levels = [phi[e] for e in leaf_edges]
     merges: list[Merge] = []
-    ds = DisjointSet(graph.m)             # over leaf indices
-    cid: list[int] = []                   # root leaf -> cluster id
-
-    for level, eid in class_order(decomposition):
-        leaf = len(leaf_edges)
-        leaf_edges.append(eid)
-        leaf_levels.append(level)
-        leaf_of_edge[eid] = leaf
-        cid.append(leaf)
-
-        u, v = edges[eid]
-        if len(adj[u]) > len(adj[v]):
-            u, v = v, u
-        av = adj[v]
-        for w, e_uw in adj[u].items():
-            if not present[e_uw]:
-                continue
-            e_vw = av.get(w)
-            if e_vw is None or not present[e_vw]:
-                continue
-            ids = {
-                cid[ds.find(leaf)],
-                cid[ds.find(leaf_of_edge[e_uw])],
-                cid[ds.find(leaf_of_edge[e_vw])],
-            }
+    ds = DisjointSet(m)                   # over leaf indices
+    cid = list(range(m))                  # root leaf -> cluster id
+    for lo in range(0, len(rows), _REPLAY_CHUNK):
+        for a, b, leaf in rows[lo : lo + _REPLAY_CHUNK].tolist():
+            ids = {cid[ds.find(leaf)], cid[ds.find(a)], cid[ds.find(b)]}
             if len(ids) > 1:
                 survivor = min(ids)
                 ids.discard(survivor)
                 merges.append(
-                    Merge(level=level, absorbed=tuple(sorted(ids)), survivor=survivor)
+                    Merge(level=leaf_levels[leaf], absorbed=tuple(sorted(ids)), survivor=survivor)
                 )
                 root = ds.find(survivor)
-                for a in ids:
-                    root = ds.union(root, ds.find(a))
+                for x in ids:
+                    root = ds.union(root, ds.find(x))
                 cid[root] = survivor
-        present[eid] = 1
 
     return ClusterFamily(
         leaf_edges=tuple(leaf_edges), leaf_levels=tuple(leaf_levels), merges=tuple(merges)

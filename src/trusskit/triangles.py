@@ -7,8 +7,8 @@ oriented edge keys, so each triangle is found exactly once, from its
 minimum-ranked vertex. Worst-case work is O(m^1.5); the listing runs as
 numpy array operations over bounded chunks of wedges. Plain supports are
 the per-edge row counts of that list, weighted supports sum its rows'
-weights, and the truss peel walks it. A direct common-neighbor oracle backs
-the tests.
+weights, the truss peel walks it and the strong-truss family replays it.
+A direct common-neighbor oracle backs the tests.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ whole dendrogram in linear extra work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -22,22 +22,29 @@ from .triangles import SupportMap, triangle_list
 
 @dataclass(frozen=True)
 class KClassDecomposition:
-    """Per-edge trussness phi and the classes it induces."""
+    """Per-edge trussness phi and the classes it induces.
+
+    `triangles` is the triangle list phi was peeled from, an int32 (T, 3)
+    array of edge ids; the strong-truss family replays it rather than
+    scanning the graph for triangles again.
+    """
 
     phi: tuple[int, ...]
     k_max: int
     classes: dict[int, list[int]]  # k -> edge ids with phi == k, ascending
+    triangles: np.ndarray = field(compare=False, repr=False)
 
     @classmethod
-    def from_phi(cls, phi: np.ndarray) -> KClassDecomposition:
-        """The decomposition of a per-edge phi array. Classes are keyed in
-        order of each level's first edge, with ids ascending within."""
+    def from_phi(cls, phi: np.ndarray, triangles: np.ndarray) -> KClassDecomposition:
+        """The decomposition of a per-edge phi array peeled from the given
+        triangle list. Classes are keyed in order of each level's first
+        edge, with ids ascending within."""
         order = np.argsort(phi, kind="stable")
         levels, first = np.unique(phi[order], return_index=True)
         groups = sorted(zip(levels.tolist(), np.split(order, first[1:])), key=lambda lg: lg[1][0])
         classes = {level: eids.tolist() for level, eids in groups}
         k_max = max(classes) if classes else 0
-        return cls(phi=tuple(phi.tolist()), k_max=k_max, classes=classes)
+        return cls(phi=tuple(phi.tolist()), k_max=k_max, classes=classes, triangles=triangles)
 
     def edges_at_least(self, k: int) -> list[int]:
         out: list[int] = []
@@ -180,7 +187,8 @@ def k_classes(graph: Graph, supports: SupportMap) -> KClassDecomposition:
     triangles = supports.triangles
     if triangles is None:
         triangles = triangle_list(graph)
-    return KClassDecomposition.from_phi(peel_triangles(graph.m, triangles, supports.sup))
+    phi = peel_triangles(graph.m, triangles, supports.sup)
+    return KClassDecomposition.from_phi(phi, triangles)
 
 
 def trusses_at(decomposition: KClassDecomposition, graph: Graph, k: int) -> TrussSet:
@@ -220,9 +228,13 @@ def iterative_deletion_oracle(graph: Graph, k: int) -> TrussSet:
     return TrussSet(k=k, members=members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Merge:
-    """One agglomeration event: absorbed cluster ids fold into the survivor."""
+    """One agglomeration event: absorbed cluster ids fold into the survivor.
+
+    Slotted, because a family holds one per merge (424k in the dendrogram
+    of the 425k-edge scale benchmark).
+    """
 
     level: int
     absorbed: tuple[int, ...]
@@ -274,57 +286,53 @@ class ClusterFamily:
         disqualifies the result but the absorbed cluster itself is reported.
         Returns (formation level, edge set) pairs ordered by cluster id.
         """
-        nleaf = len(self.leaf_edges)
-        members: dict[int, list[int]] = {i: [i] for i in range(nleaf)}
-        pure: dict[int, bool] = {i: True for i in range(nleaf)}
-        level_of: dict[int, int] = {}
+        # multi-leaf clusters only, id -> (formation level, pure, leaves); an
+        # id absent here is still its single leaf
+        state: dict[int, tuple[int, bool, list[int]]] = {}
         summits: dict[int, tuple[int, frozenset[int]]] = {}
 
         for merge in self.merges:
-            parts = [merge.survivor, *merge.absorbed]
+            level = merge.level
             ok = True
-            for p in parts:
-                if len(members[p]) > 1:
-                    if not pure[p] or level_of[p] != merge.level:
-                        ok = False
-                        if pure[p] and level_of[p] > merge.level:
-                            summits[p] = (
-                                level_of[p],
-                                frozenset(self.leaf_edges[i] for i in members[p]),
-                            )
-            merged = members[merge.survivor]
-            for a in merge.absorbed:
-                merged.extend(members.pop(a))
-                pure.pop(a, None)
-                level_of.pop(a, None)
-            members[merge.survivor] = merged
-            pure[merge.survivor] = ok
-            level_of[merge.survivor] = merge.level
+            merged: list[int] | None = None
+            for p in (merge.survivor, *merge.absorbed):
+                formed, pure, leaves = state.pop(p, (level, True, [p]))
+                if not pure or formed != level:
+                    ok = False
+                    if pure and formed > level:
+                        summits[p] = (formed, frozenset(self.leaf_edges[i] for i in leaves))
+                if merged is None:
+                    merged = leaves
+                else:
+                    merged.extend(leaves)
+            state[merge.survivor] = (level, ok, merged)
 
-        for key, leaves in members.items():
-            if len(leaves) >= min_size and pure[key]:
-                summits[key] = (
-                    level_of[key],
-                    frozenset(self.leaf_edges[i] for i in leaves),
-                )
+        for key, (formed, pure, leaves) in state.items():
+            if pure and len(leaves) >= min_size:
+                summits[key] = (formed, frozenset(self.leaf_edges[i] for i in leaves))
         return [summits[key] for key in sorted(summits) if len(summits[key][1]) >= min_size]
 
 
-def _family_by_vertex_connectivity(
-    graph: Graph, order: Iterable[tuple[int, int]]
-) -> ClusterFamily:
-    """Single-link agglomeration: an arriving edge joins the clusters of its
-    endpoints' components."""
+def arrival_order(decomposition: KClassDecomposition) -> np.ndarray:
+    """Edge ids in the order cluster families add them as leaves:
+    descending class, ascending id within a class."""
+    return np.argsort(-np.asarray(decomposition.phi, dtype=np.int64), kind="stable")
+
+
+def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
+    """Full dendrogram of maximal trusses by single-link agglomeration: an
+    arriving edge joins the clusters of its endpoints' components.
+
+    Cutting at level k reproduces trusses_at(k); merge levels never increase
+    along the sequence.
+    """
+    leaf_edges = arrival_order(decomposition).tolist()
+    leaf_levels = [decomposition.phi[e] for e in leaf_edges]
     ds = DisjointSet(graph.n)
     cluster_of_root: dict[int, int] = {}
-    leaf_edges: list[int] = []
-    leaf_levels: list[int] = []
     merges: list[Merge] = []
 
-    for level, eid in order:
-        leaf = len(leaf_edges)
-        leaf_edges.append(eid)
-        leaf_levels.append(level)
+    for leaf, eid in enumerate(leaf_edges):
         lo, hi = graph.edges[eid]
         ids = {leaf}
         for v in (lo, hi):
@@ -335,29 +343,14 @@ def _family_by_vertex_connectivity(
         survivor = min(ids)
         ids.discard(survivor)
         if ids:
-            merges.append(Merge(level=level, absorbed=tuple(sorted(ids)), survivor=survivor))
+            merges.append(
+                Merge(level=leaf_levels[leaf], absorbed=tuple(sorted(ids)), survivor=survivor)
+            )
         cluster_of_root[ds.find(root)] = survivor
 
     return ClusterFamily(
         leaf_edges=tuple(leaf_edges), leaf_levels=tuple(leaf_levels), merges=tuple(merges)
     )
-
-
-def class_order(decomposition: KClassDecomposition) -> list[tuple[int, int]]:
-    """(level, edge id) pairs in descending class, ascending id within."""
-    out: list[tuple[int, int]] = []
-    for k in sorted(decomposition.classes, reverse=True):
-        out.extend((k, e) for e in decomposition.classes[k])
-    return out
-
-
-def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
-    """Full dendrogram of maximal trusses by single-link agglomeration.
-
-    Cutting at level k reproduces trusses_at(k); merge levels never increase
-    along the sequence.
-    """
-    return _family_by_vertex_connectivity(graph, class_order(decomposition))
 
 
 def summit_trusses(

@@ -19,9 +19,8 @@ from typing import Literal
 import numpy as np
 
 from .graph import Graph, Weight
-from .strong import strong_truss_family
 from .triangles import triangle_list
-from .truss import ClusterFamily, KClassDecomposition, peel_triangles
+from .truss import KClassDecomposition, peel_triangles
 
 DEFAULT_SUPPORT_CAP = 1 << 24
 
@@ -149,12 +148,4 @@ def weighted_k_classes(
     """
     supports = weighted_supports(graph, spec, support_cap)
     phi = peel_triangles(graph.m, supports.triangles, supports.sup, supports.triangle_weights)
-    return KClassDecomposition.from_phi(phi)
-
-
-def weighted_strong_family(
-    graph: Graph, decomposition: KClassDecomposition
-) -> ClusterFamily:
-    """Strong weighted trusses: identical clustering mechanics, run on the
-    weighted classes. Summit selection applies unchanged."""
-    return strong_truss_family(graph, decomposition)
+    return KClassDecomposition.from_phi(phi, supports.triangles)

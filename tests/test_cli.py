@@ -6,6 +6,7 @@ import pytest
 from trusskit.cli import main
 
 K4_PENDANT = "a b\na c\na d\nb c\nb d\nc d\nd e\n"
+C4_BOWTIE = "a b\nb c\nc d\nd a\nd e\ne f\nf g\ng d\n"  # two 4-cycles sharing d
 DOLPHINS = Path(__file__).parent / "data" / "dolphins.tsv"
 
 
@@ -130,6 +131,69 @@ def test_trapeze_bad_levels(tmp_path, capsys):
     assert main(["trapeze", "--levels", "3,2", str(src), "-o", str(tmp_path / "o")]) == 1
 
 
+def test_strong_trapeze_splits_at_cut_vertex(tmp_path):
+    src = tmp_path / "bow.tsv"
+    src.write_text(C4_BOWTIE)
+    weak, strong = tmp_path / "weak", tmp_path / "strong"
+    assert main(["trapeze", "--levels", "1", str(src), "-o", str(weak)]) == 0
+    assert main(["strong-trapeze", "--levels", "1", str(src), "-o", str(strong)]) == 0
+    weak_rows = [l.split("\t") for l in (weak / "trapezes.tsv").read_text().splitlines()]
+    assert {tuple(r[:3]) for r in weak_rows} == {("1", "weak", "0")} and len(weak_rows) == 8
+    groups: dict[str, set[str]] = {}
+    for k, kind, idx, u, v in (l.split("\t") for l in (strong / "trapezes.tsv").read_text().splitlines()):
+        assert (k, kind) == ("1", "strong")
+        groups.setdefault(idx, set()).update((u, v))
+    assert groups == {"0": set("abcd"), "1": set("defg")}
+
+
+def test_summit_trapeze_lists_the_summits(tmp_path):
+    src = tmp_path / "mix.tsv"
+    k5 = "\n".join(f"k{i} k{j}" for i in range(5) for j in range(i + 1, 5))
+    k23 = "\n".join(f"x{i} y{j}" for i in range(2) for j in range(3))
+    src.write_text(k5 + "\n" + k23 + "\n")
+    out = tmp_path / "out"
+    assert main(["summit-trapeze", "--levels", "1,2,4", str(src), "-o", str(out)]) == 0
+    text = (out / "trapezes.tsv").read_text()
+    assert text == (out / "summits.tsv").read_text()
+    rows = [l.split("\t") for l in text.splitlines()]
+    assert {(r[0], r[1], r[2]) for r in rows} == {("4", "summit", "0"), ("2", "summit", "1")}
+
+
+@pytest.mark.parametrize(
+    "text, bipartite", [(C4_BOWTIE, True), (K4_PENDANT, False)], ids=["bipartite", "odd-cycle"]
+)
+def test_check_bipartite_reads_input_once(text, bipartite, tmp_path, capsys, monkeypatch):
+    import trusskit.cli
+
+    loads = []
+    real = trusskit.cli.load_edge_list
+    monkeypatch.setattr(
+        trusskit.cli, "load_edge_list", lambda *a, **kw: loads.append(1) or real(*a, **kw)
+    )
+    src = tmp_path / "g.tsv"
+    src.write_text(text)
+    argv = ["trapeze", "--levels", "1", "--check-bipartite", str(src), "-o", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"bipartite: {bipartite}"
+    assert len(loads) == 1
+
+
+@pytest.mark.parametrize(
+    "args", [["--levels", "3,2"], ["--levels", "0"], ["--levels", "x"], ["--geometric", "-1"]]
+)
+def test_trapeze_bad_levels_fail_before_any_work(args, tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    src.write_text(C4_BOWTIE)
+    out = tmp_path / "out"
+    # the schedule is checked before the input is even read
+    for path in (src, tmp_path / "missing.tsv"):
+        assert main(["trapeze", *args, "--check-bipartite", str(path), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "levels" in captured.err
+    assert not out.exists()
+
+
 def test_bench_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
@@ -213,4 +277,17 @@ def test_triangle_cap_exits_1_without_output(k4_file, tmp_path, capsys, monkeypa
     assert main(["truss", "--k", "3", str(k4_file), "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "over the cap of 1" in err
+    assert not out.exists()
+
+
+def test_memory_error_exits_1_with_one_line(k4_file, tmp_path, capsys, monkeypatch):
+    import trusskit.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(trusskit.cli, "k_classes", exhausted)
+    out = tmp_path / "out"
+    assert main(["truss", "--k", "3", str(k4_file), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
     assert not out.exists()

@@ -1,12 +1,21 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from trusskit import (
+    ClusterFamily,
+    DisjointSet,
+    Merge,
+    TriangleWeightSpec,
+    build_graph,
     edge_supports,
     k_classes,
     strong_truss_family,
     strong_trusses_at,
     summit_strong_trusses,
     triangle_connected_components,
+    weighted_k_classes,
 )
 from trusskit.strong import is_strong_truss
 from conftest import complete_graph, graph_from, random_graphs
@@ -113,3 +122,66 @@ def test_strong_summit_edge_disjoint():
         for _, member in summit_strong_trusses(fam):
             assert not (member & seen)
             seen |= member
+
+
+def reference_family(graph, decomposition):
+    """The strong family by scanning the adjacency at each arriving edge:
+    the lower-degree endpoint's neighbours, ascending, that close a
+    triangle with two edges already present."""
+    adj = graph.adj
+    present = bytearray(graph.m)
+    leaf_of_edge = [0] * graph.m
+    leaf_edges, leaf_levels, merges = [], [], []
+    ds = DisjointSet(graph.m)
+    cid = []
+    for level in sorted(decomposition.classes, reverse=True):
+        for eid in decomposition.classes[level]:
+            leaf = len(leaf_edges)
+            leaf_edges.append(eid)
+            leaf_levels.append(level)
+            leaf_of_edge[eid] = leaf
+            cid.append(leaf)
+            u, v = graph.edges[eid]
+            if len(adj[u]) > len(adj[v]):
+                u, v = v, u
+            for w, e_uw in adj[u].items():
+                e_vw = adj[v].get(w)
+                if not present[e_uw] or e_vw is None or not present[e_vw]:
+                    continue
+                ids = {
+                    cid[ds.find(leaf)],
+                    cid[ds.find(leaf_of_edge[e_uw])],
+                    cid[ds.find(leaf_of_edge[e_vw])],
+                }
+                if len(ids) > 1:
+                    survivor = min(ids)
+                    ids.discard(survivor)
+                    merges.append(Merge(level, tuple(sorted(ids)), survivor))
+                    root = ds.find(survivor)
+                    for a in ids:
+                        root = ds.union(root, ds.find(a))
+                    cid[root] = survivor
+            present[eid] = 1
+    return ClusterFamily(tuple(leaf_edges), tuple(leaf_levels), tuple(merges))
+
+
+def test_family_matches_adjacency_scan(dolphins):
+    graphs = [g for _, g in random_graphs(200, 22, seed=1111)] + [dolphins]
+    # 2,500 disjoint triangles: the replay crosses its chunk boundaries, and
+    # each triangle makes its own merge
+    pairs = ((0, 1), (0, 2), (1, 2))
+    graphs.append(build_graph(7500, [(3 * t + a, 3 * t + b) for t in range(2500) for a, b in pairs]))
+    for g in graphs:
+        dec = k_classes(g, edge_supports(g))
+        assert strong_truss_family(g, dec) == reference_family(g, dec)
+
+
+@pytest.mark.parametrize("kind", ["minimum", "harmonic"])
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), 3])
+def test_weighted_family_matches_adjacency_scan(kind, alpha):
+    spec = TriangleWeightSpec(kind, alpha)
+    rng = random.Random(f"{kind}-{alpha}")
+    for _, g in random_graphs(40, 18, seed=1414):
+        g = build_graph(g.n, g.edges, [rng.randint(1, 9) for _ in range(g.m)])
+        dec = weighted_k_classes(g, spec)
+        assert strong_truss_family(g, dec) == reference_family(g, dec)

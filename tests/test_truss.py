@@ -183,3 +183,13 @@ def test_peel_reuses_and_matches_oracle_supports():
     # supports without a triangle list (the oracle's) get a fresh listing
     for _, g in random_graphs(20, 25, seed=1010):
         assert k_classes(g, brute_force_supports(g)) == decompose(g)
+
+
+def test_dendrogram_summits_match_summit_trusses(dolphins):
+    # summit_clusters replays the merge log; summit_trusses cuts every level
+    graphs = [g for _, g in random_graphs(300, 20, seed=1313)] + [dolphins]
+    for g in graphs:
+        dec = decompose(g)
+        got = set(truss_dendrogram(dec, g).summit_clusters())
+        want = {(k, member) for k, member in summit_trusses(dec, g) if len(member) >= 2}
+        assert got == want

@@ -14,7 +14,6 @@ from trusskit import (
     summit_strong_trusses,
     triangle_weight,
     weighted_k_classes,
-    weighted_strong_family,
     weighted_supports,
 )
 from conftest import complete_graph, graph_from, random_graphs
@@ -128,7 +127,7 @@ def test_weighted_strong_formation_levels():
         "a b 10\nb c 10\na c 10\nc d 1\nd e 1\nc e 1", weighted=True
     )
     dec = weighted_k_classes(g, MIN1)
-    fam = weighted_strong_family(g, dec)
+    fam = strong_truss_family(g, dec)
     levels = sorted(level for level, _ in summit_strong_trusses(fam))
     assert levels == [3, 12]
     assert levels[1] - levels[0] == 9
@@ -137,7 +136,7 @@ def test_weighted_strong_formation_levels():
 def test_unit_weights_reproduce_unweighted_family():
     for _, g in random_graphs(15, 18, seed=1212):
         dec_w = weighted_k_classes(g, MIN1)
-        fam_w = weighted_strong_family(g, dec_w)
+        fam_w = strong_truss_family(g, dec_w)
         fam_u = strong_truss_family(g, k_classes(g, edge_supports(g)))
         assert fam_w == fam_u
 
