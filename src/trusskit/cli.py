@@ -3,16 +3,25 @@
 Every subcommand reads one edge-list file, writes TSV (or JSON) artifacts
 into an output directory, and exits 0 on success, 1 on runtime or
 validation failures (one diagnostic line on stderr), 2 on usage errors.
-All randomness flows through --seed.
+All randomness flows through --seed. Outputs are staged in a temporary
+sibling of the output directory and moved into it only once every file is
+written, so a failed run leaves the output directory as it was; tables are
+streamed in chunks of rows rather than built as one string.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Iterator
 from xml.sax.saxutils import quoteattr
 
 from . import bench as bench_mod
@@ -43,17 +52,13 @@ def renumber(clusters: list[tuple[int, frozenset[int] | list[int]]]):
     return [(i, k, sorted(edges)) for i, (k, edges) in enumerate(ordered)]
 
 
-def clusters_tsv(graph: Graph, rows, kind: str | None = None) -> str:
-    lines = []
-    for idx, k, edges in rows:
+def edge_rows(graph: Graph, groups) -> Iterator[str]:
+    """One "<head><u>\t<v>\n" row per edge of each (head, edge ids) group."""
+    labels, ends = graph.labels, graph.edges
+    for head, edges in groups:
         for eid in edges:
-            u, v = graph.edge_label_pair(eid)
-            cells = [str(k)]
-            if kind is not None:
-                cells.append(kind)
-            cells += [str(idx), u, v]
-            lines.append("\t".join(cells))
-    return "\n".join(lines) + ("\n" if lines else "")
+            lo, hi = ends[eid]
+            yield f"{head}{labels[lo]}\t{labels[hi]}\n"
 
 
 def clusters_json(graph: Graph, rows, kind: str | None = None) -> str:
@@ -70,16 +75,14 @@ def clusters_json(graph: Graph, rows, kind: str | None = None) -> str:
     return json.dumps({"clusters": out}, indent=2, sort_keys=True) + "\n"
 
 
-def labels_tsv(graph: Graph) -> str:
-    return "".join(f"{i}\t{label}\n" for i, label in enumerate(graph.labels))
+def labels_rows(graph: Graph) -> Iterator[str]:
+    return (f"{i}\t{label}\n" for i, label in enumerate(graph.labels))
 
 
-def dendrogram_tsv(family) -> str:
-    lines = []
+def dendrogram_rows(family) -> Iterator[str]:
     for merge in family.merges:
         absorbed = ",".join(str(a) for a in merge.absorbed)
-        lines.append(f"{merge.level}\t{absorbed}\t{merge.survivor}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        yield f"{merge.level}\t{absorbed}\t{merge.survivor}\n"
 
 
 def dot_export(graph: Graph, rows) -> str:
@@ -120,9 +123,44 @@ def graphml_export(graph: Graph, decomposition: KClassDecomposition, rows) -> st
     return "\n".join(out) + "\n"
 
 
+# rows joined per write() when a table is streamed: one write per row costs
+# wall time, one string per table costs memory
+ROWS_PER_WRITE = 1 << 12
+
+
 def write(outdir: Path, name: str, text: str) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / name).write_text(text, encoding="utf-8")
+
+
+def write_rows(outdir: Path, name: str, rows: Iterable[str]) -> None:
+    """Write newline-terminated rows, ROWS_PER_WRITE of them per write."""
+    rows = iter(rows)
+    with open(outdir / name, "w", encoding="utf-8") as handle:
+        while chunk := "".join(islice(rows, ROWS_PER_WRITE)):
+            handle.write(chunk)
+
+
+@contextmanager
+def staged_output(out: str) -> Iterator[Path]:
+    """A temporary sibling directory of `out` to write into. Its files move
+    into `out` when the block ends normally; if it raises, `out` is left as
+    it was. The temporary directory is removed either way."""
+    outdir = Path(out)
+    try:
+        outdir.parent.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
+    except OSError as exc:
+        raise CommandError(f"cannot write {out}: {exc.strerror}") from exc
+    try:
+        yield stage
+        try:
+            outdir.mkdir(exist_ok=True)
+            for path in sorted(stage.iterdir()):
+                os.replace(path, outdir / path.name)
+        except OSError as exc:
+            raise CommandError(f"cannot write {out}: {exc.strerror}") from exc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def load_input(path: str, weighted: bool) -> Graph:
@@ -151,28 +189,34 @@ def cmd_decompose(args: argparse.Namespace) -> None:
         weighted_k_classes(graph, spec) if weighted else k_classes(graph, edge_supports(graph))
     )
 
-    outdir = Path(args.out)
-    fmt = args.format
-    write(outdir, "labels.tsv", labels_tsv(graph))
+    with staged_output(args.out) as stage:
+        rows = _decompose_outputs(args, graph, decomposition, stage)
+    print(f"{len(rows)} clusters -> {Path(args.out)}")
 
-    phi_rows = "".join(
-        f"{u}\t{v}\t{decomposition.phi[e]}\n"
-        for e, (u, v) in ((e, graph.edge_label_pair(e)) for e in range(graph.m))
+
+def _decompose_outputs(
+    args: argparse.Namespace, graph: Graph, decomposition: KClassDecomposition, stage: Path
+) -> list:
+    labels, phi = graph.labels, decomposition.phi
+    write_rows(stage, "labels.tsv", labels_rows(graph))
+    write_rows(
+        stage,
+        "trussness.tsv",
+        (f"{labels[u]}\t{labels[v]}\t{phi[e]}\n" for e, (u, v) in enumerate(graph.edges)),
     )
-    write(outdir, "trussness.tsv", phi_rows)
 
     if args.command in ("truss", "weighted-truss"):
         k = args.k
         rows = renumber([(k, mem) for mem in trusses_at(decomposition, graph, k).members])
         kind = None
         family = truss_dendrogram(decomposition, graph)
-        write(outdir, "dendrogram.tsv", dendrogram_tsv(family))
+        write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
     elif args.command == "strong-truss":
         k = args.k
         family = strong_truss_family(graph, decomposition)
         rows = renumber([(k, mem) for mem in strong_trusses_at(family, k)])
         kind = "strong"
-        write(outdir, "dendrogram.tsv", dendrogram_tsv(family))
+        write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
     else:  # summit
         if args.strong:
             family = strong_truss_family(graph, decomposition)
@@ -182,15 +226,17 @@ def cmd_decompose(args: argparse.Namespace) -> None:
             rows = renumber(summit_trusses(decomposition, graph))
             kind = None
 
-    if fmt == "tsv":
-        write(outdir, "clusters.tsv", clusters_tsv(graph, rows, kind))
+    if args.format == "tsv":
+        prefix = "" if kind is None else f"{kind}\t"
+        heads = ((f"{k}\t{prefix}{idx}\t", edges) for idx, k, edges in rows)
+        write_rows(stage, "clusters.tsv", edge_rows(graph, heads))
     else:
-        write(outdir, "clusters.json", clusters_json(graph, rows, kind))
+        write(stage, "clusters.json", clusters_json(graph, rows, kind))
     if args.dot:
-        write(outdir, "clusters.dot", dot_export(graph, rows))
+        write(stage, "clusters.dot", dot_export(graph, rows))
     if args.graphml:
-        write(outdir, "clusters.graphml", graphml_export(graph, decomposition, rows))
-    print(f"{len(rows)} clusters -> {outdir}")
+        write(stage, "clusters.graphml", graphml_export(graph, decomposition, rows))
+    return rows
 
 
 def cmd_trapeze(args: argparse.Namespace) -> None:
@@ -211,10 +257,8 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
         print(f"bipartite: {is_bipartite(graph)}")
 
     run = trapeze_level_run(graph, schedule)
-    outdir = Path(args.out)
-    write(outdir, "labels.tsv", labels_tsv(graph))
-
     want = args.command  # trapeze | strong-trapeze | summit-trapeze
+    summits = [(kk, idx, "summit", edges) for idx, kk, edges in renumber(list(run.summits))]
     rows_all: list[tuple[int, int, str, list[int]]] = []
     if want in ("trapeze", "strong-trapeze"):
         source = run.weak if want == "trapeze" else run.strong
@@ -223,35 +267,29 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
             for idx, kk, edges in renumber([(k, m) for m in source[k].members]):
                 rows_all.append((kk, idx, kindname, edges))
     else:
-        for idx, kk, edges in renumber(list(run.summits)):
-            rows_all.append((kk, idx, "summit", edges))
+        rows_all = summits
 
-    if args.format == "tsv":
-        lines = []
-        for k, idx, kind, edges in rows_all:
-            for eid in edges:
-                u, v = graph.edge_label_pair(eid)
-                lines.append(f"{k}\t{kind}\t{idx}\t{u}\t{v}")
-        write(outdir, "trapezes.tsv", "\n".join(lines) + ("\n" if lines else ""))
-    else:
-        payload = [
-            {
-                "k": k,
-                "kind": kind,
-                "index": idx,
-                "edges": [list(graph.edge_label_pair(e)) for e in edges],
-            }
-            for k, idx, kind, edges in rows_all
-        ]
-        write(outdir, "trapezes.json", json.dumps({"trapezes": payload}, indent=2, sort_keys=True) + "\n")
-    # summits always accompany a level run
-    summit_lines = []
-    for idx, kk, edges in renumber(list(run.summits)):
-        for eid in edges:
-            u, v = graph.edge_label_pair(eid)
-            summit_lines.append(f"{kk}\tsummit\t{idx}\t{u}\t{v}")
-    write(outdir, "summits.tsv", "\n".join(summit_lines) + ("\n" if summit_lines else ""))
-    print(f"{len(rows_all)} entries -> {outdir}")
+    def tsv_rows(entries):
+        return edge_rows(graph, ((f"{k}\t{kind}\t{idx}\t", edges) for k, idx, kind, edges in entries))
+
+    with staged_output(args.out) as stage:
+        write_rows(stage, "labels.tsv", labels_rows(graph))
+        if args.format == "tsv":
+            write_rows(stage, "trapezes.tsv", tsv_rows(rows_all))
+        else:
+            payload = [
+                {
+                    "k": k,
+                    "kind": kind,
+                    "index": idx,
+                    "edges": [list(graph.edge_label_pair(e)) for e in edges],
+                }
+                for k, idx, kind, edges in rows_all
+            ]
+            write(stage, "trapezes.json", json.dumps({"trapezes": payload}, indent=2, sort_keys=True) + "\n")
+        # summits always accompany a level run
+        write_rows(stage, "summits.tsv", tsv_rows(summits))
+    print(f"{len(rows_all)} entries -> {Path(args.out)}")
 
 
 def cmd_bench(args: argparse.Namespace) -> None:
@@ -278,15 +316,15 @@ def cmd_bench(args: argparse.Namespace) -> None:
         raise CommandError(str(exc)) from exc
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
-    outdir = Path(args.out)
-    if args.format == "json":
-        rows = [
-            {"method": r.method, "k": r.k, "mean_nmi": round(r.mean_nmi, 4), "trials": r.trials}
-            for r in report.rows
-        ]
-        write(outdir, "bench.json", json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n")
-    else:
-        write(outdir, "bench.tsv", report.to_tsv())
+    with staged_output(args.out) as stage:
+        if args.format == "json":
+            rows = [
+                {"method": r.method, "k": r.k, "mean_nmi": round(r.mean_nmi, 4), "trials": r.trials}
+                for r in report.rows
+            ]
+            write(stage, "bench.json", json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n")
+        else:
+            write(stage, "bench.tsv", report.to_tsv())
     print(f"seed={args.seed}")
     print(report.summary(), end="")
 

@@ -1,25 +1,37 @@
 """Rectangle (4-cycle) support machinery and trapeze extraction.
 
-Support counting goes through an edge-triad-periphery structure: every
-admissible open triad (apex lowest or middle in the degree ranking) links
-its two arm edges to the ordered pair of its outer vertices. Two triads
-sharing a periphery close a rectangle, and the representation is unique, so
-an edge's rectangle count is the sum of (degree - 1) over the peripheries
-it reaches. Trimming alternates edge-vertex removal with periphery
-re-examination until every survivor has at least k rectangles among
-survivors; k may only grow across calls so one structure serves a whole
-level schedule.
+Support counting goes through an edge-triad-periphery (ETP) structure of
+flat int32 arrays. With vertices ranked by degree, every admissible open
+triad (its apex the lowest or the middle of its three vertices) links its
+two arm edges to the rank-ordered pair of its outer vertices, its
+periphery. Two triads sharing a periphery close a rectangle, and the
+representation is unique, so an edge's rectangle count is the sum of
+(degree - 1) over the peripheries of its triads. One vectorized pass builds
+the structure: low-apex triads pair the edges inside a vertex's upward
+bucket, median-apex triads pair its downward bucket with its upward one,
+peripheries are numbered by sorting their pair keys, and peripheries of
+degree 1 are pruned. Trimming runs level-synchronous rounds, like the truss
+peel: every live edge with fewer than k rectangles falls at once, with its
+triads, until none falls. k may only grow across calls, so one structure
+serves a whole level schedule.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .graph import Graph, VertexRanking, component_edge_sets, edge_nodes, vertex_ranking
 
 LOW_APEX = 0
 MEDIAN_APEX = 1
+
+# Most triads one structure may hold. A triad costs 13 bytes in the
+# structure and up to about 50 more while it is built.
+DEFAULT_TRIAD_CAP = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -34,123 +46,128 @@ class TrapezeSet:
 
 
 class ETPGraph:
-    """Tripartite edge-triad-periphery bookkeeping for one graph.
+    """Tripartite edge-triad-periphery arrays for one graph.
 
-    Edge vertices mirror graph edges that can sit in a 4-cycle; triads are
-    stored compactly as (arm edge, arm edge, periphery index, kind); each
-    periphery keeps its parent triad list, its live degree, and the last
-    support value Q it reported to its ancestor edges. Mutable: trimming
-    consumes the structure in place.
+    `triads` is an int32 (T, 3) array of (arm edge, arm edge, periphery)
+    rows grouped by periphery. `periph_key` holds each periphery's outer
+    vertex ranks as rank_lo * n + rank_hi, and `periph_degree` its live
+    triad count, 0 once it closes no rectangle. `triad_alive` is a
+    bytearray (`triad_live` views it as numpy bools) and `edge_alive` a
+    bool array. Mutable: trimming consumes the structure in place.
     """
 
     def __init__(self, graph: Graph, ranking: VertexRanking):
+        n, m = graph.n, graph.m
         self.graph = graph
-        self.triads: list[tuple[int, int, int, int]] = []
-        self.triad_alive: bytearray = bytearray()
-        self.periph_key: list[tuple[int, int]] = []
-        self.periph_parents: list[list[int]] = []
-        self.periph_degree: list[int] = []
-        self.periph_alive: bytearray = bytearray()
-        self.edge_triads: list[list[int]] = [[] for _ in range(graph.m)]
-        self.edge_degree: list[int] = [0] * graph.m
-        self.edge_alive: bytearray = bytearray(graph.m)
-        self.Q: list[int] = []
-        self.S: list[int] = [0] * graph.m
-        self.current_k: int = 0      # highest trim level completed
-        self._initialized = False    # Q/S seeded on the first trim only
+        self.ranking = ranking
+        self.current_k = 0      # highest trim level completed
+        rank = np.fromiter(ranking.rank, dtype=np.int64, count=n)
+        ends = rank[np.fromiter(chain.from_iterable(graph.edges), np.int64, 2 * m).reshape(m, 2)]
+        low, high = ends.min(axis=1), ends.max(axis=1)
+        del ends
+        up = np.bincount(low, minlength=n)      # per rank: neighbours ranked above
+        down = np.bincount(high, minlength=n)   # and below
+        total = int((up * (up - 1) // 2 + up * down).sum())
+        if total > DEFAULT_TRIAD_CAP:
+            raise ValueError(
+                f"trapeze structure would hold {total} triads, over the cap of "
+                f"{DEFAULT_TRIAD_CAP}; the graph has too many open wedges"
+            )
 
-        rank = ranking.rank
-        low_bin: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-        high_bin: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-        for eid, (lo, hi) in enumerate(graph.edges):
-            if rank[lo] < rank[hi]:
-                low_bin[lo].append((hi, eid))
-                high_bin[hi].append((lo, eid))
-            else:
-                low_bin[hi].append((lo, eid))
-                high_bin[lo].append((hi, eid))
+        # upward buckets: edge ids grouped by their lower-ranked endpoint
+        by_low = np.argsort(low, kind="stable").astype(np.int32)
+        outer = high[by_low]
+        up_end = np.cumsum(up)
+        # low-apex: each bucket slot pairs with every later slot of its bucket
+        first, offs = _expand(up_end[low[by_low]] - np.arange(1, m + 1))
+        second = first + 1 + offs
+        lo_key = np.minimum(outer[first], outer[second]) * n + np.maximum(outer[first], outer[second])
+        lo_arms = (by_low[first], by_low[second])
+        # median-apex: each edge, as a downward arm of its upper endpoint,
+        # pairs with every slot of that endpoint's upward bucket
+        down_arm, offs = _expand(up[high])
+        second = (up_end - up)[high[down_arm]] + offs
+        key = np.concatenate((lo_key, low[down_arm] * n + outer[second]))
+        arm1 = np.concatenate((lo_arms[0], by_low[second]))
+        arm2 = np.concatenate((lo_arms[1], down_arm.astype(np.int32)))
+        del first, second, offs, down_arm, lo_key, lo_arms
 
-        periph_index: dict[tuple[int, int], int] = {}
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        opens = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=opens[1:])
+        self.periph_key = key[opens]
+        self.triads = np.empty((len(key), 3), dtype=np.int32)
+        self.triads[:, 0] = arm1[order]
+        self.triads[:, 1] = arm2[order]
+        del key, arm1, arm2, order
+        np.cumsum(opens, dtype=np.int32, out=self.triads[:, 2])
+        self.triads[:, 2] -= 1
+        del opens
 
-        def periphery(a: int, b: int) -> int:
-            key = (a, b) if rank[a] < rank[b] else (b, a)
-            idx = periph_index.get(key)
-            if idx is None:
-                idx = len(self.periph_key)
-                periph_index[key] = idx
-                self.periph_key.append(key)
-                self.periph_parents.append([])
-                self.periph_degree.append(0)
-                self.periph_alive.append(1)
-                self.Q.append(0)
-            return idx
-
-        def add_triad(e1: int, e2: int, p: int, kind: int) -> None:
-            t = len(self.triads)
-            self.triads.append((e1, e2, p, kind))
-            self.triad_alive.append(1)
-            self.periph_parents[p].append(t)
-            self.periph_degree[p] += 1
-            self.edge_triads[e1].append(t)
-            self.edge_triads[e2].append(t)
-            self.edge_degree[e1] += 1
-            self.edge_degree[e2] += 1
-
-        for v in range(graph.n):
-            low = low_bin[v]
-            # low-apex triads: both arms lead upward in rank
-            for i in range(len(low) - 1):
-                a, e1 = low[i]
-                for j in range(i + 1, len(low)):
-                    b, e2 = low[j]
-                    add_triad(e1, e2, periphery(a, b), LOW_APEX)
-            # median-apex triads: one arm upward, one downward
-            if low:
-                for b, e2 in high_bin[v]:
-                    for a, e1 in low:
-                        add_triad(e1, e2, periphery(a, b), MEDIAN_APEX)
-
-        # degree-1 peripheries close no rectangles; drop them and their
-        # triads up front, then drop edge vertices with nothing left
-        for p in range(len(self.periph_key)):
-            if self.periph_degree[p] == 1:
-                t = self.periph_parents[p][0]
-                e1, e2, _, _ = self.triads[t]
-                self.triad_alive[t] = 0
-                self.periph_degree[p] = 0
-                self.periph_alive[p] = 0
-                self.edge_degree[e1] -= 1
-                self.edge_degree[e2] -= 1
-            elif self.periph_degree[p] == 0:
-                self.periph_alive[p] = 0
-        for eid in range(graph.m):
-            if self.edge_degree[eid] > 0:
-                self.edge_alive[eid] = 1
+        # degree-1 peripheries close no rectangles: prune them and their
+        # triads up front; edges with no triad left are not alive
+        degree = np.bincount(self.triads[:, 2], minlength=len(self.periph_key))
+        degree[degree < 2] = 0
+        self.periph_degree = degree.astype(np.int32)
+        self.triad_alive = bytearray(len(self.triads))
+        self.triad_live = np.frombuffer(self.triad_alive, dtype=bool)
+        self.triad_live[:] = self.periph_degree[self.triads[:, 2]] > 0
+        self.edge_alive = np.zeros(m, dtype=bool)
+        self.edge_alive[self.triads[self.triad_live, :2].ravel()] = True
 
     # -- inspection ------------------------------------------------------
 
     def alive_triads(self) -> list[tuple[int, int, int, int]]:
-        return [t for i, t in enumerate(self.triads) if self.triad_alive[i]]
+        """Live triads as (arm edge, arm edge, periphery, kind) tuples."""
+        rank, edges = self.ranking.rank, self.graph.edges
+        out = []
+        for e1, e2, p in self.triads[self.triad_live].tolist():
+            (a, b), (c, d) = edges[e1], edges[e2]
+            apex = a if a in (c, d) else b
+            outer = {a, b, c, d} - {apex}
+            kind = LOW_APEX if all(rank[apex] < rank[v] for v in outer) else MEDIAN_APEX
+            out.append((e1, e2, p, kind))
+        return out
 
     def alive_periphery_degrees(self) -> dict[tuple[int, int], int]:
+        """Live degree per live periphery, keyed by its outer vertex pair."""
+        n, order = self.graph.n, self.ranking.order
+        live = np.flatnonzero(self.periph_degree)
         return {
-            self.periph_key[p]: self.periph_degree[p]
-            for p in range(len(self.periph_key))
-            if self.periph_alive[p]
+            (order[key // n], order[key % n]): degree
+            for key, degree in zip(
+                self.periph_key[live].tolist(), self.periph_degree[live].tolist()
+            )
         }
 
     def surviving_edges(self) -> list[int]:
-        return [e for e in range(self.graph.m) if self.edge_alive[e]]
+        return np.flatnonzero(self.edge_alive).tolist()
 
-    def edge_peripheries(self, eid: int) -> list[int]:
-        """Periphery indices of the edge's live triads (one per triad)."""
-        return [
-            self.triads[t][2] for t in self.edge_triads[eid] if self.triad_alive[t]
-        ]
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For counts c, the pairs (i, j) with 0 <= j < c[i], as two arrays."""
+    src = np.repeat(np.arange(len(counts)), counts)
+    offs = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return src, offs
+
+
+def _supports(
+    m: int, arm1: np.ndarray, arm2: np.ndarray, periph: np.ndarray, npe: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Periphery degrees over the given live triads, and the rectangle
+    count per edge that those triads give: (degree - 1) per arm."""
+    degree = np.bincount(periph, minlength=npe)
+    weight = degree[periph] - 1
+    return degree, np.bincount(arm1, weight, m) + np.bincount(arm2, weight, m)
 
 
 def build_etp_graph(graph: Graph, ranking: VertexRanking | None = None) -> ETPGraph:
-    """Construct and prune the edge-triad-periphery structure."""
+    """Construct and prune the edge-triad-periphery structure.
+
+    The triad count is known from the bucket sizes before anything is
+    allocated; above DEFAULT_TRIAD_CAP a ValueError naming it is raised.
+    """
     if ranking is None:
         ranking = vertex_ranking(graph)
     return ETPGraph(graph, ranking)
@@ -161,100 +178,19 @@ def rectangle_supports(etp: ETPGraph) -> list[int]:
     peripheries reachable from the edge. Call before trimming."""
     if etp.current_k > 0:
         raise ValueError("rectangle supports require an untrimmed structure")
-    out = [0] * etp.graph.m
-    for eid in range(etp.graph.m):
-        for p in etp.edge_peripheries(eid):
-            out[eid] += etp.periph_degree[p] - 1
-    return out
-
-
-class TrimPass:
-    """Working state of one trim call: the kill set V and touched set U."""
-
-    __slots__ = ("k", "kill", "slated", "touched")
-
-    def __init__(self, etp: ETPGraph, k: int):
-        self.k = k
-        self.kill: list[int] = [
-            e for e in range(etp.graph.m) if etp.edge_alive[e] and etp.S[e] < k
-        ]
-        self.slated = bytearray(etp.graph.m)
-        for e in self.kill:
-            self.slated[e] = 1
-        self.touched: dict[int, bool] = {}
-
-    def slate(self, etp: ETPGraph, e: int) -> None:
-        if etp.S[e] < self.k and not self.slated[e] and etp.edge_alive[e]:
-            self.slated[e] = 1
-            self.kill.append(e)
-
-
-def remove_edge_vertex(etp: ETPGraph, state: TrimPass, e: int) -> None:
-    """Drop edge vertex e: each of its triads queues its periphery for
-    examination and either removes the co-parent outright (when the triad
-    was its last) or charges the periphery's reported support against it."""
-    for t in etp.edge_triads[e]:
-        if not etp.triad_alive[t]:
-            continue
-        e1, e2, p, _ = etp.triads[t]
-        other = e2 if e1 == e else e1
-        state.touched[p] = True
-        if etp.edge_degree[other] == 1:
-            # t was the co-parent's last triad; it goes with it
-            etp.edge_alive[other] = 0
-            etp.edge_degree[other] = 0
-        else:
-            etp.S[other] -= etp.Q[p]
-            state.slate(etp, other)
-            etp.edge_degree[other] -= 1
-        etp.triad_alive[t] = 0
-        etp.periph_degree[p] -= 1
-    etp.edge_triads[e] = []
-    etp.edge_degree[e] = 0
-    etp.edge_alive[e] = 0
-
-
-def examine_periphery(etp: ETPGraph, state: TrimPass, p: int) -> None:
-    """Refresh periphery p after removals: propagate the support change to
-    its ancestor edges, slating any that fall under k, and retire p (and its
-    last triad) when it can close no more rectangles."""
-    d = etp.periph_degree[p]
-    if d == 0:
-        etp.periph_alive[p] = 0
-        return
-    s = d - 1
-    if s >= state.k:
-        # every ancestor edge already holds >= k support through p alone;
-        # skipping keeps Q at the last value folded into the S sums
-        return
-    delta = s - etp.Q[p]
-    etp.Q[p] = s
-    live_parents = [t for t in etp.periph_parents[p] if etp.triad_alive[t]]
-    etp.periph_parents[p] = live_parents
-    if delta:
-        for t in live_parents:
-            e1, e2, _, _ = etp.triads[t]
-            for e in (e1, e2):
-                etp.S[e] += delta
-                state.slate(etp, e)
-    if s == 0:
-        t = live_parents[0]
-        e1, e2, _, _ = etp.triads[t]
-        etp.triad_alive[t] = 0
-        etp.periph_degree[p] = 0
-        etp.periph_alive[p] = 0
-        for e in (e1, e2):
-            if etp.edge_alive[e]:
-                etp.edge_degree[e] -= 1
+    live = etp.triads[etp.triad_live]
+    _, support = _supports(etp.graph.m, live[:, 0], live[:, 1], live[:, 2], len(etp.periph_key))
+    return support.astype(np.int64).tolist()
 
 
 def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
     """Remove edge vertices until all survivors have >= k rectangles.
 
-    k must not decrease across calls on one structure; support values are
-    seeded only on the first call. The optional rng scrambles the kill and
-    examination processing order, which must not change the outcome (tested).
-    Returns the surviving edge ids.
+    Each round counts every live edge's rectangles among the live triads
+    and removes all edges under k at once, with their triads. k must not
+    decrease across calls on one structure. The optional rng applies each
+    round's frontier in random batches, one batch per round, which must not
+    change the outcome (tested). Returns the surviving edge ids.
     """
     if k < 1:
         raise ValueError("support level must be at least 1")
@@ -263,44 +199,68 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
             f"trim level {k} is below the completed level {etp.current_k}; "
             "levels must not decrease"
         )
-    if not etp._initialized:
-        for p in range(len(etp.periph_key)):
-            if etp.periph_alive[p]:
-                etp.Q[p] = etp.periph_degree[p] - 1
-        for e in range(etp.graph.m):
-            if etp.edge_alive[e]:
-                etp.S[e] = sum(etp.Q[p] for p in etp.edge_peripheries(e))
-        etp._initialized = True
-
-    state = TrimPass(etp, k)
-    while state.kill:
-        state.touched = {}
+    m, alive = etp.graph.m, etp.edge_alive
+    ids = np.flatnonzero(etp.triad_live)
+    arm1, arm2, periph = (np.ascontiguousarray(etp.triads[ids, j]) for j in range(3))
+    # number the live peripheries 0..P-1; rows are grouped by periphery
+    opens = np.ones(len(ids), dtype=bool)
+    np.not_equal(periph[1:], periph[:-1], out=opens[1:])
+    periph_of = periph[opens]
+    periph = np.cumsum(opens, dtype=np.int32) - 1
+    while True:
+        degree, support = _supports(m, arm1, arm2, periph, len(periph_of))
+        fall = np.flatnonzero(alive & (support < k))
+        if not len(fall):
+            break
         if rng is not None:
-            rng.shuffle(state.kill)
-        while state.kill:
-            e = state.kill.pop()
-            state.slated[e] = 0
-            if etp.edge_alive[e]:
-                remove_edge_vertex(etp, state, e)
-        queue = list(state.touched)
-        if rng is not None:
-            rng.shuffle(queue)
-        for p in queue:
-            if etp.periph_alive[p]:
-                examine_periphery(etp, state, p)
-
+            fall = np.array(rng.sample(fall.tolist(), rng.randint(1, len(fall))))
+        alive[fall] = False
+        keep = alive[arm1] & alive[arm2]
+        ids, arm1, arm2, periph = ids[keep], arm1[keep], arm2[keep], periph[keep]
+    # a periphery left with one triad closes nothing: that triad goes too
+    degree[degree < 2] = 0
+    etp.periph_degree[:] = 0
+    etp.periph_degree[periph_of] = degree
+    etp.triad_live[:] = False
+    etp.triad_live[ids[degree[periph] > 0]] = True
     etp.current_k = k
     return etp.surviving_edges()
 
 
-def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrapezeSet:
-    """Maximal k-trapezes: components of the survivors of trim(k)."""
+def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per node of 0..n-1, the smallest node id joined to it by the links
+    (a[i], b[i]): roots hook onto the smaller root across each link, then
+    pointers jump to their roots, until no link spans two roots."""
+    label = np.arange(n)
+    while len(a):
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            break
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
+
+
+def _ensure_trimmed(etp: ETPGraph, k: int) -> None:
     if k < 1:
         raise ValueError("support level must be at least 1")
     if etp.current_k > k:
         raise ValueError(f"structure already trimmed past level {k}")
-    if etp.current_k < k or not etp._initialized:
+    if etp.current_k < k:
         trim(etp, k)
+
+
+def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrapezeSet:
+    """Maximal k-trapezes: components of the survivors of trim(k)."""
+    _ensure_trimmed(etp, k)
     members = tuple(
         frozenset(c) for c in component_edge_sets(graph, etp.surviving_edges())
     )
@@ -311,39 +271,25 @@ def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrapezeSet:
     """Rectangle-connected clusters among the survivors of trim(k).
 
     All arm edges of the triads under one live periphery are mutually
-    rectangle-connected (any two of its triads close a rectangle), so a
-    disjoint-set pass over peripheries recovers the components.
+    rectangle-connected (any two of its triads close a rectangle), so the
+    components of the links between the two arms of each live triad and
+    between the first arms of neighbouring triads of one periphery are the
+    clusters. Members are ordered by their smallest edge id.
     """
-    if k < 1:
-        raise ValueError("support level must be at least 1")
-    if etp.current_k > k:
-        raise ValueError(f"structure already trimmed past level {k}")
-    if etp.current_k < k or not etp._initialized:
-        trim(etp, k)
-    from .graph import DisjointSet
-
-    ds = DisjointSet(graph.m)
-    involved: set[int] = set()
-    for p in range(len(etp.periph_key)):
-        if not etp.periph_alive[p] or etp.periph_degree[p] < 2:
-            continue
-        first = -1
-        for t in etp.periph_parents[p]:
-            if not etp.triad_alive[t]:
-                continue
-            e1, e2, _, _ = etp.triads[t]
-            for e in (e1, e2):
-                involved.add(e)
-                if first < 0:
-                    first = e
-                else:
-                    ds.union(first, e)
-    groups: dict[int, list[int]] = {}
-    for e in sorted(involved):
-        groups.setdefault(ds.find(e), []).append(e)
-    members = tuple(
-        frozenset(g) for g in sorted(groups.values(), key=lambda g: g[0]) if len(g) >= 2
+    _ensure_trimmed(etp, k)
+    triads = etp.triads[etp.triad_live]     # still grouped by periphery
+    same = triads[1:, 2] == triads[:-1, 2]
+    label = _component_labels(
+        graph.m,
+        np.concatenate((triads[:, 0], triads[1:, 0][same])),
+        np.concatenate((triads[:, 1], triads[:-1, 0][same])),
     )
+    involved = np.flatnonzero(etp.edge_alive)   # every survivor has a live triad
+    # a component's label is its smallest edge id, so groups come in order
+    lab = label[involved]
+    order = np.argsort(lab, kind="stable")
+    groups = np.split(involved[order], np.flatnonzero(np.diff(lab[order])) + 1)
+    members = tuple(frozenset(g.tolist()) for g in groups if len(g) >= 2)
     return TrapezeSet(k=k, members=members)
 
 

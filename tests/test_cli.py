@@ -291,3 +291,97 @@ def test_memory_error_exits_1_with_one_line(k4_file, tmp_path, capsys, monkeypat
     assert main(["truss", "--k", "3", str(k4_file), "-o", str(out)]) == 1
     assert capsys.readouterr().err == "error: out of memory\n"
     assert not out.exists()
+
+
+def test_triad_cap_exits_1_without_output(tmp_path, capsys, monkeypatch):
+    import trusskit.trapeze
+
+    monkeypatch.setattr(trusskit.trapeze, "DEFAULT_TRIAD_CAP", 1)
+    src = tmp_path / "bow.tsv"
+    src.write_text(C4_BOWTIE)
+    out = tmp_path / "out"
+    assert main(["trapeze", "--levels", "1", str(src), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "triads, over the cap of 1" in err
+    assert not out.exists()
+
+
+def _exhausted(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "argv, fails_in",
+    [
+        (["truss", "--k", "3"], "truss_dendrogram"),
+        (["trapeze", "--levels", "1,2"], "trapeze_level_run"),
+    ],
+)
+def test_failed_run_leaves_output_directory_as_it_was(
+    argv, fails_in, tmp_path, capsys, monkeypatch
+):
+    import trusskit.cli
+
+    src = tmp_path / "g.tsv"
+    src.write_text(K4_PENDANT + C4_BOWTIE.replace("a", "x"))
+    monkeypatch.setattr(trusskit.cli, fails_in, _exhausted)
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.mkdir()
+    (kept / "labels.tsv").write_text("old\n")
+    (kept / "notes.txt").write_text("mine\n")
+    for out in (fresh, kept):
+        assert main([*argv, str(src), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+    assert not fresh.exists()
+    assert sorted(p.name for p in kept.iterdir()) == ["labels.tsv", "notes.txt"]
+    assert (kept / "labels.tsv").read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv", "kept"]
+
+
+def test_outputs_move_into_an_existing_directory(k4_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "labels.tsv").write_text("old\n")
+    (out / "notes.txt").write_text("mine\n")
+    assert main(["truss", "--k", "4", str(k4_file), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == f"1 clusters -> {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "clusters.tsv", "dendrogram.tsv", "labels.tsv", "notes.txt", "trussness.tsv",
+    ]
+    assert (out / "labels.tsv").read_text().startswith("0\ta\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k4p.tsv", "out"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truss", "--k", "4", str(DOLPHINS)],
+        ["strong-truss", "--k", "3", str(DOLPHINS)],
+        ["summit", "--strong", str(DOLPHINS)],
+        ["strong-trapeze", "--levels", "1,2,4", str(DOLPHINS)],
+    ],
+)
+def test_streamed_tables_do_not_depend_on_chunk_size(argv, tmp_path, monkeypatch):
+    import trusskit.cli
+
+    whole = tmp_path / "whole"
+    assert main([*argv, "-o", str(whole)]) == 0
+    monkeypatch.setattr(trusskit.cli, "ROWS_PER_WRITE", 7)
+    chunked = tmp_path / "chunked"
+    assert main([*argv, "-o", str(chunked)]) == 0
+    names = sorted(p.name for p in whole.iterdir())
+    assert names == sorted(p.name for p in chunked.iterdir())
+    for name in names:
+        text = (whole / name).read_text()
+        assert (chunked / name).read_text() == text
+        assert text == "" or (text.endswith("\n") and not text.endswith("\n\n"))
+
+
+def test_output_path_that_is_a_file_exits_1_with_one_line(k4_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("mine\n")
+    assert main(["truss", "--k", "4", str(k4_file), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}")
+    assert out.read_text() == "mine\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k4p.tsv", "taken"]

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import chain, combinations
 
 import pytest
 
@@ -7,6 +9,7 @@ from trusskit import (
     build_etp_graph,
     build_graph,
     edge_supports,
+    induced_edge_subgraph,
     k_classes,
     rectangle_supports,
     strong_trapezes_at,
@@ -14,6 +17,7 @@ from trusskit import (
     trapezes_at,
     trim,
     trusses_at,
+    vertex_ranking,
 )
 from trusskit.trapeze import LOW_APEX, MEDIAN_APEX
 from conftest import (
@@ -126,66 +130,51 @@ def test_trim_order_invariance():
             assert sorted(trim(etp, 2, rng=random.Random(rs))) == baseline
 
 
-def test_remove_edge_vertex_cascade():
-    # killing one edge of the lone rectangle empties the whole structure
-    from trusskit.trapeze import TrimPass, examine_periphery, remove_edge_vertex
-
-    etp = build_etp_graph(cycle_graph(4))
-    trim(etp, 1)
-    state = TrimPass(etp, 1)
-    assert state.kill == []
-    state.kill.append(0)
-    state.slated[0] = 1
-    while state.kill:
-        state.touched = {}
-        while state.kill:
-            e = state.kill.pop()
-            state.slated[e] = 0
-            if etp.edge_alive[e]:
-                remove_edge_vertex(etp, state, e)
-        for p in state.touched:
-            if etp.periph_alive[p]:
-                examine_periphery(etp, state, p)
-    assert etp.surviving_edges() == []
+def test_trim_cascade_empties_structure():
+    # a 2x3 ladder: the middle rung closes both squares and starts with two
+    # rectangles, but at k=2 it falls with the edges around it
+    g = graph_from("t0 t1\nt1 t2\nb0 b1\nb1 b2\nt0 b0\nt1 b1\nt2 b2")
+    etp = build_etp_graph(g)
+    supports = rectangle_supports(etp)
+    rung = g.edge_id(g.labels.index("t1"), g.labels.index("b1"))
+    assert supports[rung] == 2 and sorted(supports) == [1] * 6 + [2]
+    assert sorted(trim(etp, 1)) == list(range(g.m))
+    assert trim(etp, 2) == []
     assert etp.alive_triads() == []
+    assert etp.alive_periphery_degrees() == {}
 
 
-def test_remove_orphaned_edge_vertex_is_plain_deletion():
-    from trusskit.trapeze import TrimPass, remove_edge_vertex
+def test_edge_without_rectangles_is_plain_deletion():
+    # K_{2,3} plus a tail whose triads all sit on degree-1 peripheries:
+    # the tail edges fall and the K_{2,3} structure is left as it was
+    tail = [(4, 5), (5, 6)]
+    g = build_graph(7, [(i, 2 + j) for i in range(2) for j in range(3)] + tail)
+    etp = build_etp_graph(g)
+    before, triads = etp.alive_periphery_degrees(), etp.alive_triads()
+    assert sum(d * (d - 1) // 2 for d in before.values()) == 3
+    assert rectangle_supports(etp) == [2] * 6 + [0, 0]
+    assert sorted(trim(etp, 1)) == list(range(6))
+    assert etp.alive_periphery_degrees() == before
+    assert etp.alive_triads() == triads
 
-    etp = build_etp_graph(complete_bipartite(2, 3))
-    trim(etp, 1)
-    victim = 0
-    for t in list(etp.edge_triads[victim]):
-        etp.triad_alive[t] = 0  # simulate triads pruned out from under it
-    before = list(etp.periph_degree)
-    state = TrimPass(etp, 1)
-    remove_edge_vertex(etp, state, victim)
-    assert not etp.edge_alive[victim]
-    assert etp.periph_degree == before  # nothing else was disturbed
 
-
-def test_examine_periphery_delta_propagation():
-    # K_{2,5}: one periphery over the high-degree pair, degree 5. After one
-    # apex is removed its degree drops to 4, and re-examination at k=4 sends
-    # delta = -1 to every remaining ancestor edge.
-    from trusskit.trapeze import TrimPass, examine_periphery, remove_edge_vertex
-
-    etp = build_etp_graph(complete_bipartite(2, 5))
-    trim(etp, 1)
-    assert list(etp.alive_periphery_degrees().values()) == [5]
-    assert all(s == 4 for e, s in enumerate(etp.S) if etp.edge_alive[e])
-
-    state = TrimPass(etp, 4)
-    assert state.kill == []
-    victim = 0
-    remove_edge_vertex(etp, state, victim)  # takes its apex triad and co-edge
-    (p,) = state.touched
-    examine_periphery(etp, state, p)
-    ancestors = [e for e in range(etp.graph.m) if etp.edge_alive[e]]
-    assert len(ancestors) == 8
-    assert all(etp.S[e] == 3 for e in ancestors)
-    assert sorted(state.kill) == ancestors  # all slated: 3 < k
+def test_periphery_degree_drop_reaches_every_edge():
+    # K_{2,5} minus one edge: its co-edge at the same outer vertex closes
+    # no rectangle and drops; the other 8 edges read support 3 from the
+    # one periphery, now of degree 4, so all of them fall at k=4
+    full = complete_bipartite(2, 5)
+    assert rectangle_supports(build_etp_graph(full)) == [4] * 10
+    assert sorted(trim(build_etp_graph(full), 4)) == list(range(10))
+    g = build_graph(7, [e for e in full.edges if e != (0, 2)])
+    co_edge = g.edge_id(1, 2)
+    etp = build_etp_graph(g)
+    supports = rectangle_supports(etp)
+    assert supports[co_edge] == 0
+    assert [s for e, s in enumerate(supports) if e != co_edge] == [3] * 8
+    survivors = trim(etp, 3)
+    assert survivors == [e for e in range(g.m) if e != co_edge]
+    assert list(etp.alive_periphery_degrees().values()) == [4]
+    assert trim(etp, 4) == []
 
 
 def test_trapezes_k23():
@@ -297,3 +286,140 @@ def test_truss_implies_trapeze():
             survivors = set(trim(build_etp_graph(g), level))
             for member in trusses_at(dec, g, k).members:
                 assert member <= survivors
+
+
+def rectangle_deletion_oracle(g, k):
+    """Survivors of trim(k) by definition: drop every edge under k
+    rectangles, recounting by brute force on what is left, until none falls."""
+    alive = set(range(g.m))
+    while True:
+        sub = induced_edge_subgraph(g, alive)
+        counts = brute_force_rectangles(sub.graph)
+        drop = {sub.edge_of[i] for i, c in enumerate(counts) if c < k}
+        if not drop:
+            return sorted(alive)
+        alive -= drop
+
+
+def rectangle_components(g, edge_ids):
+    """Components of the "share a 4-cycle" relation among the given edges,
+    from brute-force enumeration of their 4-cycles."""
+    keep = set(edge_ids)
+    nbr = [set() for _ in range(g.n)]
+    for e in keep:
+        u, v = g.edges[e]
+        nbr[u].add(v)
+        nbr[v].add(u)
+    parent = {e: e for e in keep}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    in_cycle = set()
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            for w1, w2 in combinations(sorted(nbr[u] & nbr[v]), 2):
+                cycle = [g.edge_id(u, w1), g.edge_id(w1, v), g.edge_id(v, w2), g.edge_id(w2, u)]
+                in_cycle.update(cycle)
+                for e in cycle[1:]:
+                    parent[find(e)] = find(cycle[0])
+    groups = {}
+    for e in sorted(in_cycle):
+        groups.setdefault(find(e), []).append(e)
+    return sorted((frozenset(m) for m in groups.values()), key=min)
+
+
+def random_bipartite_graphs(count, seed):
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        a, b = rng.randint(2, 9), rng.randint(2, 11)
+        p = rng.choice((0.3, 0.5, 0.7, 0.9))
+        edges = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < p]
+        if edges:
+            yield made, build_graph(a + b, edges)
+            made += 1
+
+
+def oracle_graphs():
+    yield from random_graphs(40, 14, seed=2020)
+    yield from random_bipartite_graphs(40, seed=2121)
+
+
+def glued_graphs(count, seed):
+    """Chains of random graphs, each sharing one vertex with the last, so
+    their rectangle components are joined only at cut vertices."""
+    rng = random.Random(seed)
+    parts = [g for _, g in random_bipartite_graphs(3 * count, seed)]
+    for i in range(count):
+        edges, n = [], 0
+        for g in parts[3 * i : 3 * i + 3]:
+            base = max(n - 1, 0)                # vertex 0 of g is vertex n-1
+            edges += [(base + u, base + v) for u, v in g.edges]
+            n = base + g.n
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+        edges += [p for p in pairs if p[0] != p[1]]
+        yield i, build_graph(n, sorted({(min(e), max(e)) for e in edges}))
+
+
+def test_trim_matches_iterative_deletion_oracle():
+    for _, g in oracle_graphs():
+        expected = {k: rectangle_deletion_oracle(g, k) for k in range(1, 7)}
+        etp = build_etp_graph(g)      # one structure through the schedule
+        for k in range(1, 7):
+            assert sorted(trim(etp, k)) == expected[k]
+            assert sorted(trim(build_etp_graph(g), k)) == expected[k]
+        assert sorted(trim(build_etp_graph(g), 3, rng=random.Random(5))) == expected[3]
+
+
+def test_strong_trapezes_match_rectangle_components():
+    for _, g in chain(oracle_graphs(), glued_graphs(40, seed=2222)):
+        etp = build_etp_graph(g)
+        for k in range(1, 7):
+            members = strong_trapezes_at(g, etp, k).members
+            assert list(members) == rectangle_components(g, etp.surviving_edges())
+
+
+def test_triad_cap_is_checked_before_building(monkeypatch):
+    import trusskit.trapeze
+
+    g = complete_graph(6)        # both low-apex and median-apex triads
+    total = len(build_etp_graph(g).triads)
+    assert total == 2 * 20          # C(6, 3) triples, two admissible apexes each
+    monkeypatch.setattr(trusskit.trapeze, "DEFAULT_TRIAD_CAP", total)
+    assert len(build_etp_graph(g).triads) == total
+    monkeypatch.setattr(trusskit.trapeze, "DEFAULT_TRIAD_CAP", total - 1)
+    with pytest.raises(ValueError, match=f"{total} triads, over the cap of {total - 1}"):
+        build_etp_graph(g)
+
+
+def test_build_memory_on_sparse_bipartite_graph():
+    # 1000 x 1000 at p = 0.02: about 20k edges and 238k triads
+    rng = random.Random(7)
+    edges = [(i, 1000 + j) for i in range(1000) for j in range(1000) if rng.random() < 0.02]
+    g = build_graph(2000, edges)
+    ranking = vertex_ranking(g)
+    tracemalloc.start()
+    try:
+        etp = build_etp_graph(g, ranking)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(etp.triads) > 200_000
+    assert peak < 30 * 2**20
+
+
+def test_strong_trapezes_split_when_the_bridging_rectangle_falls():
+    # two K_{2,3} glued at hub 0, joined by the rectangle w-a-0-b. Ranked
+    # below a and b, the hub is an admissible apex on periphery (a, b), so
+    # at k=2 that periphery keeps the hub's triad alone once w-a and w-b
+    # fall; it must close no rectangle and join nothing
+    text = "a 0\na x1\na x2\na2 0\na2 x1\na2 x2\nb 0\nb y1\nb y2\nb2 0\nb2 y1\nb2 y2\nw a\nw b"
+    g = graph_from(text)
+    etp = build_etp_graph(g)
+    assert len(strong_trapezes_at(g, etp, 1).members) == 1
+    strong = strong_trapezes_at(g, etp, 2)
+    assert sorted(len(m) for m in strong.members) == [6, 6]
+    assert sorted(etp.alive_periphery_degrees().values()) == [3, 3]
