@@ -333,12 +333,11 @@ def cmd_stats(args: argparse.Namespace) -> None:
     graph = load_input(args.input, weighted=args.weighted)
     supports = edge_supports(graph)
     decomposition = k_classes(graph, supports)
-    degrees = sorted(len(a) for a in graph.adj)
     stats = {
         "n": graph.n,
         "m": graph.m,
         "triangles": supports.total_triangles(),
-        "max_degree": degrees[-1] if degrees else 0,
+        "max_degree": int(graph.degrees.max(initial=0)),
         "k_max": decomposition.k_max,
         "class_sizes": {str(k): len(v) for k, v in sorted(decomposition.classes.items())},
     }

@@ -2,15 +2,20 @@
 
 Vertices are dense integers 0..n-1; external string labels live in a side
 table. Edges are stored once in canonical (lo, hi) form with lo < hi and an
-optional positive weight. Per-vertex adjacency maps neighbor -> edge id and
-doubles as the constant-time edge index.
+optional positive weight, as a tuple of pairs and as one int32 (m, 2) array
+for the array kernels. Per-vertex adjacency (neighbor -> edge id) is built
+on demand; only the oracles and the per-vertex queries read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 Weight = Fraction | int
 
@@ -25,31 +30,50 @@ class EdgeListParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph, immutable after construction."""
+    """Simple undirected graph, immutable after construction.
+
+    `edges` and `ends` hold the same canonical pairs. `adj` is built on
+    first use, for the oracles, `is_bipartite` and the per-vertex queries.
+    """
 
     n: int
     labels: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]          # canonical (lo, hi), lo < hi
     weights: tuple[Weight, ...]
-    adj: tuple[dict[int, int], ...] = field(repr=False)  # neighbor -> edge id
+    ends: np.ndarray = field(compare=False, repr=False)  # int32 (m, 2), as edges
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Degree of every vertex, an int64 array of length n."""
+        return np.bincount(self.ends.ravel(), minlength=self.n)
+
+    @cached_property
+    def adj(self) -> tuple[dict[int, int], ...]:
+        """Per vertex, neighbor -> edge id in ascending neighbor order."""
+        nbr: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for eid, (lo, hi) in enumerate(self.edges):
+            nbr[lo].append((hi, eid))
+            nbr[hi].append((lo, eid))
+        return tuple(dict(sorted(pairs)) for pairs in nbr)
+
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.degrees[v])
 
     def neighbors(self, v: int) -> list[int]:
         """Neighbors of v in ascending vertex order."""
         return list(self.adj[v])
 
     def edge_id(self, u: int, v: int) -> int | None:
-        """Edge id for the pair (u, v) in either order, or None."""
-        return self.adj[u].get(v) if u < self.n else None
+        """Edge id for the pair (u, v) in either order, or None; None also
+        for ids outside 0..n-1."""
+        return self.adj[u].get(v) if 0 <= u < self.n else None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.edge_id(u, v) is not None
 
     def edge_label_pair(self, eid: int) -> tuple[str, str]:
         lo, hi = self.edges[eid]
@@ -64,15 +88,25 @@ def build_graph(
 ) -> Graph:
     """Assemble a Graph from already-deduplicated vertex pairs.
 
-    Pairs are canonicalized to (lo, hi). Self loops and duplicates are
-    rejected here (the edge-list loader applies its own lenient policy
-    before calling this).
+    Pairs are canonicalized to (lo, hi). Self loops, vertex ids outside
+    0..n-1 and duplicates are rejected here (the edge-list loader applies
+    its own lenient policy before calling this).
     """
-    canon: list[tuple[int, int]] = []
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self loop at vertex {u}")
-        canon.append((u, v) if u < v else (v, u))
+    canon = [(u, v) if u < v else (v, u) for u, v in edges]
+    # the id type is inferred, so no id is truncated or wrapped unchecked
+    ends = np.array(canon).reshape(-1, 2) if canon else np.empty((0, 2), np.int64)
+    outside = ends[(ends < 0) | (ends >= n)]
+    if len(outside):
+        raise ValueError(f"vertex {outside[0]} out of range for n={n}")
+    if ends.dtype.kind not in "iub":
+        raise ValueError("vertex ids must be integers")
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    if len(loops):
+        raise ValueError(f"self loop at vertex {ends[loops[0], 0]}")
+    keys = np.sort(ends[:, 0] * n + ends[:, 1])
+    dup = keys[1:][keys[1:] == keys[:-1]]
+    if len(dup):
+        raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
     if weights is None:
         ws: tuple[Weight, ...] = (1,) * len(canon)
     else:
@@ -88,21 +122,9 @@ def build_graph(
         if len(labels) != n:
             raise ValueError("labels length does not match vertex count")
         label_tuple = tuple(labels)
-
-    nbr: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (lo, hi) in enumerate(canon):
-        if hi >= n:
-            raise ValueError(f"vertex {hi} out of range for n={n}")
-        nbr[lo].append((hi, eid))
-        nbr[hi].append((lo, eid))
-    adj: list[dict[int, int]] = []
-    for v in range(n):
-        nbr[v].sort()
-        d = dict(nbr[v])
-        if len(d) != len(nbr[v]):
-            raise ValueError(f"duplicate edge at vertex {v}")
-        adj.append(d)
-    return Graph(n=n, labels=label_tuple, edges=tuple(canon), weights=ws, adj=tuple(adj))
+    return Graph(
+        n=n, labels=label_tuple, edges=tuple(canon), weights=ws, ends=ends.astype(np.int32)
+    )
 
 
 def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> Graph:
@@ -172,7 +194,8 @@ def vertex_ranking(graph: Graph) -> VertexRanking:
     Using labels rather than internal ids keeps the order independent of the
     input file's line order.
     """
-    order = sorted(range(graph.n), key=lambda v: (len(graph.adj[v]), graph.labels[v]))
+    degree = graph.degrees.tolist()
+    order = sorted(range(graph.n), key=lambda v: (degree[v], graph.labels[v]))
     rank = [0] * graph.n
     for r, v in enumerate(order):
         rank[v] = r
@@ -210,36 +233,55 @@ class DisjointSet:
         return self.find(a) == self.find(b)
 
 
-def connected_components(graph: Graph) -> list[list[int]]:
-    """Partition edge ids by connected component.
+def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per node of 0..n-1, the smallest node id joined to it by the links
+    (a[i], b[i]): roots hook onto the smaller root across each link, then
+    pointers jump to their roots, until no link spans two roots (after
+    Shiloach & Vishkin, J. Algorithms 1982)."""
+    label = np.arange(n)
+    while len(a):
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            break
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
 
-    Isolated vertices carry no edges and therefore do not appear. Components
-    are ordered by their smallest edge id; edge ids ascend within each.
-    """
-    ds = DisjointSet(graph.n)
-    for lo, hi in graph.edges:
-        ds.union(lo, hi)
-    groups: dict[int, list[int]] = {}
-    for eid, (lo, _) in enumerate(graph.edges):
-        groups.setdefault(ds.find(lo), []).append(eid)
-    return sorted(groups.values(), key=lambda g: g[0])
+
+def _label_groups(ids: np.ndarray, label: np.ndarray) -> list[list[int]]:
+    """Ascending ids grouped by equal label, groups ordered by smallest id."""
+    order = np.argsort(label, kind="stable")
+    cuts = (np.flatnonzero(np.diff(label[order])) + 1).tolist()
+    flat = ids[order].tolist()
+    groups = [flat[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(flat)])]
+    return sorted(groups, key=lambda g: g[0]) if flat else []
 
 
 def component_edge_sets(graph: Graph, edge_ids: Iterable[int]) -> list[list[int]]:
     """Connected components of the subgraph induced by the given edges.
 
-    Returns lists of the original edge ids, grouped by component, in the
-    same deterministic order as connected_components.
+    Returns lists of the original edge ids, one per component, ordered by
+    their smallest edge id, with ids ascending within each; repeated ids
+    count once.
     """
-    eids = sorted(set(edge_ids))
-    ds = DisjointSet(graph.n)
-    for eid in eids:
-        lo, hi = graph.edges[eid]
-        ds.union(lo, hi)
-    groups: dict[int, list[int]] = {}
-    for eid in eids:
-        groups.setdefault(ds.find(graph.edges[eid][0]), []).append(eid)
-    return sorted(groups.values(), key=lambda g: g[0])
+    eids = np.unique(np.fromiter(edge_ids, np.int64))
+    ends = graph.ends[eids]
+    label = _component_labels(graph.n, ends[:, 0], ends[:, 1])
+    return _label_groups(eids, label[ends[:, 0]])
+
+
+def connected_components(graph: Graph) -> list[list[int]]:
+    """Partition edge ids by connected component, in the order of
+    component_edge_sets. Isolated vertices carry no edges and do not appear."""
+    return component_edge_sets(graph, range(graph.m))
 
 
 @dataclass(frozen=True)
@@ -257,13 +299,8 @@ def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Subgraph:
     for eid in eids:
         if not 0 <= eid < graph.m:
             raise ValueError(f"unknown edge id {eid}")
-    vmap: dict[int, int] = {}
-    vertex_of: list[int] = []
-    for eid in eids:
-        for v in graph.edges[eid]:
-            if v not in vmap:
-                vmap[v] = len(vertex_of)
-                vertex_of.append(v)
+    vertex_of = list(dict.fromkeys(chain.from_iterable(graph.edges[e] for e in eids)))
+    vmap = {v: i for i, v in enumerate(vertex_of)}
     pairs = [(vmap[graph.edges[e][0]], vmap[graph.edges[e][1]]) for e in eids]
     sub = build_graph(
         len(vertex_of),
@@ -276,9 +313,4 @@ def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Subgraph:
 
 def edge_nodes(graph: Graph, edge_ids: Iterable[int]) -> set[int]:
     """Vertex set touched by the given edges."""
-    nodes: set[int] = set()
-    for eid in edge_ids:
-        lo, hi = graph.edges[eid]
-        nodes.add(lo)
-        nodes.add(hi)
-    return nodes
+    return set(chain.from_iterable(graph.edges[e] for e in edge_ids))

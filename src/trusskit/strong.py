@@ -10,7 +10,6 @@ level, plus the summit selection.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
 
 import numpy as np
 
@@ -36,20 +35,19 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
         raise ValueError("decomposition does not match graph")
     m = graph.m
     phi = decomposition.phi
-    order = arrival_order(decomposition)
+    leaf_edges = arrival_order(decomposition)
+    order = np.array(leaf_edges, dtype=np.int32)
     leaf_of_edge = np.empty(m, dtype=np.int32)
     leaf_of_edge[order] = np.arange(m, dtype=np.int32)
     rows = np.sort(leaf_of_edge[decomposition.triangles], axis=1)
     # the third vertex is the endpoint of the first edge off the last edge
-    ends = np.fromiter(chain.from_iterable(graph.edges), np.int32, 2 * m).reshape(m, 2)
-    first, last = ends[order[rows[:, 0]]], ends[order[rows[:, 2]]]
+    first, last = graph.ends[order[rows[:, 0]]], graph.ends[order[rows[:, 2]]]
     off = (first[:, 0] != last[:, 0]) & (first[:, 0] != last[:, 1])
     third = np.where(off, first[:, 0], first[:, 1])
-    del ends, first, last, off
+    del order, first, last, off
     rows = rows[np.lexsort((third, rows[:, 2]))]
     del third
 
-    leaf_edges = order.tolist()
     leaf_levels = [phi[e] for e in leaf_edges]
     merges: list[Merge] = []
     ds = DisjointSet(m)                   # over leaf indices

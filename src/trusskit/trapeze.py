@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .graph import Graph, VertexRanking, component_edge_sets, edge_nodes, vertex_ranking
+from .graph import _component_labels, _label_groups
 
 LOW_APEX = 0
 MEDIAN_APEX = 1
@@ -62,7 +62,7 @@ class ETPGraph:
         self.ranking = ranking
         self.current_k = 0      # highest trim level completed
         rank = np.fromiter(ranking.rank, dtype=np.int64, count=n)
-        ends = rank[np.fromiter(chain.from_iterable(graph.edges), np.int64, 2 * m).reshape(m, 2)]
+        ends = rank[graph.ends]
         low, high = ends.min(axis=1), ends.max(axis=1)
         del ends
         up = np.bincount(low, minlength=n)      # per rank: neighbours ranked above
@@ -227,28 +227,6 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
     return etp.surviving_edges()
 
 
-def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per node of 0..n-1, the smallest node id joined to it by the links
-    (a[i], b[i]): roots hook onto the smaller root across each link, then
-    pointers jump to their roots, until no link spans two roots."""
-    label = np.arange(n)
-    while len(a):
-        la, lb = label[a], label[b]
-        apart = la != lb
-        if not apart.any():
-            break
-        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
-        low = np.minimum(la, lb)
-        np.minimum.at(label, la, low)
-        np.minimum.at(label, lb, low)
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-    return label
-
-
 def _ensure_trimmed(etp: ETPGraph, k: int) -> None:
     if k < 1:
         raise ValueError("support level must be at least 1")
@@ -261,9 +239,7 @@ def _ensure_trimmed(etp: ETPGraph, k: int) -> None:
 def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrapezeSet:
     """Maximal k-trapezes: components of the survivors of trim(k)."""
     _ensure_trimmed(etp, k)
-    members = tuple(
-        frozenset(c) for c in component_edge_sets(graph, etp.surviving_edges())
-    )
+    members = tuple(map(frozenset, component_edge_sets(graph, etp.surviving_edges())))
     return TrapezeSet(k=k, members=members)
 
 
@@ -285,11 +261,8 @@ def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrapezeSet:
         np.concatenate((triads[:, 1], triads[:-1, 0][same])),
     )
     involved = np.flatnonzero(etp.edge_alive)   # every survivor has a live triad
-    # a component's label is its smallest edge id, so groups come in order
-    lab = label[involved]
-    order = np.argsort(lab, kind="stable")
-    groups = np.split(involved[order], np.flatnonzero(np.diff(lab[order])) + 1)
-    members = tuple(frozenset(g.tolist()) for g in groups if len(g) >= 2)
+    groups = _label_groups(involved, label[involved])
+    members = tuple(frozenset(g) for g in groups if len(g) >= 2)
     return TrapezeSet(k=k, members=members)
 
 

@@ -14,7 +14,6 @@ A direct common-neighbor oracle backs the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -67,7 +66,7 @@ def triangle_list(graph: Graph, ranking: VertexRanking | None = None) -> np.ndar
 def _triangle_chunks(graph: Graph, ranking: VertexRanking):
     n, m = graph.n, graph.m
     rank = np.fromiter(ranking.rank, dtype=np.int32, count=n)
-    ends = rank[np.fromiter(chain.from_iterable(graph.edges), np.int32, 2 * m).reshape(m, 2)]
+    ends = rank[graph.ends]
     # oriented edge v->a, v ranked below a, as key v*n + a, sorted
     key = ends.min(axis=1).astype(np.int64) * n + ends.max(axis=1)
     del ends

@@ -12,6 +12,7 @@ whole dendrogram in linear extra work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -47,12 +48,7 @@ class KClassDecomposition:
         return cls(phi=tuple(phi.tolist()), k_max=k_max, classes=classes, triangles=triangles)
 
     def edges_at_least(self, k: int) -> list[int]:
-        out: list[int] = []
-        for level, eids in self.classes.items():
-            if level >= k:
-                out.extend(eids)
-        out.sort()
-        return out
+        return sorted(chain.from_iterable(e for level, e in self.classes.items() if level >= k))
 
 
 @dataclass(frozen=True)
@@ -313,10 +309,12 @@ class ClusterFamily:
         return [summits[key] for key in sorted(summits) if len(summits[key][1]) >= min_size]
 
 
-def arrival_order(decomposition: KClassDecomposition) -> np.ndarray:
+def arrival_order(decomposition: KClassDecomposition) -> list[int]:
     """Edge ids in the order cluster families add them as leaves:
-    descending class, ascending id within a class."""
-    return np.argsort(-np.asarray(decomposition.phi, dtype=np.int64), kind="stable")
+    descending class, ascending id within a class. The list shares its ints
+    with `decomposition.classes`."""
+    classes = decomposition.classes
+    return list(chain.from_iterable(classes[k] for k in sorted(classes, reverse=True)))
 
 
 def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
@@ -326,7 +324,7 @@ def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> Cluste
     Cutting at level k reproduces trusses_at(k); merge levels never increase
     along the sequence.
     """
-    leaf_edges = arrival_order(decomposition).tolist()
+    leaf_edges = arrival_order(decomposition)
     leaf_levels = [decomposition.phi[e] for e in leaf_edges]
     ds = DisjointSet(graph.n)
     cluster_of_root: dict[int, int] = {}

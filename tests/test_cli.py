@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from trusskit import Graph
 from trusskit.cli import main
 
 K4_PENDANT = "a b\na c\na d\nb c\nb d\nc d\nd e\n"
@@ -246,6 +247,7 @@ def test_stats_subcommand(k4_file, capsys):
     assert main(["stats", str(k4_file)]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["n"] == 5 and stats["m"] == 7 and stats["k_max"] == 4
+    assert stats["max_degree"] == 4
 
 
 @pytest.mark.parametrize(
@@ -385,3 +387,33 @@ def test_output_path_that_is_a_file_exits_1_with_one_line(k4_file, tmp_path, cap
     assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}")
     assert out.read_text() == "mine\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k4p.tsv", "taken"]
+
+
+def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch):
+    """Every production path runs on the edge array; only the oracles and
+    --check-bipartite read Graph.adj."""
+
+    def refuse(graph):
+        raise AssertionError("Graph.adj was built")
+
+    monkeypatch.setattr(Graph, "adj", property(refuse))
+    weighted = tmp_path / "w.tsv"
+    weighted.write_text("a b 2\nb c 3\nc a 1\nc d 5\nd a 2\nd b 1\ne a 4\ne b 1\n")
+    runs = []
+    for path, flag in ((str(DOLPHINS), []), (str(weighted), ["--weighted"])):
+        runs += [
+            ["truss", "--k", "4", "--dot", "--graphml", *flag, path],
+            ["strong-truss", "--k", "4", *flag, path],
+            ["summit", *flag, path],
+            ["summit", "--strong", *flag, path],
+            ["weighted-truss", "--k", "3", "--weight-fn", "min", path],
+            ["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "--alpha", "3/2", path],
+        ]
+    runs += [[cmd, "--levels", "1,2,4", str(DOLPHINS)]
+             for cmd in ("trapeze", "strong-trapeze", "summit-trapeze")]
+    runs.append(["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3",
+                 "--trials", "2"])
+    for i, argv in enumerate(runs):
+        assert main([*argv, "-o", str(tmp_path / f"out{i}")]) == 0, argv
+    for argv in (["stats", str(DOLPHINS)], ["stats", "--weighted", str(weighted)]):
+        assert main(argv) == 0, argv

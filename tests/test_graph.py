@@ -1,4 +1,6 @@
 import io
+import random
+from collections import deque
 
 import pytest
 
@@ -11,6 +13,7 @@ from trusskit import (
     load_edge_list,
     vertex_ranking,
 )
+from trusskit.graph import component_edge_sets
 from conftest import complete_graph, graph_from, random_graphs
 
 
@@ -67,6 +70,10 @@ def test_edges_canonical_and_indexed(dolphins):
         assert lo < hi
         assert dolphins.edge_id(lo, hi) == eid
         assert dolphins.edge_id(hi, lo) == eid
+    g = build_graph(3, [(0, 2)])
+    for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3), (5, 0), (-3, 2)):
+        assert g.edge_id(u, v) is None
+        assert not g.has_edge(u, v)
 
 
 def test_degree_sum(dolphins):
@@ -128,6 +135,55 @@ def test_components_partition_property():
         assert sorted(seen) == list(range(g.m))
 
 
+def bfs_components(graph, edge_ids):
+    """Edge-id components by breadth-first search over the given edges."""
+    incident: dict[int, list[int]] = {}
+    for e in set(edge_ids):
+        for v in graph.edges[e]:
+            incident.setdefault(v, []).append(e)
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(set(edge_ids)):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = [], deque([start])
+        while queue:
+            e = queue.popleft()
+            comp.append(e)
+            for v in graph.edges[e]:
+                for f in incident[v]:
+                    if f not in seen:
+                        seen.add(f)
+                        queue.append(f)
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_component_edge_sets_match_bfs():
+    rng = random.Random(7)
+    for _, g in random_graphs(60, 30, seed=202, densities=(0.03, 0.08, 0.2, 0.5)):
+        assert connected_components(g) == bfs_components(g, range(g.m))
+        for _ in range(5):
+            subset = [rng.randrange(g.m) for _ in range(rng.randint(0, 2 * g.m))]
+            assert component_edge_sets(g, subset) == bfs_components(g, subset)
+        assert component_edge_sets(g, []) == []
+    # isolated vertices among the components
+    g = build_graph(9, [(7, 8), (1, 3), (3, 5), (0, 7)])
+    assert connected_components(g) == [[0, 3], [1, 2]]
+    # paths whose vertex and edge numbering make hooking and jumping slow:
+    # ids alternate low and high along the path, or fall along it
+    n = 2001
+    zigzag = [i // 2 if i % 2 == 0 else n - 1 - i // 2 for i in range(n)]
+    for walk in (zigzag, list(range(n - 1, -1, -1))):
+        pairs = list(zip(walk, walk[1:]))
+        rng.shuffle(pairs)
+        g = build_graph(n, pairs)
+        assert connected_components(g) == [list(range(n - 1))]
+        subset = [e for e in range(g.m) if rng.random() < 0.9]
+        assert component_edge_sets(g, subset + subset[:50]) == bfs_components(g, subset)
+
+
 def test_induced_identity():
     g = complete_graph(4)
     sub = induced_edge_subgraph(g, range(g.m))
@@ -160,6 +216,16 @@ def test_build_graph_rejects_bad_input():
         build_graph(2, [(0, 1), (1, 0)])  # duplicate under canonicalization
     with pytest.raises(ValueError):
         build_graph(2, [(0, 1)], weights=[0])
+    with pytest.raises(ValueError, match="vertex -1 out of range"):
+        build_graph(3, [(-1, 1), (0, 1)])
+    with pytest.raises(ValueError, match="vertex 3 out of range"):
+        build_graph(3, [(0, 1), (1, 3)])
+    with pytest.raises(ValueError, match="vertex 2 out of range"):
+        build_graph(2, [(2, 0)])
+    with pytest.raises(ValueError, match=f"vertex {2**70} out of range"):
+        build_graph(3, [(0, 1), (2**70, 1)])
+    with pytest.raises(ValueError, match="must be integers"):
+        build_graph(3, [(0, 1), (1.5, 0)])
 
 
 def test_disjoint_set():
