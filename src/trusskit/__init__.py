@@ -7,7 +7,6 @@ planted-partition benchmark scores recovery quality by NMI.
 """
 
 from .graph import (
-    DisjointSet,
     EdgeListParseError,
     Graph,
     Subgraph,
@@ -23,6 +22,7 @@ from .truss import (
     ClusterFamily,
     KClassDecomposition,
     Merge,
+    MergeLog,
     TrussSet,
     iterative_deletion_oracle,
     k_classes,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -161,35 +162,32 @@ def generate_planted(model: PlantedModel) -> tuple[Graph, Partition]:
 
 def clusters_to_node_partition(
     graph: Graph,
-    clusters: Sequence[Iterable[int]],
+    clusters: Sequence[Collection[int]],
     levels: Sequence[int] | None = None,
 ) -> Partition:
     """Assign each vertex the id of a cluster whose edges touch it.
 
     A vertex touched by several clusters goes to the one formed at the
     highest support level, then to the smallest cluster id; vertices outside
-    every cluster become singletons.
+    every cluster become singletons, numbered in vertex order after the
+    clusters.
     """
     if levels is not None and len(levels) != len(clusters):
         raise ValueError("levels length does not match clusters")
-    best: dict[int, tuple[int, int]] = {}  # vertex -> (-level, cluster id)
-    for ci, edge_set in enumerate(clusters):
-        level = levels[ci] if levels is not None else 0
-        for eid in edge_set:
-            lo, hi = graph.edges[eid]
-            for v in (lo, hi):
-                key = (-level, ci)
-                if v not in best or key < best[v]:
-                    best[v] = key
-    label = [0] * graph.n
-    next_free = len(clusters)
-    for v in range(graph.n):
-        if v in best:
-            label[v] = best[v][1]
-        else:
-            label[v] = next_free
-            next_free += 1
-    return Partition(label=tuple(label))
+    sizes = [len(c) for c in clusters]
+    eids = np.fromiter(chain.from_iterable(clusters), np.int64, count=sum(sizes))
+    owner = np.repeat(np.arange(len(clusters)), sizes)   # cluster of each listed edge
+    level = np.zeros(len(clusters), np.int64) if levels is None else np.asarray(levels)
+    # one touch per edge end; each vertex's best touch sorts first
+    vertex, cluster, level = graph.ends[eids].ravel(), owner.repeat(2), level[owner].repeat(2)
+    order = np.lexsort((cluster, -level, vertex))
+    vertex, cluster = vertex[order], cluster[order]
+    first = np.diff(vertex, prepend=-1) != 0
+    label = np.full(graph.n, -1, dtype=np.int64)
+    label[vertex[first]] = cluster[first]
+    alone = label < 0
+    label[alone] = len(clusters) + np.arange(np.count_nonzero(alone))
+    return Partition(label=tuple(label.tolist()))
 
 
 def nmi(a: Partition, b: Partition) -> float:

@@ -24,8 +24,10 @@ from pathlib import Path
 from typing import Iterable, Iterator
 from xml.sax.saxutils import quoteattr
 
+import numpy as np
+
 from . import bench as bench_mod
-from .graph import Graph, load_edge_list
+from .graph import Graph, _component_labels, load_edge_list
 from .strong import strong_truss_family, strong_trusses_at, summit_strong_trusses
 from .triangles import edge_supports
 from .trapeze import trapeze_level_run
@@ -80,9 +82,12 @@ def labels_rows(graph: Graph) -> Iterator[str]:
 
 
 def dendrogram_rows(family) -> Iterator[str]:
-    for merge in family.merges:
-        absorbed = ",".join(str(a) for a in merge.absorbed)
-        yield f"{merge.level}\t{absorbed}\t{merge.survivor}\n"
+    """One "<level>\t<absorbed,...>\t<survivor>\n" row per merge."""
+    table = family.merges.table
+    for lo in range(0, len(table), ROWS_PER_WRITE):
+        for level, survivor, a0, a1 in table[lo : lo + ROWS_PER_WRITE].tolist():
+            absorbed = a0 if a1 < 0 else f"{a0},{a1}"
+            yield f"{level}\t{absorbed}\t{survivor}\n"
 
 
 def dot_export(graph: Graph, rows) -> str:
@@ -438,21 +443,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def is_bipartite(graph: Graph) -> bool:
-    color = [-1] * graph.n
-    for start in range(graph.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in graph.adj[v]:
-                if color[w] < 0:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    """Whether the vertices 2-colour: no vertex v shares a component with
+    its copy v' in the doubled graph, whose links join u to v' and u' to v
+    for every edge (u, v)."""
+    n, (u, v) = graph.n, graph.ends.T
+    label = _component_labels(2 * n, np.concatenate((u, u + n)), np.concatenate((v + n, v)))
+    return not np.any(label[:n] == label[n:])
 
 
 if __name__ == "__main__":

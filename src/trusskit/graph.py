@@ -33,7 +33,7 @@ class Graph:
     """Simple undirected graph, immutable after construction.
 
     `edges` and `ends` hold the same canonical pairs. `adj` is built on
-    first use, for the oracles, `is_bipartite` and the per-vertex queries.
+    first use, for the oracles and the per-vertex queries.
     """
 
     n: int
@@ -202,49 +202,20 @@ def vertex_ranking(graph: Graph) -> VertexRanking:
     return VertexRanking(rank=tuple(rank), order=tuple(order))
 
 
-class DisjointSet:
-    """Union-find with path halving and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the sets of a and b; returns the surviving root."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-    def together(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-
 def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per node of 0..n-1, the smallest node id joined to it by the links
     (a[i], b[i]): roots hook onto the smaller root across each link, then
     pointers jump to their roots, until no link spans two roots (after
     Shiloach & Vishkin, J. Algorithms 1982)."""
-    label = np.arange(n)
-    while len(a):
-        la, lb = label[a], label[b]
+    label = np.arange(n, dtype=np.int32)   # node ids fit int32, as in Graph.ends
+    la, lb = a, b
+    while len(la):
+        # each node points at its root: the ends' roots are their old roots' labels
+        la, lb = label[la], label[lb]
         apart = la != lb
         if not apart.any():
             break
-        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        la, lb = la[apart], lb[apart]
         low = np.minimum(la, lb)
         np.minimum.at(label, la, low)
         np.minimum.at(label, lb, low)

@@ -1,10 +1,11 @@
 """Strong trusses: triangle-connected refinements of maximal trusses.
 
-Edges are added from the highest class downward. The family replays the
-triangle list the decomposition was peeled from, each triangle when its
-last edge arrives: the clusters of its three edges merge at that edge's
-class level. The resulting family contains every strong truss at every
-level, plus the summit selection.
+Edges are added from the highest class downward. The family is the
+triangle list the decomposition was peeled from, read as links: each
+triangle joins its last-arriving edge to the other two at that edge's class
+level. Strong trusses at level k are components of the links at >= k,
+summits are components of the links at one level that no higher link
+touches, and the merge log is replayed from the links only when read.
 """
 
 from __future__ import annotations
@@ -13,21 +14,17 @@ from collections import deque
 
 import numpy as np
 
-from .graph import DisjointSet, Graph
-from .truss import ClusterFamily, KClassDecomposition, Merge, arrival_order
-
-# triangle rows converted to Python per step of the replay; bounds the
-# lists the conversion makes
-_REPLAY_CHUNK = 1 << 10
+from .graph import Graph
+from .truss import ClusterFamily, KClassDecomposition, arrival_order
 
 
 def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> ClusterFamily:
     """Agglomerative family of strong trusses from the k-classes.
 
     Within a class, edges enter in ascending edge id. Each row of the
-    decomposition's triangle list is replayed once, when its last edge
-    enters; triangles closed by the same edge go in ascending id of their
-    third vertex, the one that edge does not touch. Cluster ids follow
+    decomposition's triangle list is one link row, ordered by its last
+    edge to enter; triangles closed by the same edge go in ascending id of
+    their third vertex, the one that edge does not touch. Cluster ids follow
     addition order and the lowest id survives a merge, which pins the merge
     log for snapshot tests.
     """
@@ -36,6 +33,7 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
     m = graph.m
     phi = decomposition.phi
     leaf_edges = arrival_order(decomposition)
+    leaf_levels = [phi[e] for e in leaf_edges]
     order = np.array(leaf_edges, dtype=np.int32)
     leaf_of_edge = np.empty(m, dtype=np.int32)
     leaf_of_edge[order] = np.arange(m, dtype=np.int32)
@@ -44,31 +42,12 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
     first, last = graph.ends[order[rows[:, 0]]], graph.ends[order[rows[:, 2]]]
     off = (first[:, 0] != last[:, 0]) & (first[:, 0] != last[:, 1])
     third = np.where(off, first[:, 0], first[:, 1])
-    del order, first, last, off
     rows = rows[np.lexsort((third, rows[:, 2]))]
-    del third
-
-    leaf_levels = [phi[e] for e in leaf_edges]
-    merges: list[Merge] = []
-    ds = DisjointSet(m)                   # over leaf indices
-    cid = list(range(m))                  # root leaf -> cluster id
-    for lo in range(0, len(rows), _REPLAY_CHUNK):
-        for a, b, leaf in rows[lo : lo + _REPLAY_CHUNK].tolist():
-            ids = {cid[ds.find(leaf)], cid[ds.find(a)], cid[ds.find(b)]}
-            if len(ids) > 1:
-                survivor = min(ids)
-                ids.discard(survivor)
-                merges.append(
-                    Merge(level=leaf_levels[leaf], absorbed=tuple(sorted(ids)), survivor=survivor)
-                )
-                root = ds.find(survivor)
-                for x in ids:
-                    root = ds.union(root, ds.find(x))
-                cid[root] = survivor
-
-    return ClusterFamily(
-        leaf_edges=tuple(leaf_edges), leaf_levels=tuple(leaf_levels), merges=tuple(merges)
-    )
+    del order, first, last, off, third
+    links = np.empty((len(rows), 4), dtype=np.int32)
+    links[:, 0] = np.array(leaf_levels, dtype=np.int32)[rows[:, 2]]
+    links[:, 1:] = rows[:, [2, 0, 1]]
+    return ClusterFamily(tuple(leaf_edges), tuple(leaf_levels), links, m)
 
 
 def strong_trusses_at(family: ClusterFamily, k: int) -> list[frozenset[int]]:
@@ -79,11 +58,12 @@ def strong_trusses_at(family: ClusterFamily, k: int) -> list[frozenset[int]]:
 
 
 def summit_strong_trusses(family: ClusterFamily) -> list[tuple[int, frozenset[int]]]:
-    """Strong trusses whose whole history is merges of single edges.
+    """Strong trusses formed at one level from edges no triangle above it
+    reached.
 
     Absorbing a multi-edge cluster formed at a higher level means some edge
     already sits in a stronger truss, so such clusters are excluded.
-    Returns (formation level, edge set) pairs.
+    Returns (formation level, edge set) pairs ordered by cluster id.
     """
     return family.summit_clusters(min_size=2)
 

@@ -7,7 +7,7 @@ oriented edge keys, so each triangle is found exactly once, from its
 minimum-ranked vertex. Worst-case work is O(m^1.5); the listing runs as
 numpy array operations over bounded chunks of wedges. Plain supports are
 the per-edge row counts of that list, weighted supports sum its rows'
-weights, the truss peel walks it and the strong-truss family replays it.
+weights, the truss peel walks it and the strong-truss family reads it as links.
 A direct common-neighbor oracle backs the tests.
 """
 

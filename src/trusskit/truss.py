@@ -5,19 +5,24 @@ belongs to a truss. One level-synchronous peel over the triangle list
 (frontier sub-rounds, as in Kabir & Madduri's PKT) yields the full
 decomposition, plain or weighted, with near-linear work in the triangles after
 the O(m^1.5) listing; maximal k-trusses are then components of the edges at
-class k and above, and agglomerating classes from the top down produces the
-whole dendrogram in linear extra work.
+class k and above. Cluster families are link tables built by adding classes
+from the top down: their cuts and summits are components of the links, and
+the merge log (the dendrogram) is a replay of them.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from operator import neg
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import DisjointSet, Graph, component_edge_sets, edge_nodes
+from .graph import Graph, _component_labels, _label_groups, component_edge_sets, edge_nodes
 from .triangles import SupportMap, triangle_list
 
 
@@ -26,7 +31,7 @@ class KClassDecomposition:
     """Per-edge trussness phi and the classes it induces.
 
     `triangles` is the triangle list phi was peeled from, an int32 (T, 3)
-    array of edge ids; the strong-truss family replays it rather than
+    array of edge ids; the strong-truss family reads it as links rather than
     scanning the graph for triangles again.
     """
 
@@ -224,89 +229,153 @@ def iterative_deletion_oracle(graph: Graph, k: int) -> TrussSet:
     return TrussSet(k=k, members=members)
 
 
-@dataclass(frozen=True, slots=True)
-class Merge:
-    """One agglomeration event: absorbed cluster ids fold into the survivor.
-
-    Slotted, because a family holds one per merge (424k in the dendrogram
-    of the 425k-edge scale benchmark).
-    """
+class Merge(NamedTuple):
+    """A merge-log row as an event: absorbed cluster ids fold into the survivor."""
 
     level: int
     absorbed: tuple[int, ...]
     survivor: int
 
 
-@dataclass(frozen=True)
+class MergeLog:
+    """A family's merges as an int32 (M, 4) table, one row per merge: level,
+    survivor, absorbed0, and absorbed1 or -1 (at most three clusters join in
+    a merge), levels never increasing. Iterating yields `Merge` views."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table) -> None:
+        self.table = np.asarray(table, dtype=np.int32).reshape(-1, 4)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __iter__(self) -> Iterator[Merge]:
+        for level, survivor, a0, a1 in self.table.tolist():
+            yield Merge(level, (a0,) if a1 < 0 else (a0, a1), survivor)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MergeLog) and np.array_equal(self.table, other.table)
+
+
+_REPLAY_CHUNK = 1 << 10   # link rows converted to Python per step of a replay
+
+
+def _replay(links: np.ndarray, nodes: int, leaves: int) -> MergeLog:
+    """The merge log of a link table: its rows in order over a union-find
+    with path halving whose roots are the smallest nodes of their
+    components. A row that joins components holding a leaf merges those
+    clusters at the row's level, under the smallest root."""
+    parent = list(range(nodes))
+    log = array("i")
+    for lo in range(0, len(links), _REPLAY_CHUNK):
+        for level, x, y, z in links[lo : lo + _REPLAY_CHUNK].tolist():
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if z < 0:
+                z = x
+            while parent[z] != z:
+                parent[z] = z = parent[parent[z]]
+            # order the roots x <= y <= z; inline swaps beat sorted() here
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            if x == z:
+                continue
+            parent[z] = x
+            if x < y < z:
+                parent[y] = x
+                if y < leaves:
+                    log.extend((level, x, y, z if z < leaves else -1))
+            elif z < leaves:
+                log.extend((level, x, z, -1))
+    return MergeLog(log)
+
+
+def _link_ends(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level and both nodes of every link a table makes: x-y for each row,
+    and x-z for each row whose z is not -1."""
+    third = links[:, 3] >= 0
+    return tuple(np.concatenate((links[:, c], links[third, d])) for c, d in ((0, 0), (1, 1), (2, 3)))
+
+
+@dataclass(frozen=True, eq=False)
 class ClusterFamily:
     """Agglomerative family of edge clusters with merge levels.
 
     Leaves are single edges in the order they were added (descending class,
-    ascending edge id within a class); cluster ids are leaf indices, and a
-    merge always survives under the lowest participating id. Cutting the
-    family at level k replays the merges with level >= k over the leaves of
-    level >= k.
+    ascending edge id within a class). `links` is an int32 (L, 4) table of
+    rows (level, x, y, z), levels never increasing, each joining node x to
+    y and, unless z is -1, to z. Nodes below len(leaf_edges) are leaves (the
+    truss links add vertex nodes). The leaves of a component of the links
+    at levels >= k are a cluster alive at k, whose id, its smallest leaf, is
+    the component's smallest node. A merge log is such a table; `merges`
+    replays the links into one on first read, the lowest id surviving.
     """
 
     leaf_edges: tuple[int, ...]
     leaf_levels: tuple[int, ...]
-    merges: tuple[Merge, ...]
+    links: np.ndarray = field(repr=False)
+    nodes: int
+
+    @classmethod
+    def from_merges(cls, leaf_edges: Sequence[int], leaf_levels: Sequence[int], merges: MergeLog):
+        """The family whose links are the given merge log."""
+        family = cls(tuple(leaf_edges), tuple(leaf_levels), merges.table, len(leaf_edges))
+        family.__dict__["merges"] = merges
+        return family
+
+    @cached_property
+    def merges(self) -> MergeLog:
+        return _replay(self.links, self.nodes, len(self.leaf_edges))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClusterFamily):
+            return NotImplemented
+        mine = (self.leaf_edges, self.leaf_levels, self.merges)
+        return mine == (other.leaf_edges, other.leaf_levels, other.merges)
 
     def clusters_at(self, k: int, min_size: int = 1) -> list[frozenset[int]]:
-        """Edge sets of clusters alive at level k, ordered by cluster id."""
-        nleaf = len(self.leaf_edges)
-        ds = DisjointSet(nleaf)
-        cid = list(range(nleaf))
-        for merge in self.merges:
-            if merge.level < k:
-                break
-            for a in merge.absorbed:
-                root = ds.union(ds.find(merge.survivor), ds.find(a))
-                cid[root] = merge.survivor
-        groups: dict[int, list[int]] = {}
-        for leaf in range(nleaf):
-            if self.leaf_levels[leaf] >= k:
-                groups.setdefault(cid[ds.find(leaf)], []).append(leaf)
-        out = []
-        for key in sorted(groups):
-            leaves = groups[key]
-            if len(leaves) >= min_size:
-                out.append(frozenset(self.leaf_edges[i] for i in leaves))
-        return out
+        """Edge sets of the clusters alive at level k with at least min_size
+        edges, ordered by cluster id."""
+        _, a, b = _link_ends(self.links[: np.count_nonzero(self.links[:, 0] >= k)])
+        label = _component_labels(self.nodes, a, b)
+        alive = bisect_right(self.leaf_levels, -k, key=neg)   # leaves at levels >= k
+        groups = _label_groups(np.arange(alive), label[:alive])
+        return [frozenset(self.leaf_edges[i] for i in g) for g in groups if len(g) >= min_size]
 
     def summit_clusters(self, min_size: int = 2) -> list[tuple[int, frozenset[int]]]:
-        """Clusters built purely from single edges at one level.
+        """Clusters formed at one level from leaves no link above it reached.
 
-        A cluster qualifies while every merge in its history happened at its
-        own formation level; absorbing a multi-edge cluster formed higher up
-        disqualifies the result but the absorbed cluster itself is reported.
+        Such a cluster is a component of the links at exactly its level none
+        of whose nodes has a link at a higher level; a cluster that absorbs
+        one formed higher up is none. A leaf no link reaches never forms one.
         Returns (formation level, edge set) pairs ordered by cluster id.
         """
-        # multi-leaf clusters only, id -> (formation level, pure, leaves); an
-        # id absent here is still its single leaf
-        state: dict[int, tuple[int, bool, list[int]]] = {}
-        summits: dict[int, tuple[int, frozenset[int]]] = {}
-
-        for merge in self.merges:
-            level = merge.level
-            ok = True
-            merged: list[int] | None = None
-            for p in (merge.survivor, *merge.absorbed):
-                formed, pure, leaves = state.pop(p, (level, True, [p]))
-                if not pure or formed != level:
-                    ok = False
-                    if pure and formed > level:
-                        summits[p] = (formed, frozenset(self.leaf_edges[i] for i in leaves))
-                if merged is None:
-                    merged = leaves
-                else:
-                    merged.extend(leaves)
-            state[merge.survivor] = (level, ok, merged)
-
-        for key, (formed, pure, leaves) in state.items():
-            if pure and len(leaves) >= min_size:
-                summits[key] = (formed, frozenset(self.leaf_edges[i] for i in leaves))
-        return [summits[key] for key in sorted(summits) if len(summits[key][1]) >= min_size]
+        level, a, b = _link_ends(self.links)
+        top = np.full(self.nodes, -1, dtype=level.dtype)   # highest level linking each node
+        np.maximum.at(top, a, level)
+        np.maximum.at(top, b, level)
+        a_top, b_top = top[a] == level, top[b] == level
+        both = a_top & b_top
+        # a link to a node linked higher up spoils the other end's component
+        seeds = np.concatenate((a[a_top & ~both], b[b_top & ~both]))
+        a, b = a[both], b[both]
+        del level, a_top, b_top, both    # bounds the peak on large families
+        label = _component_labels(self.nodes, a, b)
+        stale = np.zeros(self.nodes, dtype=bool)
+        stale[label[seeds]] = True
+        leaves = np.flatnonzero(((top >= 0) & ~stale[label])[: len(self.leaf_edges)])
+        return [
+            (int(top[g[0]]), frozenset(self.leaf_edges[i] for i in g))
+            for g in _label_groups(leaves, label[leaves])
+            if len(g) >= min_size
+        ]
 
 
 def arrival_order(decomposition: KClassDecomposition) -> list[int]:
@@ -317,38 +386,27 @@ def arrival_order(decomposition: KClassDecomposition) -> list[int]:
     return list(chain.from_iterable(classes[k] for k in sorted(classes, reverse=True)))
 
 
+def _truss_family(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
+    """The truss hierarchy as links: leaf i joins the two vertex nodes of
+    its edge, vertex v being node m+v."""
+    leaf_edges = arrival_order(decomposition)
+    leaf_levels = [decomposition.phi[e] for e in leaf_edges]
+    m = len(leaf_edges)
+    links = np.empty((m, 4), dtype=np.int32)
+    links[:, 0], links[:, 1] = leaf_levels, np.arange(m)
+    links[:, 2:] = graph.ends[np.array(leaf_edges, dtype=np.int64)] + m
+    return ClusterFamily(tuple(leaf_edges), tuple(leaf_levels), links, m + graph.n)
+
+
 def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
     """Full dendrogram of maximal trusses by single-link agglomeration: an
     arriving edge joins the clusters of its endpoints' components.
 
-    Cutting at level k reproduces trusses_at(k); merge levels never increase
-    along the sequence.
+    Returned with its merge log built and as its links. Cutting at level k
+    reproduces trusses_at(k); merge levels never increase along the log.
     """
-    leaf_edges = arrival_order(decomposition)
-    leaf_levels = [decomposition.phi[e] for e in leaf_edges]
-    ds = DisjointSet(graph.n)
-    cluster_of_root: dict[int, int] = {}
-    merges: list[Merge] = []
-
-    for leaf, eid in enumerate(leaf_edges):
-        lo, hi = graph.edges[eid]
-        ids = {leaf}
-        for v in (lo, hi):
-            c = cluster_of_root.get(ds.find(v))
-            if c is not None:
-                ids.add(c)
-        root = ds.union(lo, hi)
-        survivor = min(ids)
-        ids.discard(survivor)
-        if ids:
-            merges.append(
-                Merge(level=leaf_levels[leaf], absorbed=tuple(sorted(ids)), survivor=survivor)
-            )
-        cluster_of_root[ds.find(root)] = survivor
-
-    return ClusterFamily(
-        leaf_edges=tuple(leaf_edges), leaf_levels=tuple(leaf_levels), merges=tuple(merges)
-    )
+    family = _truss_family(decomposition, graph)
+    return ClusterFamily.from_merges(family.leaf_edges, family.leaf_levels, family.merges)
 
 
 def summit_trusses(
@@ -358,12 +416,8 @@ def summit_trusses(
 
     An edge belonging to a higher class would put the truss inside one of
     higher support, so such members are dropped. Results are (k, edge set)
-    pairs; the union is edge-disjoint.
+    pairs ordered by k, then by smallest edge id; the union is
+    edge-disjoint.
     """
-    phi = decomposition.phi
-    out: list[tuple[int, frozenset[int]]] = []
-    for k in sorted(decomposition.classes):
-        for member in trusses_at(decomposition, graph, k).members:
-            if all(phi[e] == k for e in member):
-                out.append((k, member))
-    return out
+    summits = _truss_family(decomposition, graph).summit_clusters(min_size=1)
+    return sorted(summits, key=lambda pair: (pair[0], min(pair[1])))

@@ -49,3 +49,89 @@ def random_graphs(count: int, max_n: int, seed: int, densities=(0.05, 0.2, 0.4, 
 def dolphins() -> Graph:
     with open(DATA / "dolphins.tsv", encoding="utf-8") as handle:
         return load_edge_list(handle)
+
+
+def weighted_graphs(count: int, max_n: int, seed: int, top: int = 1000):
+    """Seeded random graphs with integer weights 1..top on their edges, so
+    weighted trussness spreads over many distinct levels."""
+    rng = random.Random(seed)
+    for _, g in random_graphs(count, max_n, seed):
+        yield build_graph(g.n, g.edges, [rng.randint(1, top) for _ in range(g.m)])
+
+
+class DisjointSet:
+    """Union-find with path halving and union by size; the references'
+    replays run on it."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> int:
+        """Merge the sets of a and b; returns the surviving root."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return ra
+
+    def together(self, a: int, b: int) -> bool:
+        return self.find(a) == self.find(b)
+
+
+def reference_clusters_at(family, k: int, min_size: int = 1) -> list[frozenset[int]]:
+    """Clusters alive at level k by replaying the merge log's rows of level
+    >= k over the leaves, ordered by cluster id."""
+    nleaf = len(family.leaf_edges)
+    ds = DisjointSet(nleaf)
+    cid = list(range(nleaf))
+    for merge in family.merges:
+        if merge.level < k:
+            break
+        for a in merge.absorbed:
+            root = ds.union(ds.find(merge.survivor), ds.find(a))
+            cid[root] = merge.survivor
+    groups: dict[int, list[int]] = {}
+    for leaf in range(nleaf):
+        if family.leaf_levels[leaf] >= k:
+            groups.setdefault(cid[ds.find(leaf)], []).append(leaf)
+    return [
+        frozenset(family.leaf_edges[i] for i in groups[key])
+        for key in sorted(groups)
+        if len(groups[key]) >= min_size
+    ]
+
+
+def reference_summit_clusters(family, min_size: int = 2) -> list[tuple[int, frozenset[int]]]:
+    """Summits by a state machine over the merge log: a cluster stays pure
+    while every merge in its history happened at its own formation level;
+    a pure cluster absorbed below its level is reported. Ordered by cluster
+    id."""
+    state: dict[int, tuple[int, bool, list[int]]] = {}
+    summits: dict[int, tuple[int, frozenset[int]]] = {}
+    for merge in family.merges:
+        level, ok, merged = merge.level, True, []
+        for p in (merge.survivor, *merge.absorbed):
+            formed, pure, leaves = state.pop(p, (level, True, [p]))
+            if not pure or formed != level:
+                ok = False
+                if pure and formed > level:
+                    summits[p] = (formed, frozenset(family.leaf_edges[i] for i in leaves))
+            merged.extend(leaves)
+        state[merge.survivor] = (level, ok, merged)
+    for key, (formed, pure, leaves) in state.items():
+        if pure:
+            summits[key] = (formed, frozenset(family.leaf_edges[i] for i in leaves))
+    return [summits[key] for key in sorted(summits) if len(summits[key][1]) >= min_size]

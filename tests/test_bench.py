@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -17,7 +18,7 @@ from trusskit import (
     strong_trusses_at,
     trusses_at,
 )
-from conftest import graph_from
+from conftest import graph_from, random_graphs
 
 
 def test_inter_prob_zero_mixing():
@@ -191,3 +192,35 @@ def test_report_summary_layout():
     text = report.summary()
     assert "k:" in text and "NMI:" in text
     assert math.isclose(report.mean_n, 24.0)
+
+
+def loop_partition(graph, clusters, levels=None):
+    """clusters_to_node_partition as a loop over every cluster's edges."""
+    best: dict[int, tuple[int, int]] = {}  # vertex -> (-level, cluster id)
+    for ci, edge_set in enumerate(clusters):
+        level = levels[ci] if levels is not None else 0
+        for eid in edge_set:
+            for v in graph.edges[eid]:
+                key = (-level, ci)
+                if v not in best or key < best[v]:
+                    best[v] = key
+    label, next_free = [], len(clusters)
+    for v in range(graph.n):
+        if v in best:
+            label.append(best[v][1])
+        else:
+            label.append(next_free)
+            next_free += 1
+    return Partition(label=tuple(label))
+
+
+def test_partition_matches_the_loop():
+    rng = random.Random(2020)
+    for _, g in random_graphs(150, 18, seed=2121):
+        clusters = [
+            rng.sample(range(g.m), rng.randint(1, min(g.m, 6))) for _ in range(rng.randint(0, 6))
+        ]
+        # few distinct levels, so ties between clusters are common
+        levels = [rng.randint(2, 4) for _ in clusters]
+        assert clusters_to_node_partition(g, clusters) == loop_partition(g, clusters)
+        assert clusters_to_node_partition(g, clusters, levels) == loop_partition(g, clusters, levels)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -390,8 +392,8 @@ def test_output_path_that_is_a_file_exits_1_with_one_line(k4_file, tmp_path, cap
 
 
 def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch):
-    """Every production path runs on the edge array; only the oracles and
-    --check-bipartite read Graph.adj."""
+    """Every production path, --check-bipartite included, runs on the edge
+    array; only the oracles read Graph.adj."""
 
     def refuse(graph):
         raise AssertionError("Graph.adj was built")
@@ -409,7 +411,7 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch):
             ["weighted-truss", "--k", "3", "--weight-fn", "min", path],
             ["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "--alpha", "3/2", path],
         ]
-    runs += [[cmd, "--levels", "1,2,4", str(DOLPHINS)]
+    runs += [[cmd, "--levels", "1,2,4", "--check-bipartite", str(DOLPHINS)]
              for cmd in ("trapeze", "strong-trapeze", "summit-trapeze")]
     runs.append(["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3",
                  "--trials", "2"])
@@ -417,3 +419,127 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch):
         assert main([*argv, "-o", str(tmp_path / f"out{i}")]) == 0, argv
     for argv in (["stats", str(DOLPHINS)], ["stats", "--weighted", str(weighted)]):
         assert main(argv) == 0, argv
+
+
+def many_level_text(seed=5, n=60, p=0.25):
+    """A weighted edge list whose weights 1..1000 spread its weighted
+    trussness over many distinct levels."""
+    rng = random.Random(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return "".join(f"v{i} v{j} {rng.randint(1, 1000)}\n" for i, j in pairs)
+
+
+# sha256 of output files, recorded before the cluster hierarchy moved to
+# link tables and a columnar merge log
+PINNED = [
+    (["truss", "--k", "4"], "dolphins", {
+        "clusters.tsv": "dfe7673dedd970786a87d4cfcbdd1ebc41e38f9bd547635ff990063569b1142e",
+        "dendrogram.tsv": "8e03c7a1b37bbbb06012160e778f3b0d36cac97b28bd4fe6b195fc1a655400bc",
+    }),
+    (["strong-truss", "--k", "3"], "dolphins", {
+        "clusters.tsv": "c5177b74dbe00afa9d05ec86b70687db8545436cf2084df52b4c9578224215ab",
+        "dendrogram.tsv": "8a7a6f3b442fbc30fbdac977d9ca10eeabfd32740b1f1695ea1405f52f1c07e0",
+    }),
+    (["summit"], "dolphins", {
+        "clusters.tsv": "e62356ca26ad2d2f347f1517a7da9043dc85484e7c77727e05aa5af446f593f0",
+    }),
+    (["summit", "--strong"], "dolphins", {
+        "clusters.tsv": "09532618baa86ba20b61a5b014c8453337c7e634eb71fba796775698e316352c",
+    }),
+    (["weighted-truss", "--k", "3", "--weight-fn", "min"], "many-level", {
+        "clusters.tsv": "6311ace7f4a38aff4e994f4b05f8f52051621842b6438ca735c34cd9b8ceb909",
+        "dendrogram.tsv": "33c6144a9f2bfd763e8510b3d3841b9fd06991de8c305cd7d160c4c75e1e0dc1",
+    }),
+    (["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "--alpha", "3/2"], "many-level", {
+        "dendrogram.tsv": "faaf9c303d7eac4e1f2ca227f9b301148e9b815464cfaa81de5dd5a8200b7028",
+    }),
+    (["summit", "--strong", "--weighted"], "many-level", {
+        "clusters.tsv": "8a5f70cdad7e868f6a832919684c32be2095755ae4e9250f57fe692eac955a2f",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, source, digests", PINNED, ids=[" ".join(a) + f" {src}" for a, src, _ in PINNED]
+)
+def test_outputs_match_pinned_digests(argv, source, digests, tmp_path):
+    path = DOLPHINS
+    if source == "many-level":
+        path = tmp_path / "w.tsv"
+        path.write_text(many_level_text())
+    out = tmp_path / "out"
+    assert main([*argv, str(path), "-o", str(out)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# bench.tsv for each method on one seeded model, recorded before the
+# cluster hierarchy moved to link tables; row order and ties reach it
+BENCH_MODEL = ["--l", "6", "--size", "12", "--p", "0.6", "--mu", "0.4", "--trials", "4", "--seed", "7"]
+BENCH_TSV = {
+    "truss": "truss\t3\t0.0000\t4\ntruss\t4\t0.4778\t4\ntruss\t5\t0.7367\t4\n"
+             "truss\t6\t0.6426\t3\ntruss\t7\t0.6095\t1\n",
+    "strong": "strong\t3\t0.0000\t4\nstrong\t4\t0.8216\t4\nstrong\t5\t0.7367\t4\n"
+              "strong\t6\t0.6426\t3\nstrong\t7\t0.6095\t1\n",
+    "summit": "summit\t-\t0.7305\t4\n",
+    "strong-summit": "strong-summit\t-\t0.7887\t4\n",
+}
+
+
+@pytest.mark.parametrize("method", sorted(BENCH_TSV))
+def test_bench_tsv_is_pinned_per_method(method, tmp_path):
+    out = tmp_path / "out"
+    assert main(["bench", *BENCH_MODEL, "--method", method, "-o", str(out)]) == 0
+    assert (out / "bench.tsv").read_text() == "method\tk\tmean_nmi\ttrials\n" + BENCH_TSV[method]
+
+
+def test_bench_inter_prob_overrides_mu(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["bench", "--l", "4", "--size", "12", "--p", "0.7", "--r", "0.08", "--mu", "0",
+            "--trials", "3", "--seed", "2", "--method", "strong-summit", "-o", str(out)]
+    assert main(argv) == 0
+    # 4 groups of 12 at p=0.7 expect 185 intra-group edges; --r adds the rest
+    assert "mean_m=255.0" in capsys.readouterr().out
+    expected = "method\tk\tmean_nmi\ttrials\nstrong-summit\t-\t0.8387\t3\n"
+    assert (out / "bench.tsv").read_text() == expected
+    assert main([*argv[:8], "1.5", *argv[9:]]) == 1
+    assert "inter_prob" in capsys.readouterr().err
+
+
+def bfs_bipartite(graph: Graph) -> bool:
+    color = [-1] * graph.n
+    for start in range(graph.n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in graph.adj[v]:
+                if color[w] < 0:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True
+
+
+def test_is_bipartite_matches_a_search_oracle():
+    from trusskit import build_graph
+    from trusskit.cli import is_bipartite
+    from conftest import complete_bipartite, cycle_graph, random_graphs
+
+    fixed = [
+        build_graph(0, []),                                   # empty graph
+        build_graph(4, []),                                   # isolated vertices only
+        cycle_graph(5), cycle_graph(6), complete_bipartite(3, 4),
+        build_graph(9, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7)]),  # odd part + even part
+        build_graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 8), (8, 5)]),
+        build_graph(12, [(i, i + 1) for i in range(10)] + [(10, 0)]),       # odd cycle of 11
+    ]
+    expected = [True, True, False, True, True, False, True, False]
+    assert [is_bipartite(g) for g in fixed] == expected
+    graphs = [g for _, g in random_graphs(200, 14, seed=1515, densities=(0.05, 0.1, 0.2, 0.4))]
+    graphs += [complete_bipartite(a, b) for a in range(1, 4) for b in range(1, 4)]
+    for g in fixed + graphs:
+        assert is_bipartite(g) == bfs_bipartite(g)

@@ -5,7 +5,6 @@ from collections import deque
 import pytest
 
 from trusskit import (
-    DisjointSet,
     EdgeListParseError,
     build_graph,
     connected_components,
@@ -14,7 +13,7 @@ from trusskit import (
     vertex_ranking,
 )
 from trusskit.graph import component_edge_sets
-from conftest import complete_graph, graph_from, random_graphs
+from conftest import DisjointSet, complete_graph, graph_from, random_graphs
 
 
 def test_triangle_parse():

@@ -5,8 +5,8 @@ import pytest
 
 from trusskit import (
     ClusterFamily,
-    DisjointSet,
     Merge,
+    MergeLog,
     TriangleWeightSpec,
     build_graph,
     edge_supports,
@@ -18,7 +18,15 @@ from trusskit import (
     weighted_k_classes,
 )
 from trusskit.strong import is_strong_truss
-from conftest import complete_graph, graph_from, random_graphs
+from conftest import (
+    DisjointSet,
+    complete_graph,
+    graph_from,
+    random_graphs,
+    reference_clusters_at,
+    reference_summit_clusters,
+    weighted_graphs,
+)
 
 K4A = "a0 a1\na0 a2\na0 a3\na1 a2\na1 a3\na2 a3"
 K4B = K4A.replace("a", "b")
@@ -162,7 +170,8 @@ def reference_family(graph, decomposition):
                         root = ds.union(root, ds.find(a))
                     cid[root] = survivor
             present[eid] = 1
-    return ClusterFamily(tuple(leaf_edges), tuple(leaf_levels), tuple(merges))
+    table = [(m.level, m.survivor, *m.absorbed, -1)[:4] for m in merges]
+    return ClusterFamily.from_merges(leaf_edges, leaf_levels, MergeLog(table))
 
 
 def test_family_matches_adjacency_scan(dolphins):
@@ -185,3 +194,17 @@ def test_weighted_family_matches_adjacency_scan(kind, alpha):
         g = build_graph(g.n, g.edges, [rng.randint(1, 9) for _ in range(g.m)])
         dec = weighted_k_classes(g, spec)
         assert strong_truss_family(g, dec) == reference_family(g, dec)
+
+
+def test_strong_cuts_and_summits_match_the_replays(dolphins):
+    spec = TriangleWeightSpec("minimum", 1)
+    cases = [(g, k_classes(g, edge_supports(g))) for _, g in random_graphs(120, 20, seed=1818)]
+    cases.append((dolphins, k_classes(dolphins, edge_supports(dolphins))))
+    cases += [(g, weighted_k_classes(g, spec)) for g in weighted_graphs(60, 22, seed=1919)]
+    for g, dec in cases:
+        fam = strong_truss_family(g, dec)
+        assert fam == reference_family(g, dec)
+        # ordered lists: clusters_to_node_partition breaks ties by position
+        assert summit_strong_trusses(fam) == reference_summit_clusters(fam, 2)
+        for k in sorted({2, *dec.classes, dec.k_max + 1}):
+            assert strong_trusses_at(fam, k) == reference_clusters_at(fam, k, 2)

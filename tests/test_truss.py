@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
 from trusskit import (
+    Merge,
+    MergeLog,
+    TriangleWeightSpec,
     brute_force_supports,
     build_graph,
     edge_supports,
@@ -9,9 +13,18 @@ from trusskit import (
     summit_trusses,
     truss_dendrogram,
     trusses_at,
+    weighted_k_classes,
 )
 from trusskit.graph import edge_nodes
-from conftest import complete_graph, cycle_graph, graph_from, random_graphs
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    graph_from,
+    random_graphs,
+    reference_clusters_at,
+    reference_summit_clusters,
+    weighted_graphs,
+)
 
 
 def decompose(g):
@@ -193,3 +206,46 @@ def test_dendrogram_summits_match_summit_trusses(dolphins):
         got = set(truss_dendrogram(dec, g).summit_clusters())
         want = {(k, member) for k, member in summit_trusses(dec, g) if len(member) >= 2}
         assert got == want
+
+
+def level_loop_summits(dec, g):
+    """summit_trusses as a cut of every level: the trusses at k whose edges
+    all have phi == k, ordered by k, then by smallest edge id."""
+    out = []
+    for k in sorted(dec.classes):
+        for member in trusses_at(dec, g, k).members:
+            if all(dec.phi[e] == k for e in member):
+                out.append((k, member))
+    return out
+
+
+def many_level_cases(dolphins):
+    """(graph, decomposition) pairs: plain random graphs, dolphins, and
+    minimum-weight graphs with weights 1..1000 (many distinct levels)."""
+    cases = [(g, decompose(g)) for _, g in random_graphs(120, 20, seed=1616)]
+    cases.append((dolphins, decompose(dolphins)))
+    spec = TriangleWeightSpec("minimum", 1)
+    cases += [(g, weighted_k_classes(g, spec)) for g in weighted_graphs(60, 22, seed=1717)]
+    return cases
+
+
+def test_summit_trusses_match_the_level_loop(dolphins):
+    for g, dec in many_level_cases(dolphins):
+        assert summit_trusses(dec, g) == level_loop_summits(dec, g)
+
+
+def test_dendrogram_cuts_and_summits_match_the_replays(dolphins):
+    for g, dec in many_level_cases(dolphins):
+        fam = truss_dendrogram(dec, g)
+        assert fam.summit_clusters() == reference_summit_clusters(fam)
+        for k in sorted({2, *dec.classes, dec.k_max + 1}):
+            for size in (1, 2):
+                assert fam.clusters_at(k, size) == reference_clusters_at(fam, k, size)
+
+
+def test_merge_log_rows_read_as_merges():
+    log = MergeLog([(5, 0, 3, -1), (4, 1, 2, 6)])
+    assert len(log) == 2
+    assert list(log) == [Merge(5, (3,), 0), Merge(4, (2, 6), 1)]
+    assert log == MergeLog(np.array([[5, 0, 3, -1], [4, 1, 2, 6]]))
+    assert log != MergeLog([(5, 0, 3, -1)])
