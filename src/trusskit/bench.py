@@ -118,46 +118,36 @@ def generate_planted(model: PlantedModel) -> tuple[Graph, Partition]:
     else:
         sizes = [model.group_size] * model.l
     n = int(sum(sizes))
-    group = np.empty(n, dtype=np.int64)
-    offsets = []
-    start = 0
-    for gi, size in enumerate(sizes):
-        group[start : start + size] = gi
-        offsets.append(start)
-        start += size
+    group = np.repeat(np.arange(model.l), sizes)
+    offsets = (np.cumsum(sizes) - sizes).tolist()
 
     if model.inter_prob is not None:
         r = model.inter_prob
     else:
         r = derive_inter_prob(model.l, n, model.p, model.mu)
-    edges: list[tuple[int, int]] = []
-
-    for gi, size in enumerate(sizes):
-        base = offsets[gi]
-        iu, ju = np.triu_indices(size, k=1)
-        mask = rng.random(iu.shape[0]) < model.p
-        for a, b in zip(iu[mask], ju[mask]):
-            edges.append((base + int(a), base + int(b)))
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for base, size in zip(offsets, sizes):
+        upper = np.stack(np.triu_indices(size, k=1), axis=1)
+        pairs.append(upper[rng.random(len(upper)) < model.p] + base)
 
     intra_pairs = sum(s * (s - 1) // 2 for s in sizes)
     inter_pairs = n * (n - 1) // 2 - intra_pairs
     if inter_pairs > 0 and r > 0:
         count = int(rng.binomial(inter_pairs, r))
-        chosen: set[tuple[int, int]] = set()
+        chosen = np.empty(0, dtype=np.int64)   # pairs (a, b), a < b, as a * n + b
         while len(chosen) < count:
             need = count - len(chosen)
             us = rng.integers(0, n, size=2 * need + 8)
             vs = rng.integers(0, n, size=2 * need + 8)
             ok = (us != vs) & (group[us] != group[vs])
-            for a, b in zip(us[ok], vs[ok]):
-                a, b = int(a), int(b)
-                chosen.add((a, b) if a < b else (b, a))
-                if len(chosen) >= count:
-                    break
-        edges.extend(sorted(chosen))
+            key = np.minimum(us[ok], vs[ok]) * n + np.maximum(us[ok], vs[ok])
+            # the first `need` pairs of the draw not chosen yet, in draw order
+            key = key[np.sort(np.unique(key, return_index=True)[1])]
+            chosen = np.concatenate((chosen, key[~np.isin(key, chosen)][:need]))
+        pairs.append(np.stack(np.divmod(np.sort(chosen), n), axis=1))
 
-    graph = build_graph(n, edges)
-    return graph, Partition(label=tuple(int(g) for g in group))
+    graph = build_graph(n, np.concatenate(pairs))
+    return graph, Partition(label=tuple(group.tolist()))
 
 
 def clusters_to_node_partition(

@@ -19,7 +19,6 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 from xml.sax.saxutils import quoteattr
@@ -49,45 +48,81 @@ class CommandError(Exception):
 
 
 def renumber(clusters: list[tuple[int, frozenset[int] | list[int]]]):
-    """Assign output ids 0..C-1 in order of each cluster's first edge."""
+    """Assign output ids 0..C-1 in order of each cluster's first edge; each
+    cluster's edge ids become an ascending array."""
     ordered = sorted(clusters, key=lambda kc: min(kc[1]))
-    return [(i, k, sorted(edges)) for i, (k, edges) in enumerate(ordered)]
+    return [(i, k, np.sort(np.fromiter(edges, np.int64))) for i, (k, edges) in enumerate(ordered)]
 
 
-def edge_rows(graph: Graph, groups) -> Iterator[str]:
-    """One "<head><u>\t<v>\n" row per edge of each (head, edge ids) group."""
-    labels, ends = graph.labels, graph.edges
-    for head, edges in groups:
-        for eid in edges:
-            lo, hi = ends[eid]
-            yield f"{head}{labels[lo]}\t{labels[hi]}\n"
+def label_pairs(graph: Graph, edges) -> list[list[str]]:
+    """The [u, v] external labels of each listed edge id, in one gather."""
+    labels, (us, vs) = graph.labels, graph.ends[edges].T.tolist()
+    return [[labels[u], labels[v]] for u, v in zip(us, vs)]
 
 
-def clusters_json(graph: Graph, rows, kind: str | None = None) -> str:
-    out = []
-    for idx, k, edges in rows:
-        entry = {
-            "k": k,
-            "index": idx,
-            "edges": [list(graph.edge_label_pair(e)) for e in edges],
-        }
-        if kind is not None:
-            entry["kind"] = kind
-        out.append(entry)
-    return json.dumps({"clusters": out}, indent=2, sort_keys=True) + "\n"
+# Tables stream as text blocks of up to ROWS_PER_WRITE rows, each block one
+# write(): one write per row costs wall time, one string per table memory.
+ROWS_PER_WRITE = 1 << 12
+
+
+def tsv_block(*columns) -> str:
+    """Newline-terminated rows of tab-separated cells, row i holding item i
+    of each column of strings. The cells and separators are laid out in one
+    object array and joined at once, with no Python step per row."""
+    cells = np.empty((len(columns[0]), 2 * len(columns)), dtype=object)
+    cells[:, 1::2] = "\t"
+    cells[:, -1] = "\n"
+    for j, column in enumerate(columns):
+        cells[:, 2 * j] = column
+    return "".join(cells.ravel().tolist())
+
+
+def edge_rows(graph: Graph, rows, kind: str | None = None) -> Iterator[str]:
+    """Blocks of "<k>\t[<kind>\t]<index>\t<u>\t<v>" rows, one per edge of
+    each renumbered cluster; blocks span clusters."""
+    prefix = "" if kind is None else f"{kind}\t"
+    heads = np.array([f"{k}\t{prefix}{idx}" for idx, k, _ in rows], dtype=object)
+    head = np.repeat(heads, [len(edges) for *_, edges in rows])
+    eids = np.concatenate([np.empty(0, np.int64), *(edges for *_, edges in rows)])
+    labels = np.array(graph.labels, dtype=object)
+    for lo in range(0, len(eids), ROWS_PER_WRITE):
+        pair = labels[graph.ends[eids[lo : lo + ROWS_PER_WRITE]]]
+        yield tsv_block(head[lo : lo + ROWS_PER_WRITE], pair[:, 0], pair[:, 1])
+
+
+def trussness_rows(graph: Graph, phi) -> Iterator[str]:
+    """Blocks of "<u>\t<v>\t<phi>" rows, one row per edge in id order."""
+    labels = np.array(graph.labels, dtype=object)
+    levels, level = np.unique(np.asarray(phi, dtype=np.int64), return_inverse=True)
+    text = np.array([str(k) for k in levels.tolist()], dtype=object)   # one str per level
+    for lo in range(0, graph.m, ROWS_PER_WRITE):
+        pair = labels[graph.ends[lo : lo + ROWS_PER_WRITE]]
+        yield tsv_block(pair[:, 0], pair[:, 1], text[level[lo : lo + ROWS_PER_WRITE]])
+
+
+def clusters_json(graph: Graph, rows, kind: str | None = None, name: str = "clusters") -> str:
+    """{name: [{k, index, edges as [u, v] labels, and kind when given}]}."""
+    out = [
+        {"k": k, "index": idx, "edges": label_pairs(graph, edges)} | ({"kind": kind} if kind else {})
+        for idx, k, edges in rows
+    ]
+    return json.dumps({name: out}, indent=2, sort_keys=True) + "\n"
 
 
 def labels_rows(graph: Graph) -> Iterator[str]:
-    return (f"{i}\t{label}\n" for i, label in enumerate(graph.labels))
+    """Blocks of "<vertex id>\t<label>\n" rows."""
+    labels = graph.labels
+    for lo in range(0, graph.n, ROWS_PER_WRITE):
+        rows = enumerate(labels[lo : lo + ROWS_PER_WRITE], lo)
+        yield "".join([f"{i}\t{label}\n" for i, label in rows])
 
 
 def dendrogram_rows(family) -> Iterator[str]:
-    """One "<level>\t<absorbed,...>\t<survivor>\n" row per merge."""
+    """Blocks of "<level>\t<absorbed,...>\t<survivor>\n" rows, one per merge."""
     table = family.merges.table
     for lo in range(0, len(table), ROWS_PER_WRITE):
-        for level, survivor, a0, a1 in table[lo : lo + ROWS_PER_WRITE].tolist():
-            absorbed = a0 if a1 < 0 else f"{a0},{a1}"
-            yield f"{level}\t{absorbed}\t{survivor}\n"
+        rows = zip(*table[lo : lo + ROWS_PER_WRITE].T.tolist())
+        yield "".join([f"{lv}\t{a0 if a1 < 0 else f'{a0},{a1}'}\t{s}\n" for lv, s, a0, a1 in rows])
 
 
 def dot_export(graph: Graph, rows) -> str:
@@ -96,8 +131,7 @@ def dot_export(graph: Graph, rows) -> str:
     for idx, k, edges in rows:
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f'    label="k={k}";')
-        for eid in edges:
-            u, v = graph.edge_label_pair(eid)
+        for u, v in label_pairs(graph, edges):
             lines.append(f'    "{u}" -- "{v}" [cluster={idx}];')
         lines.append("  }")
     lines.append("}")
@@ -105,10 +139,10 @@ def dot_export(graph: Graph, rows) -> str:
 
 
 def graphml_export(graph: Graph, decomposition: KClassDecomposition, rows) -> str:
-    cluster_of: dict[int, int] = {}
+    cluster_of = np.full(graph.m, -1)
     for idx, _, edges in rows:
-        for eid in edges:
-            cluster_of[eid] = idx
+        cluster_of[edges] = idx
+    cluster_of = cluster_of.tolist()
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -118,31 +152,24 @@ def graphml_export(graph: Graph, decomposition: KClassDecomposition, rows) -> st
     ]
     for label in graph.labels:
         out.append(f"    <node id={quoteattr(label)}/>")
-    for eid, (lo, hi) in enumerate(graph.edges):
+    for eid, (lo, hi) in enumerate(zip(*graph.ends.T.tolist())):
         out.append(f"    <edge source={quoteattr(graph.labels[lo])} target={quoteattr(graph.labels[hi])}>")
         out.append(f'      <data key="phi">{decomposition.phi[eid]}</data>')
-        out.append(f'      <data key="cluster">{cluster_of.get(eid, -1)}</data>')
+        out.append(f'      <data key="cluster">{cluster_of[eid]}</data>')
         out.append("    </edge>")
     out.append("  </graph>")
     out.append("</graphml>")
     return "\n".join(out) + "\n"
 
 
-# rows joined per write() when a table is streamed: one write per row costs
-# wall time, one string per table costs memory
-ROWS_PER_WRITE = 1 << 12
-
-
 def write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text, encoding="utf-8")
 
 
-def write_rows(outdir: Path, name: str, rows: Iterable[str]) -> None:
-    """Write newline-terminated rows, ROWS_PER_WRITE of them per write."""
-    rows = iter(rows)
+def write_rows(outdir: Path, name: str, blocks: Iterable[str]) -> None:
+    """Write a table streamed as blocks of rows, one write per block."""
     with open(outdir / name, "w", encoding="utf-8") as handle:
-        while chunk := "".join(islice(rows, ROWS_PER_WRITE)):
-            handle.write(chunk)
+        handle.writelines(blocks)
 
 
 @contextmanager
@@ -202,39 +229,28 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 def _decompose_outputs(
     args: argparse.Namespace, graph: Graph, decomposition: KClassDecomposition, stage: Path
 ) -> list:
-    labels, phi = graph.labels, decomposition.phi
     write_rows(stage, "labels.tsv", labels_rows(graph))
-    write_rows(
-        stage,
-        "trussness.tsv",
-        (f"{labels[u]}\t{labels[v]}\t{phi[e]}\n" for e, (u, v) in enumerate(graph.edges)),
-    )
+    write_rows(stage, "trussness.tsv", trussness_rows(graph, decomposition.phi))
 
     if args.command in ("truss", "weighted-truss"):
-        k = args.k
-        rows = renumber([(k, mem) for mem in trusses_at(decomposition, graph, k).members])
+        rows = renumber([(args.k, m) for m in trusses_at(decomposition, graph, args.k).members])
         kind = None
         family = truss_dendrogram(decomposition, graph)
         write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
     elif args.command == "strong-truss":
-        k = args.k
         family = strong_truss_family(graph, decomposition)
-        rows = renumber([(k, mem) for mem in strong_trusses_at(family, k)])
+        rows = renumber([(args.k, m) for m in strong_trusses_at(family, args.k)])
         kind = "strong"
         write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
+    elif args.strong:  # summit --strong
+        rows = renumber(summit_strong_trusses(strong_truss_family(graph, decomposition)))
+        kind = "strong"
     else:  # summit
-        if args.strong:
-            family = strong_truss_family(graph, decomposition)
-            rows = renumber(summit_strong_trusses(family))
-            kind = "strong"
-        else:
-            rows = renumber(summit_trusses(decomposition, graph))
-            kind = None
+        rows = renumber(summit_trusses(decomposition, graph))
+        kind = None
 
     if args.format == "tsv":
-        prefix = "" if kind is None else f"{kind}\t"
-        heads = ((f"{k}\t{prefix}{idx}\t", edges) for idx, k, edges in rows)
-        write_rows(stage, "clusters.tsv", edge_rows(graph, heads))
+        write_rows(stage, "clusters.tsv", edge_rows(graph, rows, kind))
     else:
         write(stage, "clusters.json", clusters_json(graph, rows, kind))
     if args.dot:
@@ -262,39 +278,23 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
         print(f"bipartite: {is_bipartite(graph)}")
 
     run = trapeze_level_run(graph, schedule)
-    want = args.command  # trapeze | strong-trapeze | summit-trapeze
-    summits = [(kk, idx, "summit", edges) for idx, kk, edges in renumber(list(run.summits))]
-    rows_all: list[tuple[int, int, str, list[int]]] = []
-    if want in ("trapeze", "strong-trapeze"):
-        source = run.weak if want == "trapeze" else run.strong
-        kindname = "weak" if want == "trapeze" else "strong"
-        for k in schedule:
-            for idx, kk, edges in renumber([(k, m) for m in source[k].members]):
-                rows_all.append((kk, idx, kindname, edges))
+    summits = renumber(list(run.summits))
+    if args.command == "summit-trapeze":
+        kind, rows = "summit", summits
     else:
-        rows_all = summits
-
-    def tsv_rows(entries):
-        return edge_rows(graph, ((f"{k}\t{kind}\t{idx}\t", edges) for k, idx, kind, edges in entries))
+        kind = "weak" if args.command == "trapeze" else "strong"
+        source = run.weak if kind == "weak" else run.strong
+        rows = [row for k in schedule for row in renumber([(k, m) for m in source[k].members])]
 
     with staged_output(args.out) as stage:
         write_rows(stage, "labels.tsv", labels_rows(graph))
         if args.format == "tsv":
-            write_rows(stage, "trapezes.tsv", tsv_rows(rows_all))
+            write_rows(stage, "trapezes.tsv", edge_rows(graph, rows, kind))
         else:
-            payload = [
-                {
-                    "k": k,
-                    "kind": kind,
-                    "index": idx,
-                    "edges": [list(graph.edge_label_pair(e)) for e in edges],
-                }
-                for k, idx, kind, edges in rows_all
-            ]
-            write(stage, "trapezes.json", json.dumps({"trapezes": payload}, indent=2, sort_keys=True) + "\n")
+            write(stage, "trapezes.json", clusters_json(graph, rows, kind, "trapezes"))
         # summits always accompany a level run
-        write_rows(stage, "summits.tsv", tsv_rows(summits))
-    print(f"{len(rows_all)} entries -> {Path(args.out)}")
+        write_rows(stage, "summits.tsv", edge_rows(graph, summits, "summit"))
+    print(f"{len(rows)} entries -> {Path(args.out)}")
 
 
 def cmd_bench(args: argparse.Namespace) -> None:

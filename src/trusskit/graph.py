@@ -1,18 +1,17 @@
 """Immutable simple undirected graphs with canonical edges.
 
 Vertices are dense integers 0..n-1; external string labels live in a side
-table. Edges are stored once in canonical (lo, hi) form with lo < hi and an
-optional positive weight, as a tuple of pairs and as one int32 (m, 2) array
-for the array kernels. Per-vertex adjacency (neighbor -> edge id) is built
-on demand; only the oracles and the per-vertex queries read it.
+table. Edges are stored once, as one int32 (m, 2) array `ends` of canonical
+(lo, hi) rows with lo < hi, each with a positive weight. The tuple view
+`edges` and the per-vertex adjacency (neighbor -> edge id) are built on
+demand; only the oracles and the per-vertex queries read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -28,23 +27,37 @@ class EdgeListParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph, immutable after construction.
 
-    `edges` and `ends` hold the same canonical pairs. `adj` is built on
-    first use, for the oracles and the per-vertex queries.
+    `ends` is the one edge store. Graphs are equal when their n, labels,
+    weights and edge rows in order are. `edges` and `adj` are views of
+    `ends` built on first use, for the oracles and the per-vertex queries.
     """
 
     n: int
     labels: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]          # canonical (lo, hi), lo < hi
     weights: tuple[Weight, ...]
-    ends: np.ndarray = field(compare=False, repr=False)  # int32 (m, 2), as edges
+    ends: np.ndarray   # int32 (m, 2), canonical (lo, hi) rows, lo < hi
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
+
+    def _key(self) -> tuple:
+        return self.n, self.labels, self.weights, self.ends.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical (lo, hi) pairs as Python ints, in edge id order."""
+        return tuple(map(tuple, self.ends.tolist()))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -55,17 +68,22 @@ class Graph:
     def adj(self) -> tuple[dict[int, int], ...]:
         """Per vertex, neighbor -> edge id in ascending neighbor order."""
         nbr: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (lo, hi) in enumerate(self.edges):
+        for eid, (lo, hi) in enumerate(self.ends.tolist()):
             nbr[lo].append((hi, eid))
             nbr[hi].append((lo, eid))
         return tuple(dict(sorted(pairs)) for pairs in nbr)
 
+    def _vertex(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
+        return v
+
     def degree(self, v: int) -> int:
-        return int(self.degrees[v])
+        return int(self.degrees[self._vertex(v)])
 
     def neighbors(self, v: int) -> list[int]:
         """Neighbors of v in ascending vertex order."""
-        return list(self.adj[v])
+        return list(self.adj[self._vertex(v)])
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Edge id for the pair (u, v) in either order, or None; None also
@@ -76,116 +94,119 @@ class Graph:
         return self.edge_id(u, v) is not None
 
     def edge_label_pair(self, eid: int) -> tuple[str, str]:
-        lo, hi = self.edges[eid]
+        if not 0 <= eid < self.m:
+            raise IndexError(f"edge {eid} out of range for m={self.m}")
+        lo, hi = self.ends[eid].tolist()
         return self.labels[lo], self.labels[hi]
 
 
 def build_graph(
     n: int,
-    edges: Iterable[tuple[int, int]],
+    edges: np.ndarray | Iterable[tuple[int, int]],
     weights: Sequence[Weight] | None = None,
     labels: Sequence[str] | None = None,
 ) -> Graph:
-    """Assemble a Graph from already-deduplicated vertex pairs.
+    """Assemble a Graph from already-deduplicated vertex pairs, given as an
+    (m, 2) array or an iterable of pairs.
 
     Pairs are canonicalized to (lo, hi). Self loops, vertex ids outside
     0..n-1 and duplicates are rejected here (the edge-list loader applies
     its own lenient policy before calling this).
     """
-    canon = [(u, v) if u < v else (v, u) for u, v in edges]
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
     # the id type is inferred, so no id is truncated or wrapped unchecked
-    ends = np.array(canon).reshape(-1, 2) if canon else np.empty((0, 2), np.int64)
+    ends = np.sort(np.reshape(pairs, (-1, 2)), axis=1) if len(pairs) else np.empty((0, 2), int)
     outside = ends[(ends < 0) | (ends >= n)]
     if len(outside):
         raise ValueError(f"vertex {outside[0]} out of range for n={n}")
     if ends.dtype.kind not in "iub":
         raise ValueError("vertex ids must be integers")
+    ends = ends.astype(np.int32)
     loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
     if len(loops):
         raise ValueError(f"self loop at vertex {ends[loops[0], 0]}")
-    keys = np.sort(ends[:, 0] * n + ends[:, 1])
+    keys = np.sort(ends[:, 0].astype(np.int64) * n + ends[:, 1])
     dup = keys[1:][keys[1:] == keys[:-1]]
     if len(dup):
         raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
     if weights is None:
-        ws: tuple[Weight, ...] = (1,) * len(canon)
+        ws: tuple[Weight, ...] = (1,) * len(ends)
     else:
-        if len(weights) != len(canon):
+        ws = tuple(weights)
+        if len(ws) != len(ends):
             raise ValueError("weights length does not match edges")
-        for w in weights:
+        # each distinct weight object once: the loader repeats one per token
+        for w in {id(w): w for w in ws}.values():
             if w <= 0:
                 raise ValueError(f"non-positive edge weight {w}")
-        ws = tuple(weights)
-    if labels is None:
-        label_tuple = tuple(str(i) for i in range(n))
-    else:
-        if len(labels) != n:
-            raise ValueError("labels length does not match vertex count")
-        label_tuple = tuple(labels)
-    return Graph(
-        n=n, labels=label_tuple, edges=tuple(canon), weights=ws, ends=ends.astype(np.int32)
-    )
+    label_tuple = tuple(map(str, range(n))) if labels is None else tuple(labels)
+    if len(label_tuple) != n:
+        raise ValueError("labels length does not match vertex count")
+    return Graph(n=n, labels=label_tuple, weights=ws, ends=ends)
 
 
 def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> Graph:
     """Parse whitespace-separated "u v [w]" lines into a canonical Graph.
 
     Lines starting with '#' and blank lines are ignored. Self loops are
-    dropped. Duplicate edges collapse to one edge keeping the maximum
-    weight seen. Vertex ids are assigned by first appearance.
+    dropped. Duplicate edges collapse to one edge, placed where the pair
+    first appears and keeping the maximum weight seen (the first of equal
+    maxima). Vertex ids are assigned by first appearance.
     """
     ids: dict[str, int] = {}
-    labels: list[str] = []
-    found: dict[tuple[int, int], Weight] = {}
-
-    def vid(token: str) -> int:
-        i = ids.get(token)
-        if i is None:
-            i = len(labels)
-            ids[token] = i
-            labels.append(token)
-        return i
+    us, vs, codes = [], [], []        # per kept line: its ends, its weight's index in values
+    values: list[Weight] = [1]        # 1 for an omitted weight, then one per token
+    code_of: dict[str, int] = {}      # weight token -> index in values
 
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
-        if weighted:
-            if len(tokens) not in (2, 3):
-                raise EdgeListParseError(lineno, f"expected 2 or 3 tokens, got {len(tokens)}")
-        elif len(tokens) != 2:
-            raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(tokens)}")
-        u, v = vid(tokens[0]), vid(tokens[1])
+        if len(tokens) != 2 and not (weighted and len(tokens) == 3):
+            expected = "2 or 3" if weighted else "2"
+            raise EdgeListParseError(lineno, f"expected {expected} tokens, got {len(tokens)}")
+        u = ids.setdefault(tokens[0], len(ids))
+        v = ids.setdefault(tokens[1], len(ids))
         if u == v:
             continue
-        if weighted and len(tokens) == 3:
-            try:
-                w: Weight = Fraction(tokens[2])
-            except (ValueError, ZeroDivisionError):
-                raise EdgeListParseError(lineno, f"bad weight {tokens[2]!r}") from None
-            if w <= 0:
-                raise EdgeListParseError(lineno, f"non-positive weight {tokens[2]}")
-        else:
-            w = 1
-        key = (u, v) if u < v else (v, u)
-        prev = found.get(key)
-        if prev is None or w > prev:
-            found[key] = w
+        code = 0
+        if len(tokens) == 3:
+            token = tokens[2]
+            code = code_of.setdefault(token, len(values))
+            if code == len(values):   # each distinct token is parsed at its first line
+                try:
+                    values.append(Fraction(token))
+                except (ValueError, ZeroDivisionError):
+                    raise EdgeListParseError(lineno, f"bad weight {token!r}") from None
+                if values[-1] <= 0:
+                    raise EdgeListParseError(lineno, f"non-positive weight {token}")
+        us.append(u)
+        vs.append(v)
+        codes.append(code)
 
-    pairs = list(found)
-    return build_graph(len(labels), pairs, [found[p] for p in pairs], labels)
+    n, pair, code = len(ids), np.array((us, vs), dtype=np.int64), np.array(codes, dtype=np.int64)
+    key = pair.min(axis=0) * n + pair.max(axis=0)
+    level = {w: i for i, w in enumerate(sorted(set(values)))}
+    heavy = np.array([-level[w] for w in values], dtype=np.int64)[code]
+    # lines grouped by pair, heaviest first, then in line order (lexsort is stable)
+    order = np.lexsort((heavy, key))
+    head = np.flatnonzero(np.diff(key[order], prepend=-1))
+    first = np.minimum.reduceat(order, head)   # each pair's first line
+    keep = np.argsort(first)                   # pairs in order of first appearance
+    # no weight token read: every weight is the omitted 1
+    weights = [values[c] for c in code[order[head[keep]]].tolist()] if len(values) > 1 else None
+    return build_graph(n, pair[:, first[keep]].T, weights, list(ids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexRanking:
     """Total order over vertices by (degree, external label) ascending."""
 
-    rank: tuple[int, ...]   # vertex id -> rank
-    order: tuple[int, ...]  # rank -> vertex id
+    rank: np.ndarray   # int32, vertex id -> rank: the inverse permutation of order
+    order: np.ndarray  # int32, rank -> vertex id
 
     def __getitem__(self, v: int) -> int:
-        return self.rank[v]
+        return int(self.rank[v])
 
 
 def vertex_ranking(graph: Graph) -> VertexRanking:
@@ -194,12 +215,9 @@ def vertex_ranking(graph: Graph) -> VertexRanking:
     Using labels rather than internal ids keeps the order independent of the
     input file's line order.
     """
-    degree = graph.degrees.tolist()
-    order = sorted(range(graph.n), key=lambda v: (degree[v], graph.labels[v]))
-    rank = [0] * graph.n
-    for r, v in enumerate(order):
-        rank[v] = r
-    return VertexRanking(rank=tuple(rank), order=tuple(order))
+    degree, labels = graph.degrees.tolist(), graph.labels
+    order = np.array(sorted(range(graph.n), key=lambda v: (degree[v], labels[v])), dtype=np.int32)
+    return VertexRanking(rank=np.argsort(order).astype(np.int32), order=order)
 
 
 def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,23 +283,24 @@ class Subgraph:
 
 
 def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Subgraph:
-    """Subgraph containing exactly the given edges and their endpoints."""
-    eids = sorted(set(edge_ids))
-    for eid in eids:
-        if not 0 <= eid < graph.m:
-            raise ValueError(f"unknown edge id {eid}")
-    vertex_of = list(dict.fromkeys(chain.from_iterable(graph.edges[e] for e in eids)))
-    vmap = {v: i for i, v in enumerate(vertex_of)}
-    pairs = [(vmap[graph.edges[e][0]], vmap[graph.edges[e][1]]) for e in eids]
+    """Subgraph containing exactly the given edges and their endpoints, its
+    vertices numbered by first appearance along the ascending edge ids."""
+    eids = np.unique(np.fromiter(edge_ids, np.int64))
+    unknown = eids[(eids < 0) | (eids >= graph.m)]
+    if len(unknown):
+        raise ValueError(f"unknown edge id {unknown[0]}")
+    ids, first, local = np.unique(graph.ends[eids], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    vertex_of = ids[by_first].tolist()
     sub = build_graph(
         len(vertex_of),
-        pairs,
-        [graph.weights[e] for e in eids],
+        np.argsort(by_first)[local].reshape(-1, 2),
+        [graph.weights[e] for e in eids.tolist()],
         [graph.labels[v] for v in vertex_of],
     )
-    return Subgraph(graph=sub, vertex_of=tuple(vertex_of), edge_of=tuple(eids))
+    return Subgraph(graph=sub, vertex_of=tuple(vertex_of), edge_of=tuple(eids.tolist()))
 
 
 def edge_nodes(graph: Graph, edge_ids: Iterable[int]) -> set[int]:
     """Vertex set touched by the given edges."""
-    return set(chain.from_iterable(graph.edges[e] for e in edge_ids))
+    return set(graph.ends[np.fromiter(edge_ids, np.int64)].ravel().tolist())

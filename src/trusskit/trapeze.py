@@ -61,7 +61,7 @@ class ETPGraph:
         self.graph = graph
         self.ranking = ranking
         self.current_k = 0      # highest trim level completed
-        rank = np.fromiter(ranking.rank, dtype=np.int64, count=n)
+        rank = np.asarray(ranking.rank, dtype=np.int64)
         ends = rank[graph.ends]
         low, high = ends.min(axis=1), ends.max(axis=1)
         del ends
@@ -132,14 +132,11 @@ class ETPGraph:
 
     def alive_periphery_degrees(self) -> dict[tuple[int, int], int]:
         """Live degree per live periphery, keyed by its outer vertex pair."""
-        n, order = self.graph.n, self.ranking.order
+        n, order = self.graph.n, np.asarray(self.ranking.order)
         live = np.flatnonzero(self.periph_degree)
-        return {
-            (order[key // n], order[key % n]): degree
-            for key, degree in zip(
-                self.periph_key[live].tolist(), self.periph_degree[live].tolist()
-            )
-        }
+        key = self.periph_key[live]
+        pairs = zip(order[key // n].tolist(), order[key % n].tolist())
+        return dict(zip(pairs, self.periph_degree[live].tolist()))
 
     def surviving_edges(self) -> list[int]:
         return np.flatnonzero(self.edge_alive).tolist()

@@ -65,7 +65,7 @@ def triangle_list(graph: Graph, ranking: VertexRanking | None = None) -> np.ndar
 
 def _triangle_chunks(graph: Graph, ranking: VertexRanking):
     n, m = graph.n, graph.m
-    rank = np.fromiter(ranking.rank, dtype=np.int32, count=n)
+    rank = np.asarray(ranking.rank, dtype=np.int32)
     ends = rank[graph.ends]
     # oriented edge v->a, v ranked below a, as key v*n + a, sorted
     key = ends.min(axis=1).astype(np.int64) * n + ends.max(axis=1)
@@ -116,10 +116,3 @@ def brute_force_supports(graph: Graph) -> SupportMap:
     sup = [len(nbr[lo] & nbr[hi]) for lo, hi in graph.edges]
     return SupportMap(sup=tuple(sup))
 
-
-def supports_tsv(graph: Graph, supports: SupportMap) -> str:
-    """One "u<TAB>v<TAB>sup" line per edge, using external labels."""
-    lines = []
-    for eid, (lo, hi) in enumerate(graph.edges):
-        lines.append(f"{graph.labels[lo]}\t{graph.labels[hi]}\t{supports.sup[eid]}")
-    return "\n".join(lines) + "\n"

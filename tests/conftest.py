@@ -1,16 +1,64 @@
 import io
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from trusskit import Graph, build_graph, load_edge_list
+from trusskit import EdgeListParseError, Graph, build_graph, load_edge_list
 
 DATA = Path(__file__).parent / "data"
 
 
 def graph_from(text: str, weighted: bool = False) -> Graph:
     return load_edge_list(io.StringIO(text), weighted=weighted)
+
+
+def reference_load_edge_list(stream, weighted: bool = False) -> Graph:
+    """The edge-list loader as one dict pass: each line's pair is looked up
+    in a dict of canonical pairs that keeps the first appearance and the
+    maximum weight."""
+    ids: dict[str, int] = {}
+    labels: list[str] = []
+    found: dict[tuple[int, int], Fraction | int] = {}
+
+    def vid(token: str) -> int:
+        i = ids.get(token)
+        if i is None:
+            i = len(labels)
+            ids[token] = i
+            labels.append(token)
+        return i
+
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if weighted:
+            if len(tokens) not in (2, 3):
+                raise EdgeListParseError(lineno, f"expected 2 or 3 tokens, got {len(tokens)}")
+        elif len(tokens) != 2:
+            raise EdgeListParseError(lineno, f"expected 2 tokens, got {len(tokens)}")
+        u, v = vid(tokens[0]), vid(tokens[1])
+        if u == v:
+            continue
+        if weighted and len(tokens) == 3:
+            try:
+                w = Fraction(tokens[2])
+            except (ValueError, ZeroDivisionError):
+                raise EdgeListParseError(lineno, f"bad weight {tokens[2]!r}") from None
+            if w <= 0:
+                raise EdgeListParseError(lineno, f"non-positive weight {tokens[2]}")
+        else:
+            w = 1
+        key = (u, v) if u < v else (v, u)
+        prev = found.get(key)
+        if prev is None or w > prev:
+            found[key] = w
+
+    pairs = list(found)
+    return build_graph(len(labels), pairs, [found[p] for p in pairs], labels)
 
 
 def complete_graph(n: int) -> Graph:

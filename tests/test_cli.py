@@ -391,20 +391,23 @@ def test_output_path_that_is_a_file_exits_1_with_one_line(k4_file, tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k4p.tsv", "taken"]
 
 
-def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch):
-    """Every production path, --check-bipartite included, runs on the edge
-    array; only the oracles read Graph.adj."""
+@pytest.mark.parametrize("view", ["adj", "edges"])
+def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
+    """Every production path, --check-bipartite and every export included,
+    runs on the edge array; only the oracles read Graph.adj or the tuple
+    view Graph.edges."""
 
     def refuse(graph):
-        raise AssertionError("Graph.adj was built")
+        raise AssertionError(f"Graph.{view} was built")
 
-    monkeypatch.setattr(Graph, "adj", property(refuse))
+    monkeypatch.setattr(Graph, view, property(refuse))
     weighted = tmp_path / "w.tsv"
     weighted.write_text("a b 2\nb c 3\nc a 1\nc d 5\nd a 2\nd b 1\ne a 4\ne b 1\n")
     runs = []
     for path, flag in ((str(DOLPHINS), []), (str(weighted), ["--weighted"])):
         runs += [
             ["truss", "--k", "4", "--dot", "--graphml", *flag, path],
+            ["truss", "--k", "4", "--format", "json", *flag, path],
             ["strong-truss", "--k", "4", *flag, path],
             ["summit", *flag, path],
             ["summit", "--strong", *flag, path],
@@ -413,6 +416,7 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch):
         ]
     runs += [[cmd, "--levels", "1,2,4", "--check-bipartite", str(DOLPHINS)]
              for cmd in ("trapeze", "strong-trapeze", "summit-trapeze")]
+    runs.append(["trapeze", "--levels", "1,2", "--format", "json", str(DOLPHINS)])
     runs.append(["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3",
                  "--trials", "2"])
     for i, argv in enumerate(runs):

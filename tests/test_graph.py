@@ -1,7 +1,9 @@
 import io
 import random
 from collections import deque
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trusskit import (
@@ -13,7 +15,13 @@ from trusskit import (
     vertex_ranking,
 )
 from trusskit.graph import component_edge_sets
-from conftest import DisjointSet, complete_graph, graph_from, random_graphs
+from conftest import (
+    DisjointSet,
+    complete_graph,
+    graph_from,
+    random_graphs,
+    reference_load_edge_list,
+)
 
 
 def test_triangle_parse():
@@ -59,6 +67,66 @@ def test_nonpositive_weight_rejected():
         graph_from("a b 0", weighted=True)
 
 
+GOOD_WEIGHTS = ("1", "1.0", "2/2", "2", "2.0", "4/2", "3", "5/2", "0.5", "1e1", "7")
+BAD_WEIGHTS = ("x", "1/0", "0", "-1", "-0.5", "0/3", "nan")
+
+
+def random_edge_list(rng: random.Random, weighted: bool, bad: float) -> str:
+    """Lines over a few labels, so pairs repeat, reverse and loop, with
+    comments, blank lines, omitted weights and equal weights written
+    differently; a share `bad` of the weights or token counts is malformed."""
+    names = [f"v{i}" for i in range(rng.randint(1, 12))]
+    lines = []
+    for _ in range(rng.randint(0, 60)):
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append(rng.choice(["# comment", "#", "  # indented", "", "   ", "\t"]))
+            continue
+        tokens = [rng.choice(names), rng.choice(names)]
+        if weighted and rng.random() < 0.7:
+            pool = BAD_WEIGHTS if rng.random() < bad else GOOD_WEIGHTS
+            tokens.append(rng.choice(pool))
+        if rng.random() < bad / 4:
+            tokens += ["extra"] * rng.randint(1, 2)
+        lines.append(rng.choice([" ", "\t", "  "]).join(tokens))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def test_loader_matches_reference():
+    rng = random.Random(29)
+    for case in range(600):
+        weighted, bad = case % 2 == 1, rng.choice((0.0, 0.0, 0.02, 0.1))
+        text = random_edge_list(rng, weighted, bad)
+        try:
+            want = reference_load_edge_list(io.StringIO(text), weighted)
+        except EdgeListParseError as err:
+            with pytest.raises(EdgeListParseError) as got:
+                graph_from(text, weighted)
+            assert (got.value.lineno, str(got.value)) == (err.lineno, str(err)), text
+            continue
+        g = graph_from(text, weighted)
+        assert (g.n, g.labels) == (want.n, want.labels), text
+        assert g.ends.dtype == np.int32 and g.ends.tolist() == want.ends.tolist(), text
+        assert [(type(w), w) for w in g.weights] == [(type(w), w) for w in want.weights], text
+        assert g == want
+
+
+def test_loader_weight_tokens():
+    # equal weights written differently collapse to one maximum; the first
+    # of equal maxima is kept, an omitted weight being the integer 1
+    g = graph_from("a b 2\nb a 4/2\nc a\na c 1.0\nb c 1\nc b", weighted=True)
+    assert g.ends.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert [(type(w), w) for w in g.weights] == [(Fraction, 2), (int, 1), (Fraction, 1)]
+    # a self loop is dropped before its weight is read
+    g = graph_from("a a x\nb b -1\na b 3", weighted=True)
+    assert (g.n, g.m, g.weights) == (2, 1, (3,))
+    # a bad token fails at its first line
+    for text, lineno in (("a b 2\nb c 2\nc d 0\nd e 0", 3), ("a b 1/0\nb c 1/0", 1)):
+        with pytest.raises(EdgeListParseError) as err:
+            graph_from(text, weighted=True)
+        assert err.value.lineno == lineno
+
+
 def test_dolphins_counts(dolphins):
     assert dolphins.n == 62
     assert dolphins.m == 159
@@ -73,6 +141,16 @@ def test_edges_canonical_and_indexed(dolphins):
     for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3), (5, 0), (-3, 2)):
         assert g.edge_id(u, v) is None
         assert not g.has_edge(u, v)
+    # ids outside the range raise instead of wrapping around to the end
+    assert (g.degree(2), g.neighbors(2), g.edge_label_pair(0)) == (1, [0], ("0", "2"))
+    for v in (-1, -3, -4, 3, 5):
+        with pytest.raises(IndexError, match=f"vertex {v} out of range"):
+            g.degree(v)
+        with pytest.raises(IndexError, match=f"vertex {v} out of range"):
+            g.neighbors(v)
+    for eid in (-1, -2, 1, 7):
+        with pytest.raises(IndexError, match=f"edge {eid} out of range"):
+            g.edge_label_pair(eid)
 
 
 def test_degree_sum(dolphins):

@@ -6,7 +6,7 @@ import pytest
 import trusskit.triangles as triangles_module
 from trusskit import brute_force_supports, build_graph, edge_supports, vertex_ranking
 from trusskit.graph import VertexRanking
-from trusskit.triangles import supports_tsv, triangle_list
+from trusskit.triangles import triangle_list
 from conftest import complete_graph, cycle_graph, er_graph, graph_from, random_graphs
 
 
@@ -62,14 +62,6 @@ def test_ranking_choice_does_not_change_counts():
             rank[v] = r
         alt = VertexRanking(rank=tuple(rank), order=tuple(order))
         assert edge_supports(g, alt).sup == edge_supports(g, vertex_ranking(g)).sup
-
-
-def test_supports_tsv_shape():
-    g = graph_from("a b\nb c\nc a")
-    text = supports_tsv(g, edge_supports(g))
-    lines = text.strip().split("\n")
-    assert len(lines) == 3
-    assert all(line.split("\t")[2] == "1" for line in lines)
 
 
 def _triangle_rows(g, triangles):
