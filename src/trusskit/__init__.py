@@ -38,7 +38,6 @@ from .strong import (
 )
 from .weighted import (
     TriangleWeightSpec,
-    WeightedSupportMap,
     triangle_weight,
     weighted_k_classes,
     weighted_supports,

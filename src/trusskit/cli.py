@@ -12,6 +12,7 @@ streamed in chunks of rows rather than built as one string.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -126,12 +127,14 @@ def dendrogram_rows(family) -> Iterator[str]:
 
 
 def dot_export(graph: Graph, rows) -> str:
-    """One DOT subgraph per cluster, each edge tagged with its cluster."""
+    """One DOT subgraph per cluster, each edge tagged with its cluster. Node
+    ids are quoted labels, with each double quote escaped."""
     lines = ["graph clusters {"]
     for idx, k, edges in rows:
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f'    label="k={k}";')
         for u, v in label_pairs(graph, edges):
+            u, v = u.replace('"', '\\"'), v.replace('"', '\\"')
             lines.append(f'    "{u}" -- "{v}" [cluster={idx}];')
         lines.append("  }")
     lines.append("}")
@@ -321,6 +324,10 @@ def cmd_bench(args: argparse.Namespace) -> None:
         raise CommandError(str(exc)) from exc
     except ValueError as exc:
         raise CommandError(str(exc)) from exc
+    # without --k-max the run covers every level from 3; drop those below --k-min
+    report = dataclasses.replace(
+        report, rows=tuple(r for r in report.rows if r.k is None or r.k >= args.k_min)
+    )
     with staged_output(args.out) as stage:
         if args.format == "json":
             rows = [

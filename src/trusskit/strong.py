@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from .graph import Graph
-from .truss import ClusterFamily, KClassDecomposition, arrival_order
+from .truss import ClusterFamily, KClassDecomposition, truss_leaves
 
 
 def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> ClusterFamily:
@@ -28,12 +28,8 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
     addition order and the lowest id survives a merge, which pins the merge
     log for snapshot tests.
     """
-    if len(decomposition.phi) != graph.m:
-        raise ValueError("decomposition does not match graph")
     m = graph.m
-    phi = decomposition.phi
-    leaf_edges = arrival_order(decomposition)
-    leaf_levels = [phi[e] for e in leaf_edges]
+    leaf_edges, leaf_levels = truss_leaves(decomposition, graph)
     order = np.array(leaf_edges, dtype=np.int32)
     leaf_of_edge = np.empty(m, dtype=np.int32)
     leaf_of_edge[order] = np.arange(m, dtype=np.int32)

@@ -13,7 +13,9 @@ peripheries are numbered by sorting their pair keys, and peripheries of
 degree 1 are pruned. Trimming runs level-synchronous rounds, like the truss
 peel: every live edge with fewer than k rectangles falls at once, with its
 triads, until none falls. k may only grow across calls, so one structure
-serves a whole level schedule.
+serves a whole level schedule. A level run gives each edge the highest
+scheduled level it survives, like a trussness, and takes its summits from
+the truss summit kernel.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .graph import Graph, VertexRanking, component_edge_sets, edge_nodes, vertex_ranking
 from .graph import _component_labels, _label_groups
+from .truss import vertex_summits
 
 LOW_APEX = 0
 MEDIAN_APEX = 1
@@ -277,7 +280,8 @@ def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:
     """Trim one structure through every level of the schedule.
 
     A member is a summit when none of its edges survives the next scheduled
-    level; members at the final level are all summits.
+    level: all its edges sit at its level in the truss summit kernel, each
+    edge at the highest scheduled level it survives.
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
@@ -286,18 +290,13 @@ def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:
     etp = build_etp_graph(graph)
     weak: dict[int, TrapezeSet] = {}
     strong: dict[int, TrapezeSet] = {}
-    survivors: dict[int, set[int]] = {}
+    level = np.zeros(graph.m, dtype=np.int32)   # highest scheduled level survived
     for k in schedule:
-        alive = set(trim(etp, k))
-        survivors[k] = alive
+        level[trim(etp, k)] = k
         weak[k] = trapezes_at(graph, etp, k)
         strong[k] = strong_trapezes_at(graph, etp, k)
-    summits: list[tuple[int, frozenset[int]]] = []
-    for i, k in enumerate(schedule):
-        nxt = survivors[schedule[i + 1]] if i + 1 < len(schedule) else set()
-        for member in weak[k].members:
-            if not (member & nxt):
-                summits.append((k, member))
+    order = np.argsort(-level, kind="stable")[: np.count_nonzero(level)]
+    summits = vertex_summits(graph, order.tolist(), level[order].tolist())
     return LevelRun(
         schedule=tuple(schedule), weak=weak, strong=strong, summits=tuple(summits)
     )

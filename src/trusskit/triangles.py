@@ -5,10 +5,11 @@ from its lower- to its higher-ranked endpoint and, for each oriented edge
 v->a and each a->b, looks up the closing edge v->b among the sorted
 oriented edge keys, so each triangle is found exactly once, from its
 minimum-ranked vertex. Worst-case work is O(m^1.5); the listing runs as
-numpy array operations over bounded chunks of wedges. Plain supports are
-the per-edge row counts of that list, weighted supports sum its rows'
-weights, the truss peel walks it and the strong-truss family reads it as links.
-A direct common-neighbor oracle backs the tests.
+numpy array operations over bounded chunks of wedges. Plain and weighted
+supports are a `SupportMap` holding that list: its per-edge row counts, or
+its rows' weights summed (weighted.py). The truss peel walks the list,
+weighted or not, and the strong-truss family reads it as links. A direct
+common-neighbor oracle backs the tests.
 """
 
 from __future__ import annotations
@@ -28,19 +29,28 @@ WEDGE_CHUNK = 1 << 17
 
 @dataclass(frozen=True)
 class SupportMap:
-    """Number of triangles containing each edge.
+    """Per-edge triangle support: the number of triangles containing each
+    edge or, with `weights`, the sum of their weights.
 
-    `triangles` carries the triangle list the counts came from, when there
-    is one, so the peel does not scan again.
+    `triangles` is the triangle list the supports came from, when there is
+    one, and `weights` the int64 weight of each of its rows (None for unit
+    weights), so the peel neither scans nor weighs a triangle again.
     """
 
     sup: tuple[int, ...]
     triangles: np.ndarray | None = field(default=None, compare=False, repr=False)
+    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __getitem__(self, eid: int) -> int:
         return self.sup[eid]
 
+    @property
+    def max_support(self) -> int:
+        return max(self.sup, default=0)
+
     def total_triangles(self) -> int:
+        if self.triangles is not None:
+            return len(self.triangles)
         total = sum(self.sup)
         assert total % 3 == 0
         return total // 3

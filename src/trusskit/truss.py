@@ -180,22 +180,30 @@ def peel_triangles(
 def k_classes(graph: Graph, supports: SupportMap) -> KClassDecomposition:
     """Trussness of every edge from its triangle supports.
 
-    Reuses the triangle list the supports were counted from; supports from
-    elsewhere (the oracle) get a fresh listing.
+    Reuses the triangle list the supports were counted from, and the row
+    weights of weighted supports; supports from elsewhere (the oracle) get
+    a fresh listing.
     """
     if len(supports.sup) != graph.m:
         raise ValueError("support map does not match graph")
     triangles = supports.triangles
     if triangles is None:
         triangles = triangle_list(graph)
-    phi = peel_triangles(graph.m, triangles, supports.sup)
+    phi = peel_triangles(graph.m, triangles, supports.sup, supports.weights)
     return KClassDecomposition.from_phi(phi, triangles)
+
+
+def _check_decomposition(decomposition: KClassDecomposition, graph: Graph) -> None:
+    """Raise ValueError unless the decomposition has one phi per graph edge."""
+    if len(decomposition.phi) != graph.m:
+        raise ValueError("decomposition does not match graph")
 
 
 def trusses_at(decomposition: KClassDecomposition, graph: Graph, k: int) -> TrussSet:
     """Maximal k-trusses: components of the edges with phi >= k."""
     if k < 2:
         raise ValueError("k must be at least 2")
+    _check_decomposition(decomposition, graph)
     eids = decomposition.edges_at_least(k)
     members = tuple(frozenset(c) for c in component_edge_sets(graph, eids))
     return TrussSet(k=k, members=members)
@@ -378,24 +386,35 @@ class ClusterFamily:
         ]
 
 
-def arrival_order(decomposition: KClassDecomposition) -> list[int]:
-    """Edge ids in the order cluster families add them as leaves:
-    descending class, ascending id within a class. The list shares its ints
-    with `decomposition.classes`."""
+def truss_leaves(decomposition: KClassDecomposition, graph: Graph) -> tuple[list[int], list[int]]:
+    """Edge ids in the order cluster families add them as leaves
+    (descending class, ascending id within a class), and their classes. The
+    ids share their ints with `decomposition.classes`."""
+    _check_decomposition(decomposition, graph)
     classes = decomposition.classes
-    return list(chain.from_iterable(classes[k] for k in sorted(classes, reverse=True)))
+    leaf_edges = list(chain.from_iterable(classes[k] for k in sorted(classes, reverse=True)))
+    return leaf_edges, [decomposition.phi[e] for e in leaf_edges]
 
 
-def _truss_family(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
-    """The truss hierarchy as links: leaf i joins the two vertex nodes of
-    its edge, vertex v being node m+v."""
-    leaf_edges = arrival_order(decomposition)
-    leaf_levels = [decomposition.phi[e] for e in leaf_edges]
-    m = len(leaf_edges)
-    links = np.empty((m, 4), dtype=np.int32)
-    links[:, 0], links[:, 1] = leaf_levels, np.arange(m)
-    links[:, 2:] = graph.ends[np.array(leaf_edges, dtype=np.int64)] + m
-    return ClusterFamily(tuple(leaf_edges), tuple(leaf_levels), links, m + graph.n)
+def _vertex_family(graph: Graph, leaf_edges: Sequence[int], leaf_levels: Sequence[int]):
+    """The hierarchy of edge-connected clusters as links: leaf i joins the
+    two vertex nodes of its edge at its level, vertex v being node L+v for
+    L leaves, given in descending level."""
+    count = len(leaf_edges)
+    links = np.empty((count, 4), dtype=np.int32)
+    links[:, 0], links[:, 1] = leaf_levels, np.arange(count)
+    links[:, 2:] = graph.ends[np.array(leaf_edges, dtype=np.int64)] + count
+    return ClusterFamily(tuple(leaf_edges), tuple(leaf_levels), links, count + graph.n)
+
+
+def vertex_summits(
+    graph: Graph, leaf_edges: Sequence[int], leaf_levels: Sequence[int]
+) -> list[tuple[int, frozenset[int]]]:
+    """Every component of the given edges at levels >= k whose edges all
+    sit at k, as (k, edge set) pairs ordered by k, then by smallest edge id.
+    Leaves come in descending level."""
+    summits = _vertex_family(graph, leaf_edges, leaf_levels).summit_clusters(min_size=1)
+    return sorted(summits, key=lambda pair: (pair[0], min(pair[1])))
 
 
 def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
@@ -405,7 +424,7 @@ def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> Cluste
     Returned with its merge log built and as its links. Cutting at level k
     reproduces trusses_at(k); merge levels never increase along the log.
     """
-    family = _truss_family(decomposition, graph)
+    family = _vertex_family(graph, *truss_leaves(decomposition, graph))
     return ClusterFamily.from_merges(family.leaf_edges, family.leaf_levels, family.merges)
 
 
@@ -419,5 +438,4 @@ def summit_trusses(
     pairs ordered by k, then by smallest edge id; the union is
     edge-disjoint.
     """
-    summits = _truss_family(decomposition, graph).summit_clusters(min_size=1)
-    return sorted(summits, key=lambda pair: (pair[0], min(pair[1])))
+    return vertex_summits(graph, *truss_leaves(decomposition, graph))

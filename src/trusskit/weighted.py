@@ -2,25 +2,25 @@
 
 Each triangle confers an integer weight derived from its edge weights
 (minimum or harmonic mean, scaled by alpha and floored), and an edge's
-weighted support is the sum over its triangles. Both come from the same
-triangle list as plain supports, and each triangle is weighed once, before
-peeling. The peel is the plain one, except that a killed triangle
-decrements its surviving edges by its weight, clamped at the frontier, so
-weighting adds no complexity.
+weighted support is the sum over its triangles. The supports are a plain
+`SupportMap` over the same triangle list, carrying each row's weight; each
+triangle is weighed once, before peeling. `k_classes` peels such a map like
+a plain one, except that a killed triangle decrements its surviving edges
+by its weight, clamped at the frontier, so weighting adds no complexity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
 import numpy as np
 
 from .graph import Graph, Weight
-from .triangles import triangle_list
-from .truss import KClassDecomposition, peel_triangles
+from .triangles import SupportMap, triangle_list
+from .truss import KClassDecomposition, k_classes
 
 DEFAULT_SUPPORT_CAP = 1 << 24
 
@@ -48,24 +48,6 @@ def triangle_weight(spec: TriangleWeightSpec, w1: Weight, w2: Weight, w3: Weight
         return math.floor(spec.alpha * min(w1, w2, w3))
     recip = Fraction(1, 1) / w1 + Fraction(1, 1) / w2 + Fraction(1, 1) / w3
     return math.floor(spec.alpha / recip)
-
-
-@dataclass(frozen=True)
-class WeightedSupportMap:
-    """Sum of triangle weights per edge.
-
-    `triangles` is the triangle list the sums came from and
-    `triangle_weights` the int64 weight of each of its rows, so the peel
-    neither scans nor weighs a triangle again.
-    """
-
-    sup: tuple[int, ...]
-    max_support: int
-    triangles: np.ndarray | None = field(default=None, compare=False, repr=False)
-    triangle_weights: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    def __getitem__(self, eid: int) -> int:
-        return self.sup[eid]
 
 
 def _weight_table(graph: Graph, spec: TriangleWeightSpec, triangles: np.ndarray):
@@ -102,14 +84,11 @@ def _weight_table(graph: Graph, spec: TriangleWeightSpec, triangles: np.ndarray)
     return values, index.reshape(-1)
 
 
-def weighted_supports(
-    graph: Graph,
-    spec: TriangleWeightSpec,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> WeightedSupportMap:
+def weighted_supports(graph: Graph, spec: TriangleWeightSpec) -> SupportMap:
     """Weighted support per edge: the weights of its rows in the triangle
-    list, summed exactly. Fails fast if any support exceeds support_cap,
-    since the peel's level range is bounded by the maximum support."""
+    list, summed exactly, returned with the list and its row weights. Fails
+    fast if any support exceeds DEFAULT_SUPPORT_CAP, since the peel's level
+    range is bounded by the maximum support."""
     triangles = triangle_list(graph)
     values, index = _weight_table(graph, spec, triangles)
     flat = triangles.ravel()
@@ -120,32 +99,18 @@ def weighted_supports(
     sup = np.zeros(graph.m, dtype=exact)
     np.add.at(sup, flat, np.repeat(weights, 3))
     top = int(sup.max()) if graph.m else 0
-    if top > support_cap:
+    if top > DEFAULT_SUPPORT_CAP:
         raise ValueError(
-            f"maximum weighted support {top} exceeds cap {support_cap}; "
+            f"maximum weighted support {top} exceeds cap {DEFAULT_SUPPORT_CAP}; "
             "rescale alpha or the edge weights"
         )
-    if top >= 1 << 63:
-        raise ValueError(f"maximum weighted support {top} does not fit in 64 bits")
-    return WeightedSupportMap(
-        sup=tuple(sup.tolist()),
-        max_support=top,
-        triangles=triangles,
-        triangle_weights=np.asarray(weights, dtype=np.int64),
+    return SupportMap(
+        sup=tuple(sup.tolist()), triangles=triangles, weights=np.asarray(weights, dtype=np.int64)
     )
 
 
-def weighted_k_classes(
-    graph: Graph,
-    spec: TriangleWeightSpec,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> KClassDecomposition:
-    """Weighted trussness of every edge: the plain peel, decrementing by
-    each killed triangle's weight.
-
-    With unit weights and spec(minimum, alpha=1) this reduces exactly to the
-    plain decomposition.
-    """
-    supports = weighted_supports(graph, spec, support_cap)
-    phi = peel_triangles(graph.m, supports.triangles, supports.sup, supports.triangle_weights)
-    return KClassDecomposition.from_phi(phi, supports.triangles)
+def weighted_k_classes(graph: Graph, spec: TriangleWeightSpec) -> KClassDecomposition:
+    """Weighted trussness of every edge: `k_classes` of the weighted
+    supports. With unit weights and spec(minimum, alpha=1) this reduces
+    exactly to the plain decomposition."""
+    return k_classes(graph, weighted_supports(graph, spec))

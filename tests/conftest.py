@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from trusskit import EdgeListParseError, Graph, build_graph, load_edge_list
+from trusskit import (
+    EdgeListParseError,
+    Graph,
+    build_etp_graph,
+    build_graph,
+    load_edge_list,
+    trapezes_at,
+    trim,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -183,3 +191,20 @@ def reference_summit_clusters(family, min_size: int = 2) -> list[tuple[int, froz
         if pure:
             summits[key] = (formed, frozenset(family.leaf_edges[i] for i in leaves))
     return [summits[key] for key in sorted(summits) if len(summits[key][1]) >= min_size]
+
+
+def reference_level_summits(graph, schedule) -> tuple[tuple[int, frozenset[int]], ...]:
+    """Trapeze summits by sets: a weak member at a scheduled level is a
+    summit when none of its edges survives the next scheduled level."""
+    etp = build_etp_graph(graph)
+    weak, survivors = {}, {}
+    for k in schedule:
+        survivors[k] = set(trim(etp, k))
+        weak[k] = trapezes_at(graph, etp, k)
+    summits = []
+    for i, k in enumerate(schedule):
+        nxt = survivors[schedule[i + 1]] if i + 1 < len(schedule) else set()
+        for member in weak[k].members:
+            if not (member & nxt):
+                summits.append((k, member))
+    return tuple(summits)

@@ -88,6 +88,15 @@ def test_exports_well_formed(k4_file, tmp_path):
     assert tree.tag.endswith("graphml")
 
 
+def test_dot_escapes_quotes_in_labels(tmp_path):
+    src = tmp_path / "quoted.tsv"
+    src.write_text('a"1 b\nb c\na"1 c\n')
+    out = tmp_path / "out"
+    assert main(["truss", "--k", "3", str(src), "-o", str(out), "--dot"]) == 0
+    lines = (out / "clusters.dot").read_text().split("\n")
+    assert '    "a\\"1" -- "b" [cluster=0];' in lines
+
+
 def test_strong_truss_subcommand(tmp_path):
     src = tmp_path / "two.tsv"
     text = "a0 a1\na0 a2\na0 a3\na1 a2\na1 a3\na2 a3\n"
@@ -221,6 +230,21 @@ def test_bench_zero_mixing_perfect_recovery(tmp_path):
     assert code == 0
     row = (out / "bench.tsv").read_text().strip().split("\n")[1]
     assert row.split("\t")[2] == "1.0000"
+
+
+@pytest.mark.parametrize("method", ["truss", "summit"])
+def test_bench_k_min_alone_keeps_the_default_rows_from_k(method, tmp_path):
+    model = [
+        "bench", "--l", "4", "--size", "8", "--p", "0.9", "--mu", "0.1",
+        "--method", method, "--trials", "2", "--seed", "5",
+    ]
+    assert main([*model, "-o", str(tmp_path / "all")]) == 0
+    assert main([*model, "--k-min", "5", "-o", str(tmp_path / "five")]) == 0
+    head, *rows = (tmp_path / "all" / "bench.tsv").read_text().splitlines()
+    kept = [r for r in rows if r.split("\t")[1] == "-" or int(r.split("\t")[1]) >= 5]
+    assert (tmp_path / "five" / "bench.tsv").read_text().splitlines() == [head, *kept]
+    # summit rows carry no k and are all kept; the truss run loses k = 3, 4
+    assert len(kept) == (len(rows) if method == "summit" else len(rows) - 2)
 
 
 def test_bench_summit_mixed_sizes(tmp_path):

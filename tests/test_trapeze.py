@@ -26,6 +26,7 @@ from conftest import (
     cycle_graph,
     graph_from,
     random_graphs,
+    reference_level_summits,
 )
 
 
@@ -234,6 +235,25 @@ def test_level_run_with_summits():
     assert [len(run.weak[k].members) for k in (1, 2, 4)] == [2, 2, 1]
     summits = sorted((k, len(m)) for k, m in run.summits)
     assert summits == [(2, 6), (4, 10)]
+
+
+def test_level_run_summits_match_set_reference():
+    rng = random.Random(2626)
+    graphs = chain(random_graphs(40, 16, seed=2727), random_bipartite_graphs(40, seed=2828))
+    below_top = 0    # summits under the last scheduled level
+    for _, g in graphs:
+        schedule = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
+        summits = trapeze_level_run(g, schedule).summits
+        assert summits == reference_level_summits(g, schedule)
+        below_top += sum(k < schedule[-1] for k, _ in summits)
+    assert below_top >= 15
+
+
+def test_level_run_first_level_empties_the_graph():
+    g = complete_bipartite(3, 3)           # 4 rectangles on every edge
+    assert trapeze_level_run(g, [4]).summits == ((4, frozenset(range(9))),)
+    run = trapeze_level_run(g, [5, 6])
+    assert run.summits == reference_level_summits(g, [5, 6]) == ()
 
 
 def test_level_run_rectangle_free():

@@ -101,6 +101,14 @@ def test_triangle_list_empty_and_triangle_free():
     assert edge_supports(build_graph(2, [(0, 1)])).sup == (0,)
 
 
+def test_plain_map_max_support(dolphins):
+    sup = edge_supports(dolphins)
+    assert sup.max_support == max(sup.sup) and isinstance(sup.max_support, int)
+    assert sup.weights is None
+    assert brute_force_supports(dolphins).max_support == sup.max_support
+    assert edge_supports(build_graph(3, [])).max_support == 0
+
+
 def test_triangle_cap_fails_fast(monkeypatch):
     k6 = complete_graph(6)
     # every wedge of K6 closes: 20 wedges, 20 triangles

@@ -10,6 +10,7 @@ from trusskit import (
     edge_supports,
     iterative_deletion_oracle,
     k_classes,
+    strong_truss_family,
     summit_trusses,
     truss_dendrogram,
     trusses_at,
@@ -50,6 +51,20 @@ def test_planted_clique_lower_bound():
     dec = decompose(build_graph(9, edges))
     assert sorted(dec.classes) == [2, 6]
     assert len(dec.classes[6]) == 15
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda dec, g: trusses_at(dec, g, 3), id="trusses_at"),
+    pytest.param(lambda dec, g: summit_trusses(dec, g), id="summit_trusses"),
+    pytest.param(lambda dec, g: truss_dendrogram(dec, g), id="truss_dendrogram"),
+    pytest.param(lambda dec, g: strong_truss_family(g, dec), id="strong_truss_family"),
+])
+def test_decomposition_of_another_graph_is_refused(call):
+    abc = graph_from("a b\nb c\na c")
+    two = graph_from("a b\nb c\na c\nc d\nd e\nc e")     # abc and a second triangle
+    with pytest.raises(ValueError, match="decomposition does not match graph"):
+        call(decompose(abc), two)
+    call(decompose(two), two)
 
 
 def test_trusses_at_rejects_small_k():

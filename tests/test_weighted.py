@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import trusskit.weighted as weighted_module
 from trusskit import (
     TriangleWeightSpec,
     build_graph,
@@ -16,7 +17,9 @@ from trusskit import (
     weighted_k_classes,
     weighted_supports,
 )
+from trusskit.triangles import triangle_list
 from conftest import complete_graph, graph_from, random_graphs
+from conftest import weighted_graphs as seeded_weighted_graphs
 
 MIN1 = TriangleWeightSpec("minimum", 1)
 HARM1 = TriangleWeightSpec("harmonic", 1)
@@ -183,6 +186,24 @@ def test_support_cap_enforced():
     g = graph_from("a b 1\nb c 1\na c 1", weighted=True)
     with pytest.raises(ValueError):
         weighted_supports(g, TriangleWeightSpec("minimum", 1 << 30))
+
+
+def test_support_cap_is_read_at_call_time(monkeypatch):
+    g = graph_from("a b 2\nb c 3\na c 6", weighted=True)   # every support is 2
+    monkeypatch.setattr(weighted_module, "DEFAULT_SUPPORT_CAP", 2)
+    assert weighted_supports(g, MIN1).max_support == 2
+    monkeypatch.setattr(weighted_module, "DEFAULT_SUPPORT_CAP", 1)
+    with pytest.raises(ValueError, match=r"maximum weighted support 2 exceeds cap 1"):
+        weighted_supports(g, MIN1)
+
+
+def test_weighted_map_counts_triangles_not_weights():
+    for g in seeded_weighted_graphs(20, 14, seed=3131):
+        for spec in (MIN1, TriangleWeightSpec("harmonic", 3)):
+            ws = weighted_supports(g, spec)
+            assert ws.total_triangles() == len(triangle_list(g))
+            assert ws.max_support == max(ws.sup, default=0)
+            assert isinstance(ws.max_support, int)
 
 
 def test_weighted_separation_beats_unweighted():
