@@ -13,14 +13,24 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .graph import Graph, build_graph
-from .strong import strong_truss_family, strong_trusses_at, summit_strong_trusses
+# run_benchmark cuts its fixed levels from one descent of a family, not with
+# trusses_at or strong_trusses_at; both stay importable from this module,
+# where callers look them up to wrap them
+from .strong import strong_truss_family, strong_trusses_at, summit_strong_trusses  # noqa: F401
 from .triangles import edge_supports
-from .truss import k_classes, summit_trusses, trusses_at
+from .truss import (  # noqa: F401
+    ClusterFamily,
+    _vertex_family,
+    k_classes,
+    summit_trusses,
+    truss_leaves,
+    trusses_at,
+)
 
 METHODS = ("truss", "strong", "summit", "strong-summit")
 
@@ -180,6 +190,27 @@ def clusters_to_node_partition(
     return Partition(label=tuple(label.tolist()))
 
 
+def _level_labels(
+    graph: Graph, family: ClusterFamily, levels: Iterable[int], min_size: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """For each distinct level k, in descending order, an int32 vertex
+    labelling by the family's clusters alive at k with at least min_size
+    edges: a vertex gets the smallest id among the clusters whose edges
+    touch it, and a vertex no such cluster touches gets a label of its own.
+    Cluster ids are the family's, so the labels differ from
+    clusters_to_node_partition's but give the same blocks."""
+    leaf_ends = graph.ends[np.array(family.leaf_edges, dtype=np.int64)]
+    own = np.arange(family.nodes, family.nodes + graph.n, dtype=np.int32)
+    for k, root in family.cuts(levels):
+        alive = family.leaves_at(k)
+        root = root[:alive]
+        big = np.bincount(root)[root] >= min_size
+        label = own.copy()
+        # int32 values for an int32 target keep ufunc.at off its casting path
+        np.minimum.at(label, leaf_ends[:alive][big].ravel(), root[big].repeat(2))
+        yield k, label
+
+
 def nmi(a: Partition, b: Partition) -> float:
     """Normalized mutual information between two node partitions.
 
@@ -274,13 +305,20 @@ def run_benchmark(
 
     Trial i runs on the model reseeded with seed + i, so reports reproduce
     bit for bit. For the fixed-level methods k_range defaults to every class
-    level 3..k_max seen in a trial.
+    level 3..k_max seen in a trial, and every level of a trial is cut from
+    one descent of its cluster family (`ClusterFamily.cuts`): the strong
+    family with clusters of at least 2 edges for "strong", the
+    edge-connected vertex family for "truss" (its clusters are the maximal
+    k-trusses). A repeated k is scored once per trial and counted once per
+    repeat.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     if trials < 1:
         raise ValueError("need at least one trial")
     ks = sorted(k_range) if k_range is not None else None
+    if ks and ks[0] < 2 and method in ("truss", "strong"):
+        raise ValueError("k must be at least 2")
 
     sums: dict[int | None, float] = {}
     seen_counts: dict[int | None, int] = {}
@@ -293,22 +331,19 @@ def run_benchmark(
         m_sum += graph.m
         decomposition = k_classes(graph, edge_supports(graph))
         if method in ("truss", "strong"):
-            family = (
-                strong_truss_family(graph, decomposition) if method == "strong" else None
-            )
+            if method == "strong":
+                family, min_size = strong_truss_family(graph, decomposition), 2
+            else:
+                family, min_size = _vertex_family(graph, *truss_leaves(decomposition, graph)), 1
             levels = ks if ks is not None else list(
                 range(3, max(decomposition.k_max, 2) + 1)
             )
+            scores = {
+                k: nmi(truth, Partition(label=tuple(label.tolist())))
+                for k, label in _level_labels(graph, family, levels, min_size)
+            }
             for k in levels:
-                if method == "truss":
-                    clusters: list[frozenset[int]] = list(
-                        trusses_at(decomposition, graph, k).members
-                    )
-                else:
-                    clusters = strong_trusses_at(family, k)
-                part = clusters_to_node_partition(graph, clusters)
-                score = nmi(truth, part)
-                sums[k] = sums.get(k, 0.0) + score
+                sums[k] = sums.get(k, 0.0) + scores[k]
                 seen_counts[k] = seen_counts.get(k, 0) + 1
         else:
             if method == "summit":

@@ -128,13 +128,14 @@ def dendrogram_rows(family) -> Iterator[str]:
 
 def dot_export(graph: Graph, rows) -> str:
     """One DOT subgraph per cluster, each edge tagged with its cluster. Node
-    ids are quoted labels, with each double quote escaped."""
+    ids are quoted labels, with each backslash and then each double quote
+    escaped, so every id closes and distinct labels stay distinct."""
     lines = ["graph clusters {"]
     for idx, k, edges in rows:
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f'    label="k={k}";')
         for u, v in label_pairs(graph, edges):
-            u, v = u.replace('"', '\\"'), v.replace('"', '\\"')
+            u, v = (x.replace("\\", "\\\\").replace('"', '\\"') for x in (u, v))
             lines.append(f'    "{u}" -- "{v}" [cluster={idx}];')
         lines.append("  }")
     lines.append("}")
@@ -301,6 +302,10 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> None:
+    if args.k_min < 2:
+        raise CommandError(f"--k-min must be at least 2, got {args.k_min}")
+    if args.k_max and args.k_max < args.k_min:
+        raise CommandError(f"--k-max must be 0 or at least --k-min {args.k_min}, got {args.k_max}")
     if args.sizes:
         try:
             lo, hi = (int(tok) for tok in args.sizes.split(".."))

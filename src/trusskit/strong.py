@@ -3,9 +3,11 @@
 Edges are added from the highest class downward. The family is the
 triangle list the decomposition was peeled from, read as links: each
 triangle joins its last-arriving edge to the other two at that edge's class
-level. Strong trusses at level k are components of the links at >= k,
-summits are components of the links at one level that no higher link
-touches, and the merge log is replayed from the links only when read.
+level. Strong trusses at level k are components of the links at >= k;
+the family's `cuts` yields them for many levels from one descent, which is
+how the benchmark scores every level of a trial. Summits are components of
+the links at one level that no higher link touches, and the merge log is
+replayed from the links only when read.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
 
 
 def strong_trusses_at(family: ClusterFamily, k: int) -> list[frozenset[int]]:
-    """Strong k-trusses: clusters alive at level k with at least 2 edges."""
+    """Strong k-trusses: clusters alive at level k with at least 2 edges,
+    from one step of the family's descent. To cut many levels, descend once
+    with `family.cuts`."""
     if k < 2:
         raise ValueError("k must be at least 2")
     return family.clusters_at(k, min_size=2)

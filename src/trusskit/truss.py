@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import neg
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -322,8 +322,11 @@ class ClusterFamily:
     y and, unless z is -1, to z. Nodes below len(leaf_edges) are leaves (the
     truss links add vertex nodes). The leaves of a component of the links
     at levels >= k are a cluster alive at k, whose id, its smallest leaf, is
-    the component's smallest node. A merge log is such a table; `merges`
-    replays the links into one on first read, the lowest id surviving.
+    the component's smallest node. `cuts` finds those components for many
+    levels in one descent from the top, contracting only the links each
+    level adds; `clusters_at` is one step of it. A merge log is such a
+    table; `merges` replays the links into one on first read, the lowest id
+    surviving.
     """
 
     leaf_edges: tuple[int, ...]
@@ -348,13 +351,36 @@ class ClusterFamily:
         mine = (self.leaf_edges, self.leaf_levels, self.merges)
         return mine == (other.leaf_edges, other.leaf_levels, other.merges)
 
+    def cuts(self, ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+        """One descent through the given levels: for each distinct k, in
+        descending order, (k, root), where root is an int32 array giving
+        every node the smallest node of its component among the links at
+        levels >= k. Each step contracts only the links that entered since
+        the previous one, over the previous step's roots."""
+        down = -self.links[:, 0]   # ascending: link rows come in non-increasing level
+        root = np.arange(self.nodes, dtype=np.int32)
+        start = 0
+        for k in sorted(set(ks), reverse=True):
+            stop = int(np.searchsorted(down, -k, side="right"))
+            if stop > start:
+                _, a, b = _link_ends(self.links[start:stop])
+                if start:   # join the old roots, then read every node through its root
+                    root = _component_labels(self.nodes, root[a], root[b])[root]
+                else:       # the first links join nodes that are their own roots
+                    root = _component_labels(self.nodes, a, b)
+                start = stop
+            yield k, root
+
+    def leaves_at(self, k: int) -> int:
+        """How many leaves sit at levels >= k: they come first."""
+        return bisect_right(self.leaf_levels, -k, key=neg)
+
     def clusters_at(self, k: int, min_size: int = 1) -> list[frozenset[int]]:
         """Edge sets of the clusters alive at level k with at least min_size
         edges, ordered by cluster id."""
-        _, a, b = _link_ends(self.links[: np.count_nonzero(self.links[:, 0] >= k)])
-        label = _component_labels(self.nodes, a, b)
-        alive = bisect_right(self.leaf_levels, -k, key=neg)   # leaves at levels >= k
-        groups = _label_groups(np.arange(alive), label[:alive])
+        ((_, root),) = self.cuts([k])
+        alive = self.leaves_at(k)
+        groups = _label_groups(np.arange(alive), root[:alive])
         return [frozenset(self.leaf_edges[i] for i in g) for g in groups if len(g) >= min_size]
 
     def summit_clusters(self, min_size: int = 2) -> list[tuple[int, frozenset[int]]]:

@@ -10,10 +10,19 @@ from trusskit import (
     Graph,
     build_etp_graph,
     build_graph,
+    clusters_to_node_partition,
+    edge_supports,
+    generate_planted,
+    k_classes,
     load_edge_list,
+    nmi,
+    strong_truss_family,
+    strong_trusses_at,
     trapezes_at,
     trim,
+    trusses_at,
 )
+from trusskit.bench import BenchmarkRow
 
 DATA = Path(__file__).parent / "data"
 
@@ -208,3 +217,27 @@ def reference_level_summits(graph, schedule) -> tuple[tuple[int, frozenset[int]]
             if not (member & nxt):
                 summits.append((k, member))
     return tuple(summits)
+
+
+def reference_benchmark_rows(model, method: str, trials: int, k_range=None) -> tuple:
+    """The rows run_benchmark reports for "truss" or "strong", by cutting
+    each level of each trial on its own (trusses_at or strong_trusses_at),
+    turning the clusters into a partition with clusters_to_node_partition
+    and scoring it with nmi."""
+    ks = sorted(k_range) if k_range is not None else None
+    sums: dict[int, float] = {}
+    seen: dict[int, int] = {}
+    for i in range(trials):
+        graph, truth = generate_planted(model.with_seed(model.seed + i))
+        dec = k_classes(graph, edge_supports(graph))
+        family = strong_truss_family(graph, dec) if method == "strong" else None
+        levels = ks if ks is not None else list(range(3, max(dec.k_max, 2) + 1))
+        for k in levels:
+            if method == "truss":
+                clusters = list(trusses_at(dec, graph, k).members)
+            else:
+                clusters = strong_trusses_at(family, k)
+            score = nmi(truth, clusters_to_node_partition(graph, clusters))
+            sums[k] = sums.get(k, 0.0) + score
+            seen[k] = seen.get(k, 0) + 1
+    return tuple(BenchmarkRow(method, k, sums[k] / seen[k], seen[k]) for k in sorted(sums))

@@ -18,7 +18,7 @@ from trusskit import (
     strong_trusses_at,
     trusses_at,
 )
-from conftest import graph_from, random_graphs
+from conftest import graph_from, random_graphs, reference_benchmark_rows
 
 
 def test_inter_prob_zero_mixing():
@@ -224,3 +224,28 @@ def test_partition_matches_the_loop():
         levels = [rng.randint(2, 4) for _ in clusters]
         assert clusters_to_node_partition(g, clusters) == loop_partition(g, clusters)
         assert clusters_to_node_partition(g, clusters, levels) == loop_partition(g, clusters, levels)
+
+
+@pytest.mark.parametrize("method", ["truss", "strong"])
+def test_benchmark_scores_match_the_per_level_loop(method):
+    # exact floats: the descent's labels give the same blocks, in the same
+    # order of first appearance, as the per-level cuts
+    for seed in (1, 2, 3, 11):
+        model = PlantedModel(l=6, group_size=10, p=0.8, mu=0.3, seed=seed)
+        # every level; levels past k_max; unsorted with a repeat
+        for k_range in (None, range(2, 13), (5, 3, 9, 3)):
+            report = run_benchmark(model, method, trials=3, k_range=k_range)
+            assert report.rows == reference_benchmark_rows(model, method, 3, k_range)
+
+
+@pytest.mark.parametrize("method", ["truss", "strong"])
+def test_benchmark_refuses_k_below_2_before_the_first_trial(method, monkeypatch):
+    import trusskit.bench as bench
+
+    def no_trial(model):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench, "generate_planted", no_trial)
+    model = PlantedModel(l=4, group_size=6, p=0.9, mu=0.1, seed=2)
+    with pytest.raises(ValueError, match="k must be at least 2"):
+        run_benchmark(model, method, trials=2, k_range=(4, 1))

@@ -97,6 +97,19 @@ def test_dot_escapes_quotes_in_labels(tmp_path):
     assert '    "a\\"1" -- "b" [cluster=0];' in lines
 
 
+def test_dot_escapes_backslashes_before_quotes(tmp_path):
+    src = tmp_path / "slashed.tsv"
+    src.write_text('a\\ a"b\na"b c\nc a\\\n')
+    out = tmp_path / "out"
+    assert main(["truss", "--k", "3", str(src), "-o", str(out), "--dot"]) == 0
+    lines = (out / "clusters.dot").read_text().split("\n")
+    assert lines[3:6] == [
+        '    "a\\\\" -- "a\\"b" [cluster=0];',
+        '    "a\\"b" -- "c" [cluster=0];',
+        '    "a\\\\" -- "c" [cluster=0];',
+    ]
+
+
 def test_strong_truss_subcommand(tmp_path):
     src = tmp_path / "two.tsv"
     text = "a0 a1\na0 a2\na0 a3\na1 a2\na1 a3\na2 a3\n"
@@ -245,6 +258,26 @@ def test_bench_k_min_alone_keeps_the_default_rows_from_k(method, tmp_path):
     assert (tmp_path / "five" / "bench.tsv").read_text().splitlines() == [head, *kept]
     # summit rows carry no k and are all kept; the truss run loses k = 3, 4
     assert len(kept) == (len(rows) if method == "summit" else len(rows) - 2)
+
+
+@pytest.mark.parametrize(
+    "k_args, method",
+    [
+        (["--k-min", "5", "--k-max", "3"], "truss"),
+        (["--k-max", "-1"], "strong"),
+        (["--k-min", "1"], "summit"),
+    ],
+)
+def test_bench_refuses_a_bad_k_range(k_args, method, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "bench", "--l", "4", "--size", "6", "--p", "0.9", "--mu", "0.1",
+        "--method", method, "--trials", "1", *k_args, "-o", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --k-") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bench_summit_mixed_sizes(tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from trusskit import (
     trusses_at,
     weighted_k_classes,
 )
-from trusskit.graph import edge_nodes
+from trusskit.graph import _component_labels, edge_nodes
+from trusskit.truss import _link_ends, _vertex_family, truss_leaves
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -264,3 +267,26 @@ def test_merge_log_rows_read_as_merges():
     assert list(log) == [Merge(5, (3,), 0), Merge(4, (2, 6), 1)]
     assert log == MergeLog(np.array([[5, 0, 3, -1], [4, 1, 2, 6]]))
     assert log != MergeLog([(5, 0, 3, -1)])
+
+
+def test_cuts_match_a_fresh_pass_per_level(dolphins):
+    rng = random.Random(2323)
+    for g, dec in many_level_cases(dolphins):
+        for fam in (
+            _vertex_family(g, *truss_leaves(dec, g)),
+            truss_dendrogram(dec, g),
+            strong_truss_family(g, dec),
+        ):
+            level, a, b = _link_ends(fam.links)
+            present = sorted({2, *dec.classes, dec.k_max + 1})
+            ks = rng.sample(present, rng.randint(1, len(present))) * rng.randint(1, 2)
+            seen = []
+            for k, root in fam.cuts(ks):
+                seen.append(k)
+                assert root.dtype == np.int32
+                keep = level >= k
+                assert np.array_equal(root, _component_labels(fam.nodes, a[keep], b[keep]))
+            assert seen == sorted(set(ks), reverse=True)
+            for k in present:
+                for size in (1, 2):
+                    assert fam.clusters_at(k, size) == reference_clusters_at(fam, k, size)
