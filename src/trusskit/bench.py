@@ -199,7 +199,7 @@ def _level_labels(
     touch it, and a vertex no such cluster touches gets a label of its own.
     Cluster ids are the family's, so the labels differ from
     clusters_to_node_partition's but give the same blocks."""
-    leaf_ends = graph.ends[np.array(family.leaf_edges, dtype=np.int64)]
+    leaf_ends = graph.ends[family.leaf_order]
     own = np.arange(family.nodes, family.nodes + graph.n, dtype=np.int32)
     for k, root in family.cuts(levels):
         alive = family.leaves_at(k)
@@ -305,7 +305,7 @@ def run_benchmark(
 
     Trial i runs on the model reseeded with seed + i, so reports reproduce
     bit for bit. For the fixed-level methods k_range defaults to every class
-    level 3..k_max seen in a trial, and every level of a trial is cut from
+    level 2..k_max seen in a trial, and every level of a trial is cut from
     one descent of its cluster family (`ClusterFamily.cuts`): the strong
     family with clusters of at least 2 edges for "strong", the
     edge-connected vertex family for "truss" (its clusters are the maximal
@@ -335,9 +335,7 @@ def run_benchmark(
                 family, min_size = strong_truss_family(graph, decomposition), 2
             else:
                 family, min_size = _vertex_family(graph, *truss_leaves(decomposition, graph)), 1
-            levels = ks if ks is not None else list(
-                range(3, max(decomposition.k_max, 2) + 1)
-            )
+            levels = ks if ks is not None else list(range(2, decomposition.k_max + 1))
             scores = {
                 k: nmi(truth, Partition(label=tuple(label.tolist())))
                 for k, label in _level_labels(graph, family, levels, min_size)

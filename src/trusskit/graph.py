@@ -254,14 +254,16 @@ def _label_groups(ids: np.ndarray, label: np.ndarray) -> list[list[int]]:
     return sorted(groups, key=lambda g: g[0]) if flat else []
 
 
-def component_edge_sets(graph: Graph, edge_ids: Iterable[int]) -> list[list[int]]:
+def component_edge_sets(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> list[list[int]]:
     """Connected components of the subgraph induced by the given edges.
 
     Returns lists of the original edge ids, one per component, ordered by
     their smallest edge id, with ids ascending within each; repeated ids
-    count once.
+    count once. An array of ids is read as it is.
     """
-    eids = np.unique(np.fromiter(edge_ids, np.int64))
+    if not isinstance(edge_ids, np.ndarray):
+        edge_ids = np.fromiter(edge_ids, np.int64)
+    eids = np.unique(edge_ids)
     ends = graph.ends[eids]
     label = _component_labels(graph.n, ends[:, 0], ends[:, 1])
     return _label_groups(eids, label[ends[:, 0]])

@@ -31,8 +31,7 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
     log for snapshot tests.
     """
     m = graph.m
-    leaf_edges, leaf_levels = truss_leaves(decomposition, graph)
-    order = np.array(leaf_edges, dtype=np.int32)
+    order, leaf_levels = truss_leaves(decomposition, graph)
     leaf_of_edge = np.empty(m, dtype=np.int32)
     leaf_of_edge[order] = np.arange(m, dtype=np.int32)
     rows = np.sort(leaf_of_edge[decomposition.triangles], axis=1)
@@ -41,11 +40,11 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
     off = (first[:, 0] != last[:, 0]) & (first[:, 0] != last[:, 1])
     third = np.where(off, first[:, 0], first[:, 1])
     rows = rows[np.lexsort((third, rows[:, 2]))]
-    del order, first, last, off, third
+    del leaf_of_edge, first, last, off, third
     links = np.empty((len(rows), 4), dtype=np.int32)
-    links[:, 0] = np.array(leaf_levels, dtype=np.int32)[rows[:, 2]]
+    links[:, 0] = leaf_levels[rows[:, 2]]
     links[:, 1:] = rows[:, [2, 0, 1]]
-    return ClusterFamily(tuple(leaf_edges), tuple(leaf_levels), links, m)
+    return ClusterFamily(order, leaf_levels, links, m)
 
 
 def strong_trusses_at(family: ClusterFamily, k: int) -> list[frozenset[int]]:

@@ -239,7 +239,7 @@ def _ensure_trimmed(etp: ETPGraph, k: int) -> None:
 def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrapezeSet:
     """Maximal k-trapezes: components of the survivors of trim(k)."""
     _ensure_trimmed(etp, k)
-    members = tuple(map(frozenset, component_edge_sets(graph, etp.surviving_edges())))
+    members = tuple(map(frozenset, component_edge_sets(graph, np.flatnonzero(etp.edge_alive))))
     return TrapezeSet(k=k, members=members)
 
 
@@ -295,8 +295,8 @@ def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:
         level[trim(etp, k)] = k
         weak[k] = trapezes_at(graph, etp, k)
         strong[k] = strong_trapezes_at(graph, etp, k)
-    order = np.argsort(-level, kind="stable")[: np.count_nonzero(level)]
-    summits = vertex_summits(graph, order.tolist(), level[order].tolist())
+    order = np.argsort(-level, kind="stable")[: np.count_nonzero(level)].astype(np.int32)
+    summits = vertex_summits(graph, order, level[order])
     return LevelRun(
         schedule=tuple(schedule), weak=weak, strong=strong, summits=tuple(summits)
     )

@@ -15,6 +15,7 @@ common-neighbor oracle backs the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,31 +28,42 @@ DEFAULT_TRIANGLE_CAP = 1 << 26
 WEDGE_CHUNK = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportMap:
     """Per-edge triangle support: the number of triangles containing each
     edge or, with `weights`, the sum of their weights.
 
-    `triangles` is the triangle list the supports came from, when there is
-    one, and `weights` the int64 weight of each of its rows (None for unit
-    weights), so the peel neither scans nor weighs a triangle again.
+    `support` is the one store, an int64 array with one value per edge;
+    `sup` is a tuple view of it built on first read. `triangles` is the
+    triangle list the supports came from, when there is one, and `weights`
+    the int64 weight of each of its rows (None for unit weights), so the
+    peel neither scans nor weighs a triangle again. Maps are equal when
+    their support values are.
     """
 
-    sup: tuple[int, ...]
-    triangles: np.ndarray | None = field(default=None, compare=False, repr=False)
-    weights: np.ndarray | None = field(default=None, compare=False, repr=False)
+    support: np.ndarray
+    triangles: np.ndarray | None = field(default=None, repr=False)
+    weights: np.ndarray | None = field(default=None, repr=False)
 
-    def __getitem__(self, eid: int) -> int:
-        return self.sup[eid]
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SupportMap) and np.array_equal(self.support, other.support)
+
+    def __hash__(self) -> int:
+        return hash(self.support.astype(np.int64).tobytes())
+
+    @cached_property
+    def sup(self) -> tuple[int, ...]:
+        """The supports as Python ints, in edge id order."""
+        return tuple(self.support.tolist())
 
     @property
     def max_support(self) -> int:
-        return max(self.sup, default=0)
+        return int(self.support.max(initial=0))
 
     def total_triangles(self) -> int:
         if self.triangles is not None:
             return len(self.triangles)
-        total = sum(self.sup)
+        total = int(self.support.sum())
         assert total % 3 == 0
         return total // 3
 
@@ -113,8 +125,8 @@ def edge_supports(graph: Graph, ranking: VertexRanking | None = None) -> Support
     """Exact triangle counts per edge: row counts of the triangle list."""
     triangles = triangle_list(graph, ranking)
     # per column, so bincount's index copy stays a third of the list
-    sup = sum(np.bincount(triangles[:, j], minlength=graph.m) for j in range(3))
-    return SupportMap(sup=tuple(sup.tolist()), triangles=triangles)
+    support = sum(np.bincount(triangles[:, j], minlength=graph.m) for j in range(3))
+    return SupportMap(support, triangles)
 
 
 def brute_force_supports(graph: Graph) -> SupportMap:
@@ -123,6 +135,6 @@ def brute_force_supports(graph: Graph) -> SupportMap:
     Intended for small graphs (m up to a few thousand).
     """
     nbr = [set(a) for a in graph.adj]
-    sup = [len(nbr[lo] & nbr[hi]) for lo, hi in graph.edges]
-    return SupportMap(sup=tuple(sup))
+    support = [len(nbr[lo] & nbr[hi]) for lo, hi in graph.edges]
+    return SupportMap(np.array(support, dtype=np.int64))
 

@@ -13,11 +13,8 @@ the merge log (the dendrogram) is a replay of them.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -26,34 +23,43 @@ from .graph import Graph, _component_labels, _label_groups, component_edge_sets,
 from .triangles import SupportMap, triangle_list
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KClassDecomposition:
-    """Per-edge trussness phi and the classes it induces.
+    """Per-edge trussness and the classes it induces.
 
-    `triangles` is the triangle list phi was peeled from, an int32 (T, 3)
-    array of edge ids; the strong-truss family reads it as links rather than
-    scanning the graph for triangles again.
+    `trussness` is the one store, an int64 array with one value per edge;
+    `phi` (a tuple) and `classes` (a dict) are views of it built on first
+    read. `triangles` is the triangle list it was peeled from, an int32
+    (T, 3) array of edge ids; the strong-truss family reads it as links
+    rather than scanning the graph for triangles again. Decompositions are
+    equal when their trussness values are.
     """
 
-    phi: tuple[int, ...]
-    k_max: int
-    classes: dict[int, list[int]]  # k -> edge ids with phi == k, ascending
-    triangles: np.ndarray = field(compare=False, repr=False)
+    trussness: np.ndarray
+    triangles: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_phi(cls, phi: np.ndarray, triangles: np.ndarray) -> KClassDecomposition:
-        """The decomposition of a per-edge phi array peeled from the given
-        triangle list. Classes are keyed in order of each level's first
-        edge, with ids ascending within."""
-        order = np.argsort(phi, kind="stable")
-        levels, first = np.unique(phi[order], return_index=True)
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, KClassDecomposition) and np.array_equal(
+            self.trussness, other.trussness
+        )
+
+    @property
+    def k_max(self) -> int:
+        return int(self.trussness.max(initial=0))
+
+    @cached_property
+    def phi(self) -> tuple[int, ...]:
+        """The trussness as Python ints, in edge id order."""
+        return tuple(self.trussness.tolist())
+
+    @cached_property
+    def classes(self) -> dict[int, list[int]]:
+        """k -> edge ids with trussness k, ascending; keyed in order of each
+        level's first edge."""
+        order = np.argsort(self.trussness, kind="stable")
+        levels, first = np.unique(self.trussness[order], return_index=True)
         groups = sorted(zip(levels.tolist(), np.split(order, first[1:])), key=lambda lg: lg[1][0])
-        classes = {level: eids.tolist() for level, eids in groups}
-        k_max = max(classes) if classes else 0
-        return cls(phi=tuple(phi.tolist()), k_max=k_max, classes=classes, triangles=triangles)
-
-    def edges_at_least(self, k: int) -> list[int]:
-        return sorted(chain.from_iterable(e for level, e in self.classes.items() if level >= k))
+        return {level: eids.tolist() for level, eids in groups}
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ class _LevelQueue:
 def peel_triangles(
     m: int,
     triangles: np.ndarray,
-    initial: Sequence[int] | np.ndarray,
+    initial: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-edge trussness phi by the level-synchronous peel shared by plain
@@ -184,27 +190,27 @@ def k_classes(graph: Graph, supports: SupportMap) -> KClassDecomposition:
     weights of weighted supports; supports from elsewhere (the oracle) get
     a fresh listing.
     """
-    if len(supports.sup) != graph.m:
+    if len(supports.support) != graph.m:
         raise ValueError("support map does not match graph")
     triangles = supports.triangles
     if triangles is None:
         triangles = triangle_list(graph)
-    phi = peel_triangles(graph.m, triangles, supports.sup, supports.weights)
-    return KClassDecomposition.from_phi(phi, triangles)
+    trussness = peel_triangles(graph.m, triangles, supports.support, supports.weights)
+    return KClassDecomposition(trussness, triangles)
 
 
 def _check_decomposition(decomposition: KClassDecomposition, graph: Graph) -> None:
-    """Raise ValueError unless the decomposition has one phi per graph edge."""
-    if len(decomposition.phi) != graph.m:
+    """Raise ValueError unless the decomposition has one trussness per graph edge."""
+    if len(decomposition.trussness) != graph.m:
         raise ValueError("decomposition does not match graph")
 
 
 def trusses_at(decomposition: KClassDecomposition, graph: Graph, k: int) -> TrussSet:
-    """Maximal k-trusses: components of the edges with phi >= k."""
+    """Maximal k-trusses: components of the edges with trussness >= k."""
     if k < 2:
         raise ValueError("k must be at least 2")
     _check_decomposition(decomposition, graph)
-    eids = decomposition.edges_at_least(k)
+    eids = np.flatnonzero(decomposition.trussness >= k)
     members = tuple(frozenset(c) for c in component_edge_sets(graph, eids))
     return TrussSet(k=k, members=members)
 
@@ -317,39 +323,50 @@ class ClusterFamily:
     """Agglomerative family of edge clusters with merge levels.
 
     Leaves are single edges in the order they were added (descending class,
-    ascending edge id within a class). `links` is an int32 (L, 4) table of
-    rows (level, x, y, z), levels never increasing, each joining node x to
-    y and, unless z is -1, to z. Nodes below len(leaf_edges) are leaves (the
-    truss links add vertex nodes). The leaves of a component of the links
-    at levels >= k are a cluster alive at k, whose id, its smallest leaf, is
-    the component's smallest node. `cuts` finds those components for many
-    levels in one descent from the top, contracting only the links each
-    level adds; `clusters_at` is one step of it. A merge log is such a
-    table; `merges` replays the links into one on first read, the lowest id
-    surviving.
+    ascending edge id within a class): `leaf_order` holds the edge id of
+    each leaf and `leaf_levels` its level, both arrays, and `leaf_edges` is
+    a tuple view of `leaf_order` built on first read. `links` is an int32
+    (L, 4) table of rows (level, x, y, z), levels never increasing, each
+    joining node x to y and, unless z is -1, to z. Nodes below
+    len(leaf_order) are leaves (the truss links add vertex nodes). The
+    leaves of a component of the links at levels >= k are a cluster alive
+    at k, whose id, its smallest leaf, is the component's smallest node.
+    `cuts` finds those components for many levels in one descent from the
+    top, contracting only the links each level adds; `clusters_at` is one
+    step of it. A merge log is such a table; `merges` replays the links
+    into one on first read, the lowest id surviving.
     """
 
-    leaf_edges: tuple[int, ...]
-    leaf_levels: tuple[int, ...]
+    leaf_order: np.ndarray    # int32 edge id per leaf
+    leaf_levels: np.ndarray   # int32 level per leaf, never increasing
     links: np.ndarray = field(repr=False)
     nodes: int
 
     @classmethod
-    def from_merges(cls, leaf_edges: Sequence[int], leaf_levels: Sequence[int], merges: MergeLog):
+    def from_merges(cls, leaf_order: Sequence[int], leaf_levels: Sequence[int], merges: MergeLog):
         """The family whose links are the given merge log."""
-        family = cls(tuple(leaf_edges), tuple(leaf_levels), merges.table, len(leaf_edges))
+        order, levels = (np.asarray(a, dtype=np.int32) for a in (leaf_order, leaf_levels))
+        family = cls(order, levels, merges.table, len(order))
         family.__dict__["merges"] = merges
         return family
 
     @cached_property
+    def leaf_edges(self) -> tuple[int, ...]:
+        """The edge id of each leaf as Python ints, in leaf order."""
+        return tuple(self.leaf_order.tolist())
+
+    @cached_property
     def merges(self) -> MergeLog:
-        return _replay(self.links, self.nodes, len(self.leaf_edges))
+        return _replay(self.links, self.nodes, len(self.leaf_order))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClusterFamily):
             return NotImplemented
-        mine = (self.leaf_edges, self.leaf_levels, self.merges)
-        return mine == (other.leaf_edges, other.leaf_levels, other.merges)
+        return (
+            np.array_equal(self.leaf_order, other.leaf_order)
+            and np.array_equal(self.leaf_levels, other.leaf_levels)
+            and self.merges == other.merges
+        )
 
     def cuts(self, ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
         """One descent through the given levels: for each distinct k, in
@@ -364,16 +381,14 @@ class ClusterFamily:
             stop = int(np.searchsorted(down, -k, side="right"))
             if stop > start:
                 _, a, b = _link_ends(self.links[start:stop])
-                if start:   # join the old roots, then read every node through its root
-                    root = _component_labels(self.nodes, root[a], root[b])[root]
-                else:       # the first links join nodes that are their own roots
-                    root = _component_labels(self.nodes, a, b)
+                # join the old roots, then read every node through its root
+                root = _component_labels(self.nodes, root[a], root[b])[root]
                 start = stop
             yield k, root
 
     def leaves_at(self, k: int) -> int:
         """How many leaves sit at levels >= k: they come first."""
-        return bisect_right(self.leaf_levels, -k, key=neg)
+        return int(np.searchsorted(-self.leaf_levels, -k, side="right"))
 
     def clusters_at(self, k: int, min_size: int = 1) -> list[frozenset[int]]:
         """Edge sets of the clusters alive at level k with at least min_size
@@ -404,7 +419,7 @@ class ClusterFamily:
         label = _component_labels(self.nodes, a, b)
         stale = np.zeros(self.nodes, dtype=bool)
         stale[label[seeds]] = True
-        leaves = np.flatnonzero(((top >= 0) & ~stale[label])[: len(self.leaf_edges)])
+        leaves = np.flatnonzero(((top >= 0) & ~stale[label])[: len(self.leaf_order)])
         return [
             (int(top[g[0]]), frozenset(self.leaf_edges[i] for i in g))
             for g in _label_groups(leaves, label[leaves])
@@ -412,34 +427,35 @@ class ClusterFamily:
         ]
 
 
-def truss_leaves(decomposition: KClassDecomposition, graph: Graph) -> tuple[list[int], list[int]]:
+def truss_leaves(
+    decomposition: KClassDecomposition, graph: Graph
+) -> tuple[np.ndarray, np.ndarray]:
     """Edge ids in the order cluster families add them as leaves
-    (descending class, ascending id within a class), and their classes. The
-    ids share their ints with `decomposition.classes`."""
+    (descending class, ascending id within a class), and their classes, as
+    int32 arrays."""
     _check_decomposition(decomposition, graph)
-    classes = decomposition.classes
-    leaf_edges = list(chain.from_iterable(classes[k] for k in sorted(classes, reverse=True)))
-    return leaf_edges, [decomposition.phi[e] for e in leaf_edges]
+    order = np.argsort(-decomposition.trussness, kind="stable").astype(np.int32)
+    return order, decomposition.trussness[order].astype(np.int32)
 
 
-def _vertex_family(graph: Graph, leaf_edges: Sequence[int], leaf_levels: Sequence[int]):
+def _vertex_family(graph: Graph, leaf_order: np.ndarray, leaf_levels: np.ndarray):
     """The hierarchy of edge-connected clusters as links: leaf i joins the
     two vertex nodes of its edge at its level, vertex v being node L+v for
     L leaves, given in descending level."""
-    count = len(leaf_edges)
+    count = len(leaf_order)
     links = np.empty((count, 4), dtype=np.int32)
     links[:, 0], links[:, 1] = leaf_levels, np.arange(count)
-    links[:, 2:] = graph.ends[np.array(leaf_edges, dtype=np.int64)] + count
-    return ClusterFamily(tuple(leaf_edges), tuple(leaf_levels), links, count + graph.n)
+    links[:, 2:] = graph.ends[leaf_order] + count
+    return ClusterFamily(leaf_order, leaf_levels, links, count + graph.n)
 
 
 def vertex_summits(
-    graph: Graph, leaf_edges: Sequence[int], leaf_levels: Sequence[int]
+    graph: Graph, leaf_order: np.ndarray, leaf_levels: np.ndarray
 ) -> list[tuple[int, frozenset[int]]]:
     """Every component of the given edges at levels >= k whose edges all
     sit at k, as (k, edge set) pairs ordered by k, then by smallest edge id.
     Leaves come in descending level."""
-    summits = _vertex_family(graph, leaf_edges, leaf_levels).summit_clusters(min_size=1)
+    summits = _vertex_family(graph, leaf_order, leaf_levels).summit_clusters(min_size=1)
     return sorted(summits, key=lambda pair: (pair[0], min(pair[1])))
 
 
@@ -451,7 +467,7 @@ def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> Cluste
     reproduces trusses_at(k); merge levels never increase along the log.
     """
     family = _vertex_family(graph, *truss_leaves(decomposition, graph))
-    return ClusterFamily.from_merges(family.leaf_edges, family.leaf_levels, family.merges)
+    return ClusterFamily.from_merges(family.leaf_order, family.leaf_levels, family.merges)
 
 
 def summit_trusses(

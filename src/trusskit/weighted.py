@@ -104,8 +104,9 @@ def weighted_supports(graph: Graph, spec: TriangleWeightSpec) -> SupportMap:
             f"maximum weighted support {top} exceeds cap {DEFAULT_SUPPORT_CAP}; "
             "rescale alpha or the edge weights"
         )
+    # under the cap every support and row weight fits int64
     return SupportMap(
-        sup=tuple(sup.tolist()), triangles=triangles, weights=np.asarray(weights, dtype=np.int64)
+        np.asarray(sup, dtype=np.int64), triangles, np.asarray(weights, dtype=np.int64)
     )
 
 

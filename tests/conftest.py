@@ -231,7 +231,7 @@ def reference_benchmark_rows(model, method: str, trials: int, k_range=None) -> t
         graph, truth = generate_planted(model.with_seed(model.seed + i))
         dec = k_classes(graph, edge_supports(graph))
         family = strong_truss_family(graph, dec) if method == "strong" else None
-        levels = ks if ks is not None else list(range(3, max(dec.k_max, 2) + 1))
+        levels = ks if ks is not None else list(range(2, dec.k_max + 1))
         for k in levels:
             if method == "truss":
                 clusters = list(trusses_at(dec, graph, k).members)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trusskit import Graph
+from trusskit import Graph, KClassDecomposition, SupportMap
 from trusskit.cli import main
 
 K4_PENDANT = "a b\na c\na d\nb c\nb d\nc d\nd e\n"
@@ -260,6 +260,24 @@ def test_bench_k_min_alone_keeps_the_default_rows_from_k(method, tmp_path):
     assert len(kept) == (len(rows) if method == "summit" else len(rows) - 2)
 
 
+@pytest.mark.parametrize("method", ["truss", "strong"])
+def test_bench_k_min_2_alone_reports_k_2(method, tmp_path):
+    model = [
+        "bench", "--l", "4", "--size", "6", "--p", "0.9", "--mu", "0.1",
+        "--method", method, "--trials", "2", "--seed", "5",
+    ]
+    runs = {"default": [], "two": ["--k-min", "2"], "ranged": ["--k-min", "2", "--k-max", "3"]}
+    rows = {}
+    for name, k_args in runs.items():
+        assert main([*model, *k_args, "-o", str(tmp_path / name)]) == 0
+        rows[name] = (tmp_path / name / "bench.tsv").read_text().splitlines()[1:]
+    assert rows["two"][0].split("\t")[1] == "2"
+    assert rows["two"][0] == rows["ranged"][0]
+    # the default run still starts at k = 3 and otherwise agrees
+    assert rows["default"][0].split("\t")[1] == "3"
+    assert rows["two"][1:] == rows["default"]
+
+
 @pytest.mark.parametrize(
     "k_args, method",
     [
@@ -448,16 +466,26 @@ def test_output_path_that_is_a_file_exits_1_with_one_line(k4_file, tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k4p.tsv", "taken"]
 
 
-@pytest.mark.parametrize("view", ["adj", "edges"])
+VIEWS = {
+    "adj": Graph,
+    "edges": Graph,
+    "sup": SupportMap,
+    "phi": KClassDecomposition,
+    "classes": KClassDecomposition,
+}
+
+
+@pytest.mark.parametrize("view", list(VIEWS))
 def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
     """Every production path, --check-bipartite and every export included,
-    runs on the edge array; only the oracles read Graph.adj or the tuple
-    view Graph.edges."""
+    runs on the arrays; only the oracles and the tests read Graph.adj or the
+    tuple and dict views of the edges, supports and trussness."""
+    owner = VIEWS[view]
 
-    def refuse(graph):
-        raise AssertionError(f"Graph.{view} was built")
+    def refuse(obj):
+        raise AssertionError(f"{owner.__name__}.{view} was built")
 
-    monkeypatch.setattr(Graph, view, property(refuse))
+    monkeypatch.setattr(owner, view, property(refuse))
     weighted = tmp_path / "w.tsv"
     weighted.write_text("a b 2\nb c 3\nc a 1\nc d 5\nd a 2\nd b 1\ne a 4\ne b 1\n")
     runs = []
@@ -480,6 +508,39 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
         assert main([*argv, "-o", str(tmp_path / f"out{i}")]) == 0, argv
     for argv in (["stats", str(DOLPHINS)], ["stats", "--weighted", str(weighted)]):
         assert main(argv) == 0, argv
+
+
+def test_traced_runs_report_plain_json(tmp_path, monkeypatch):
+    """The benchmark's tracer (perfbench/tracing.py) installs around every
+    pipeline and reports plain JSON values, so a renamed traced function or
+    a numpy scalar in a count fails here, not first in the benchmark."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.tracing import Tracer
+    import trusskit.cli
+
+    weighted = tmp_path / "w.tsv"
+    weighted.write_text("a b 2\nb c 3\nc a 1\nc d 5\nd a 2\nd b 1\ne a 4\ne b 1\n")
+    runs = [
+        ["truss", "--k", "4", str(DOLPHINS)],
+        ["summit", "--strong", str(DOLPHINS)],
+        ["weighted-truss", "--k", "3", "--weight-fn", "min", str(weighted)],
+        ["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "--alpha", "6", str(weighted)],
+        ["trapeze", "--levels", "1,2,4", str(DOLPHINS)],
+        ["bench", "--l", "4", "--size", "8", "--p", "0.9", "--mu", "0.1", "--trials", "2"],
+    ]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for i, argv in enumerate(runs):
+            assert trusskit.cli.main([*argv, "-o", str(tmp_path / f"out{i}")]) == 0, argv
+    finally:
+        tracer.remove()
+    report = json.loads(json.dumps(tracer.report()))
+    assert report["calls"]["cli.main"] == len(runs)
+    for name in ("truss.k_max", "weighted.max_support.minimum", "weighted.max_support.harmonic"):
+        assert report["peaks"][name] > 0
+    for name in ("triangles.triangles", "strong.summits", "trapeze.triads", "bench.trials"):
+        assert report["counts"][name] > 0
 
 
 def many_level_text(seed=5, n=60, p=0.25):

@@ -30,7 +30,7 @@ def test_two_triangles_sharing_edge():
     # shared edge a-b sits in both triangles
     g = graph_from("a b\na c\nb c\na d\nb d")
     sup = brute_force_supports(g)
-    by_pair = {g.edge_label_pair(e): sup[e] for e in range(g.m)}
+    by_pair = {g.edge_label_pair(e): sup.sup[e] for e in range(g.m)}
     assert by_pair[("a", "b")] == 2
     assert all(v == 1 for pair, v in by_pair.items() if pair != ("a", "b"))
 
@@ -43,7 +43,7 @@ def test_er_30_fast_equals_oracle():
 def test_support_bounds_and_total(dolphins):
     sup = edge_supports(dolphins)
     for eid, (lo, hi) in enumerate(dolphins.edges):
-        assert sup[eid] <= min(dolphins.degree(lo), dolphins.degree(hi)) - 1
+        assert sup.sup[eid] <= min(dolphins.degree(lo), dolphins.degree(hi)) - 1
     assert sum(sup.sup) == 3 * sup.total_triangles()
     assert sup.sup == brute_force_supports(dolphins).sup
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from trusskit import (
+    KClassDecomposition,
     Merge,
     MergeLog,
+    SupportMap,
     TriangleWeightSpec,
     brute_force_supports,
     build_graph,
@@ -290,3 +292,47 @@ def test_cuts_match_a_fresh_pass_per_level(dolphins):
             for k in present:
                 for size in (1, 2):
                     assert fam.clusters_at(k, size) == reference_clusters_at(fam, k, size)
+
+
+def reference_views(trussness):
+    """phi, classes and the leaf order as the decomposition and the families
+    stored them before they became views of arrays: a tuple, a dict keyed
+    by each level's first edge with ids ascending, and the classes chained
+    from the top level down."""
+    phi = tuple(int(k) for k in trussness)
+    classes: dict[int, list[int]] = {}
+    for eid, k in enumerate(phi):
+        classes.setdefault(k, []).append(eid)
+    return phi, classes, [e for k in sorted(classes, reverse=True) for e in classes[k]]
+
+
+def test_views_match_the_stored_forms(dolphins):
+    for g, dec in many_level_cases(dolphins):
+        phi, classes, leaves = reference_views(dec.trussness)
+        assert dec.phi == phi
+        assert dec.classes == classes and list(dec.classes) == list(classes)
+        assert type(dec.k_max) is int and dec.k_max == max(phi, default=0)
+        for fam in (
+            _vertex_family(g, *truss_leaves(dec, g)),
+            truss_dendrogram(dec, g),
+            strong_truss_family(g, dec),
+        ):
+            assert fam.leaf_order.dtype == fam.leaf_levels.dtype == np.int32
+            assert fam.leaf_edges == tuple(leaves)
+            assert fam.leaf_levels.tolist() == [phi[e] for e in leaves]
+            assert all(fam.leaves_at(k) == sum(phi[e] >= k for e in leaves) for k in {1, *classes})
+
+
+def test_oracle_and_listed_results_are_equal():
+    for _, g in random_graphs(40, 20, seed=1919):
+        listed, oracle = edge_supports(g), brute_force_supports(g)
+        assert listed == oracle and hash(listed) == hash(oracle)
+        assert listed.sup == oracle.sup == tuple(listed.support.tolist())
+        for sup in (listed, oracle):
+            assert type(sup.max_support) is int and type(sup.total_triangles()) is int
+        dec = k_classes(g, listed)
+        assert dec == k_classes(g, oracle)
+        assert dec == weighted_k_classes(g, TriangleWeightSpec("minimum", 1))
+    assert SupportMap(listed.support + 1) != listed
+    assert KClassDecomposition(dec.trussness + 1, dec.triangles) != dec
+    assert dec != dec.phi

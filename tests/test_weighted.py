@@ -2,11 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import trusskit.weighted as weighted_module
 from trusskit import (
+    SupportMap,
     TriangleWeightSpec,
     build_graph,
     edge_supports,
@@ -277,3 +279,14 @@ def test_weighted_peel_matches_deletion_oracle(g, kind, alpha):
         assert weighted_deletion_survivors(g, spec, k) == {
             e for e in range(g.m) if dec.phi[e] >= k
         }
+
+
+def test_weighted_map_equals_the_oracle_map():
+    for g in seeded_weighted_graphs(20, 14, seed=3232):
+        for spec in (MIN1, TriangleWeightSpec("harmonic", 3)):
+            ws = weighted_supports(g, spec)
+            oracle = SupportMap(np.array(brute_weighted(g, spec), dtype=np.int64))
+            assert ws == oracle and hash(ws) == hash(oracle)
+            assert ws.support.dtype == np.int64
+            assert type(ws.total_triangles()) is int
+            assert type(weighted_k_classes(g, spec).k_max) is int
