@@ -45,7 +45,6 @@ from .weighted import (
 from .trapeze import (
     ETPGraph,
     LevelRun,
-    TrapezeSet,
     brute_force_rectangles,
     build_etp_graph,
     rectangle_supports,

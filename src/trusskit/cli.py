@@ -30,7 +30,7 @@ from . import bench as bench_mod
 from .graph import Graph, _component_labels, load_edge_list
 from .strong import strong_truss_family, strong_trusses_at, summit_strong_trusses
 from .triangles import edge_supports
-from .trapeze import trapeze_level_run
+from .trapeze import check_schedule, trapeze_level_run
 from .truss import (
     KClassDecomposition,
     k_classes,
@@ -91,14 +91,20 @@ def edge_rows(graph: Graph, rows, kind: str | None = None) -> Iterator[str]:
         yield tsv_block(head[lo : lo + ROWS_PER_WRITE], pair[:, 0], pair[:, 1])
 
 
+def level_strings(levels: np.ndarray) -> np.ndarray:
+    """Each level as a str in an object array, one str built per distinct
+    level: a block has few."""
+    distinct, index = np.unique(levels, return_inverse=True)
+    return np.array([str(k) for k in distinct.tolist()], dtype=object)[index]
+
+
 def trussness_rows(graph: Graph, trussness: np.ndarray) -> Iterator[str]:
     """Blocks of "<u>\t<v>\t<trussness>" rows, one row per edge in id order."""
     labels = np.array(graph.labels, dtype=object)
-    levels, level = np.unique(trussness, return_inverse=True)
-    text = np.array([str(k) for k in levels.tolist()], dtype=object)   # one str per level
     for lo in range(0, graph.m, ROWS_PER_WRITE):
         pair = labels[graph.ends[lo : lo + ROWS_PER_WRITE]]
-        yield tsv_block(pair[:, 0], pair[:, 1], text[level[lo : lo + ROWS_PER_WRITE]])
+        level = level_strings(trussness[lo : lo + ROWS_PER_WRITE])
+        yield tsv_block(pair[:, 0], pair[:, 1], level)
 
 
 def clusters_json(graph: Graph, rows, kind: str | None = None, name: str = "clusters") -> str:
@@ -112,18 +118,21 @@ def clusters_json(graph: Graph, rows, kind: str | None = None, name: str = "clus
 
 def labels_rows(graph: Graph) -> Iterator[str]:
     """Blocks of "<vertex id>\t<label>\n" rows."""
-    labels = graph.labels
     for lo in range(0, graph.n, ROWS_PER_WRITE):
-        rows = enumerate(labels[lo : lo + ROWS_PER_WRITE], lo)
-        yield "".join([f"{i}\t{label}\n" for i, label in rows])
+        hi = min(lo + ROWS_PER_WRITE, graph.n)
+        yield tsv_block(list(map(str, range(lo, hi))), graph.labels[lo:hi])
 
 
 def dendrogram_rows(family) -> Iterator[str]:
     """Blocks of "<level>\t<absorbed,...>\t<survivor>\n" rows, one per merge."""
     table = family.merges.table
     for lo in range(0, len(table), ROWS_PER_WRITE):
-        rows = zip(*table[lo : lo + ROWS_PER_WRITE].T.tolist())
-        yield "".join([f"{lv}\t{a0 if a1 < 0 else f'{a0},{a1}'}\t{s}\n" for lv, s, a0, a1 in rows])
+        chunk = table[lo : lo + ROWS_PER_WRITE]
+        survivor, absorbed = (list(map(str, column)) for column in chunk[:, 1:3].T.tolist())
+        three = np.flatnonzero(chunk[:, 3] >= 0)    # merges of three clusters
+        for i, third in zip(three.tolist(), chunk[three, 3].tolist()):
+            absorbed[i] += f",{third}"
+        yield tsv_block(level_strings(chunk[:, 0]), absorbed, survivor)
 
 
 def dot_export(graph: Graph, rows) -> str:
@@ -272,10 +281,7 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
             raise CommandError(f"bad --levels: {exc}") from exc
     else:
         schedule = [1 << i for i in range(args.geometric + 1)]
-    if not schedule or schedule[0] < 1 or any(
-        b <= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise CommandError("levels must be strictly ascending and at least 1")
+    check_schedule(schedule)
     graph = load_input(args.input, weighted=False)
     if args.check_bipartite:
         print(f"bipartite: {is_bipartite(graph)}")
@@ -284,10 +290,10 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
     summits = renumber(list(run.summits))
     if args.command == "summit-trapeze":
         kind, rows = "summit", summits
-    else:
+    else:   # each reads only the family it writes: run.weak or run.strong
         kind = "weak" if args.command == "trapeze" else "strong"
-        source = run.weak if kind == "weak" else run.strong
-        rows = [row for k in schedule for row in renumber([(k, m) for m in source[k].members])]
+        sets = getattr(run, kind).values()
+        rows = [row for ts in sets for row in renumber([(ts.k, m) for m in ts.members])]
 
     with staged_output(args.out) as stage:
         write_rows(stage, "labels.tsv", labels_rows(graph))

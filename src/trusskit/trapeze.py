@@ -13,21 +13,22 @@ peripheries are numbered by sorting their pair keys, and peripheries of
 degree 1 are pruned. Trimming runs level-synchronous rounds, like the truss
 peel: every live edge with fewer than k rectangles falls at once, with its
 triads, until none falls. k may only grow across calls, so one structure
-serves a whole level schedule. A level run gives each edge the highest
-scheduled level it survives, like a trussness, and takes its summits from
-the truss summit kernel.
+serves a whole level schedule. A level run stores one level per edge, the
+highest scheduled level it survives, like a trussness: its weak trapezes
+and summits are views of one vertex family over those levels, its strong
+trapezes of one triad link family. Trapezes at a level are `TrussSet`s.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, VertexRanking, component_edge_sets, edge_nodes, vertex_ranking
-from .graph import _component_labels, _label_groups
-from .truss import vertex_summits
+from .graph import Graph, VertexRanking, _label_groups, component_edge_sets, vertex_ranking
+from .truss import ClusterFamily, TrussSet, _vertex_family
 
 LOW_APEX = 0
 MEDIAN_APEX = 1
@@ -35,17 +36,6 @@ MEDIAN_APEX = 1
 # Most triads one structure may hold. A triad costs 13 bytes in the
 # structure and up to about 50 more while it is built.
 DEFAULT_TRIAD_CAP = 1 << 25
-
-
-@dataclass(frozen=True)
-class TrapezeSet:
-    """Maximal (or strong) trapezes at one support level."""
-
-    k: int
-    members: tuple[frozenset[int], ...]
-
-    def member_nodes(self, graph: Graph, index: int) -> set[int]:
-        return edge_nodes(graph, self.members[index])
 
 
 class ETPGraph:
@@ -236,70 +226,122 @@ def _ensure_trimmed(etp: ETPGraph, k: int) -> None:
         trim(etp, k)
 
 
-def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrapezeSet:
+def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
     """Maximal k-trapezes: components of the survivors of trim(k)."""
     _ensure_trimmed(etp, k)
     members = tuple(map(frozenset, component_edge_sets(graph, np.flatnonzero(etp.edge_alive))))
-    return TrapezeSet(k=k, members=members)
+    return TrussSet(k=k, members=members)
 
 
-def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrapezeSet:
-    """Rectangle-connected clusters among the survivors of trim(k).
-
-    All arm edges of the triads under one live periphery are mutually
-    rectangle-connected (any two of its triads close a rectangle), so the
-    components of the links between the two arms of each live triad and
-    between the first arms of neighbouring triads of one periphery are the
-    clusters. Members are ordered by their smallest edge id.
-    """
+def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
+    """Rectangle-connected clusters among the survivors of trim(k): one cut
+    of the triad family with every survivor at level k. Members are ordered
+    by their smallest edge id."""
     _ensure_trimmed(etp, k)
-    triads = etp.triads[etp.triad_live]     # still grouped by periphery
-    same = triads[1:, 2] == triads[:-1, 2]
-    label = _component_labels(
-        graph.m,
-        np.concatenate((triads[:, 0], triads[1:, 0][same])),
-        np.concatenate((triads[:, 1], triads[:-1, 0][same])),
-    )
-    involved = np.flatnonzero(etp.edge_alive)   # every survivor has a live triad
-    groups = _label_groups(involved, label[involved])
-    members = tuple(frozenset(g) for g in groups if len(g) >= 2)
-    return TrapezeSet(k=k, members=members)
+    level = np.where(etp.edge_alive, k, 0).astype(np.int32)
+    return _cut_sets(_triad_family(level, etp.triads), [k])[k]
 
 
-@dataclass(frozen=True)
+def check_schedule(schedule: list[int]) -> None:
+    """Raise ValueError unless the levels are strictly ascending and >= 1."""
+    if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("levels must be strictly ascending and at least 1")
+
+
+def _leaves(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges at levels >= 1 in descending level, ascending id within a
+    level, and their levels, as int32 arrays: a family's leaves."""
+    order = np.argsort(-level, kind="stable")[: np.count_nonzero(level)].astype(np.int32)
+    return order, level[order]
+
+
+def _triad_family(level: np.ndarray, triads: np.ndarray) -> ClusterFamily:
+    """Strong trapezes at every level as one link family, from each edge's
+    level and the ETP's triad rows. Nodes are leaf positions.
+
+    A triad lives while both its arms do: its level is the lower of theirs.
+    With a periphery's triads sorted by level, L0 >= L1 >= ..., triad i >= 1
+    links its two arms, and its first arm to triad i-1's, at Li; triad 0
+    links its arms at L1. So at each k a periphery's live triads are one
+    component if two or more live, and a lone triad links nothing.
+    """
+    order, leaf_levels = _leaves(level)
+    leaf_of = np.empty(len(level), dtype=np.int32)
+    leaf_of[order] = np.arange(len(order), dtype=np.int32)
+    triad_level = np.minimum(level[triads[:, 0]], level[triads[:, 1]])
+    rows = np.flatnonzero(triad_level)
+    rows = rows[np.lexsort((-triad_level[rows], triads[rows, 2]))]
+    arm1, arm2, triad_level = leaf_of[triads[rows, 0]], leaf_of[triads[rows, 1]], triad_level[rows]
+    opens = np.ones(len(rows), dtype=bool)      # the row leads its periphery
+    np.not_equal(triads[rows[1:], 2], triads[rows[:-1], 2], out=opens[1:])
+    later = np.flatnonzero(~opens)              # triads i >= 1
+    top = later[opens[later - 1]] - 1           # triad 0 where a triad 1 follows
+    links = np.concatenate((
+        np.column_stack((triad_level[later], arm1[later], arm2[later], arm1[later - 1])),
+        np.column_stack((triad_level[top + 1], arm1[top], arm2[top], np.full_like(top, -1))),
+    )).astype(np.int32)
+    links = links[np.argsort(-links[:, 0], kind="stable")]
+    return ClusterFamily(order, leaf_levels, links, len(order))
+
+
+def _cut_sets(family: ClusterFamily, schedule) -> dict[int, TrussSet]:
+    """The clusters alive at each scheduled level, from one descent of the
+    family, keyed in schedule order, members ordered by smallest edge id.
+    Every edge a level keeps closes a rectangle, so none is a lone edge."""
+    sets = {}
+    for k, root in family.cuts(schedule):
+        alive = family.leaves_at(k)
+        eids = family.leaf_order[:alive]
+        by_id = np.argsort(eids)
+        groups = _label_groups(eids[by_id], root[:alive][by_id])
+        sets[k] = TrussSet(k=k, members=tuple(map(frozenset, groups)))
+    return {k: sets[k] for k in schedule}
+
+
+@dataclass(frozen=True, eq=False)
 class LevelRun:
-    """Weak and strong trapezes over an ascending schedule, plus summits."""
+    """Trapezes over an ascending schedule, read from one level store.
 
+    `level` holds, per edge, the highest scheduled level it survives (0 if
+    none), as int32; `triads` is the ETP's (arm, arm, periphery) row array,
+    which trimming never rewrites. `weak` and `strong` ({level: TrussSet})
+    and `summits` are built on first read.
+    """
+
+    graph: Graph = field(repr=False)
     schedule: tuple[int, ...]
-    weak: dict[int, TrapezeSet] = field(default_factory=dict)
-    strong: dict[int, TrapezeSet] = field(default_factory=dict)
-    summits: tuple[tuple[int, frozenset[int]], ...] = ()
+    level: np.ndarray
+    triads: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _vertices(self) -> ClusterFamily:
+        return _vertex_family(self.graph, *_leaves(self.level))
+
+    @cached_property
+    def weak(self) -> dict[int, TrussSet]:
+        return _cut_sets(self._vertices, self.schedule)
+
+    @cached_property
+    def strong(self) -> dict[int, TrussSet]:
+        return _cut_sets(_triad_family(self.level, self.triads), self.schedule)
+
+    @cached_property
+    def summits(self) -> tuple[tuple[int, frozenset[int]], ...]:
+        """(level, edges) of each weak trapeze no edge of which survives the
+        next scheduled level, ordered by level, then by smallest edge id."""
+        summits = self._vertices.summit_clusters(min_size=1)
+        return tuple(sorted(summits, key=lambda pair: (pair[0], min(pair[1]))))
 
 
 def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:
-    """Trim one structure through every level of the schedule.
-
-    A member is a summit when none of its edges survives the next scheduled
-    level: all its edges sit at its level in the truss summit kernel, each
-    edge at the highest scheduled level it survives.
-    """
-    if not schedule:
-        raise ValueError("schedule must not be empty")
-    if schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly ascending with k >= 1")
+    """Trim one structure through every level of the schedule, recording
+    the highest scheduled level each edge survives."""
+    check_schedule(schedule)
     etp = build_etp_graph(graph)
-    weak: dict[int, TrapezeSet] = {}
-    strong: dict[int, TrapezeSet] = {}
-    level = np.zeros(graph.m, dtype=np.int32)   # highest scheduled level survived
+    level = np.zeros(graph.m, dtype=np.int32)
     for k in schedule:
         level[trim(etp, k)] = k
-        weak[k] = trapezes_at(graph, etp, k)
-        strong[k] = strong_trapezes_at(graph, etp, k)
-    order = np.argsort(-level, kind="stable")[: np.count_nonzero(level)].astype(np.int32)
-    summits = vertex_summits(graph, order, level[order])
-    return LevelRun(
-        schedule=tuple(schedule), weak=weak, strong=strong, summits=tuple(summits)
-    )
+    return LevelRun(graph, tuple(schedule), level, etp.triads)
 
 
 def brute_force_rectangles(graph: Graph) -> list[int]:

@@ -64,7 +64,8 @@ class KClassDecomposition:
 
 @dataclass(frozen=True)
 class TrussSet:
-    """Maximal trusses at one support level: disjoint edge sets."""
+    """Clusters at one support level, as disjoint edge sets: maximal
+    trusses, or weak or strong trapezes."""
 
     k: int
     members: tuple[frozenset[int], ...]

@@ -510,6 +510,30 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
         assert main(argv) == 0, argv
 
 
+@pytest.mark.parametrize(
+    "command, refused",
+    [("trapeze", ["strong"]), ("strong-trapeze", ["weak"]), ("summit-trapeze", ["weak", "strong"])],
+)
+def test_each_trapeze_subcommand_builds_only_what_it_writes(
+    command, refused, tmp_path, monkeypatch
+):
+    """A level run stores only each edge's level; its weak and strong
+    trapezes are built when read, and no subcommand reads what it does not
+    write."""
+    from trusskit.trapeze import LevelRun
+
+    for view in refused:
+        def refuse(obj, view=view):
+            raise AssertionError(f"LevelRun.{view} was built")
+
+        monkeypatch.setattr(LevelRun, view, property(refuse))
+    for fmt in ("tsv", "json"):
+        out = tmp_path / fmt
+        argv = [command, "--levels", "1,2,4", "--format", fmt, str(DOLPHINS), "-o", str(out)]
+        assert main(argv) == 0
+        assert (out / f"trapezes.{fmt}").stat().st_size > 0
+
+
 def test_traced_runs_report_plain_json(tmp_path, monkeypatch):
     """The benchmark's tracer (perfbench/tracing.py) installs around every
     pipeline and reports plain JSON values, so a renamed traced function or
@@ -577,6 +601,20 @@ PINNED = [
     }),
     (["summit", "--strong", "--weighted"], "many-level", {
         "clusters.tsv": "8a5f70cdad7e868f6a832919684c32be2095755ae4e9250f57fe692eac955a2f",
+    }),
+    # trapeze outputs, recorded before the level run kept one level store
+    (["trapeze", "--levels", "1,2,4,8"], "dolphins", {
+        "trapezes.tsv": "56b43df17233cf51d7d4049440892f67865171f920ff0df8fa7ad67bc71854cf",
+        "summits.tsv": "dab51c6b34dcef0180fbf4f127e32fc5b01a6d1f4b753df0599e48cbd8ed8f6d",
+    }),
+    (["strong-trapeze", "--levels", "1,2,4,8"], "dolphins", {
+        "trapezes.tsv": "003b48a3c7dc741e89cb5f9ae91520a33e0cd29da59cd639d263ed32128420ae",
+    }),
+    (["summit-trapeze", "--levels", "1,2,4,8"], "dolphins", {
+        "trapezes.tsv": "dab51c6b34dcef0180fbf4f127e32fc5b01a6d1f4b753df0599e48cbd8ed8f6d",
+    }),
+    (["trapeze", "--levels", "1,2", "--format", "json"], "dolphins", {
+        "trapezes.json": "3f99513366254e6a3bd07f3bb2bc80b472703ec22b1f830b7e6707053c274c27",
     }),
 ]
 

@@ -238,14 +238,24 @@ def test_level_run_with_summits():
 
 
 def test_level_run_summits_match_set_reference():
+    """Summits, weak and strong trapezes of a level run, all read from its
+    one level store, against the set references at every scheduled level."""
     rng = random.Random(2626)
-    graphs = chain(random_graphs(40, 16, seed=2727), random_bipartite_graphs(40, seed=2828))
+    graphs = chain(
+        random_graphs(40, 16, seed=2727),
+        random_bipartite_graphs(40, seed=2828),
+        glued_graphs(20, seed=2929),
+    )
     below_top = 0    # summits under the last scheduled level
     for _, g in graphs:
         schedule = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
-        summits = trapeze_level_run(g, schedule).summits
-        assert summits == reference_level_summits(g, schedule)
-        below_top += sum(k < schedule[-1] for k, _ in summits)
+        run = trapeze_level_run(g, schedule)
+        assert run.summits == reference_level_summits(g, schedule)
+        below_top += sum(k < schedule[-1] for k, _ in run.summits)
+        etp = build_etp_graph(g)
+        for k in schedule:
+            assert run.weak[k].members == trapezes_at(g, build_etp_graph(g), k).members
+            assert list(run.strong[k].members) == rectangle_components(g, trim(etp, k))
     assert below_top >= 15
 
 
