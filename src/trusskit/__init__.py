@@ -21,8 +21,6 @@ from .triangles import SupportMap, brute_force_supports, edge_supports, triangle
 from .truss import (
     ClusterFamily,
     KClassDecomposition,
-    Merge,
-    MergeLog,
     TrussSet,
     iterative_deletion_oracle,
     k_classes,

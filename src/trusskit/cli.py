@@ -125,7 +125,7 @@ def labels_rows(graph: Graph) -> Iterator[str]:
 
 def dendrogram_rows(family) -> Iterator[str]:
     """Blocks of "<level>\t<absorbed,...>\t<survivor>\n" rows, one per merge."""
-    table = family.merges.table
+    table = family.merges
     for lo in range(0, len(table), ROWS_PER_WRITE):
         chunk = table[lo : lo + ROWS_PER_WRITE]
         survivor, absorbed = (list(map(str, column)) for column in chunk[:, 1:3].T.tolist())
@@ -279,6 +279,8 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
             schedule = [int(tok) for tok in args.levels.split(",") if tok]
         except ValueError as exc:
             raise CommandError(f"bad --levels: {exc}") from exc
+    elif args.geometric > 30:
+        raise CommandError("--geometric must be at most 30: levels must be at most 2^31-1")
     else:
         schedule = [1 << i for i in range(args.geometric + 1)]
     check_schedule(schedule)

@@ -28,7 +28,7 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
     edge to enter; triangles closed by the same edge go in ascending id of
     their third vertex, the one that edge does not touch. Cluster ids follow
     addition order and the lowest id survives a merge, which pins the merge
-    log for snapshot tests.
+    log, the int32 rows `merges` replays from the links, for snapshot tests.
     """
     m = graph.m
     order, leaf_levels = truss_leaves(decomposition, graph)

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import Graph, VertexRanking, _label_groups, component_edge_sets, vertex_ranking
-from .truss import ClusterFamily, TrussSet, _vertex_family
+from .truss import ClusterFamily, TrussSet, _leaves, _vertex_family, vertex_summits
 
 LOW_APEX = 0
 MEDIAN_APEX = 1
@@ -243,16 +243,11 @@ def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
 
 
 def check_schedule(schedule: list[int]) -> None:
-    """Raise ValueError unless the levels are strictly ascending and >= 1."""
-    if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("levels must be strictly ascending and at least 1")
-
-
-def _leaves(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges at levels >= 1 in descending level, ascending id within a
-    level, and their levels, as int32 arrays: a family's leaves."""
-    order = np.argsort(-level, kind="stable")[: np.count_nonzero(level)].astype(np.int32)
-    return order, level[order]
+    """Raise ValueError unless the levels are strictly ascending, at least
+    1 and fit the int32 level store."""
+    ascending = all(a < b for a, b in zip(schedule, schedule[1:]))
+    if not (schedule and ascending and schedule[0] >= 1 and schedule[-1] < 1 << 31):
+        raise ValueError("levels must be strictly ascending, from 1 to 2^31-1")
 
 
 def _triad_family(level: np.ndarray, triads: np.ndarray) -> ClusterFamily:
@@ -329,8 +324,7 @@ class LevelRun:
     def summits(self) -> tuple[tuple[int, frozenset[int]], ...]:
         """(level, edges) of each weak trapeze no edge of which survives the
         next scheduled level, ordered by level, then by smallest edge id."""
-        summits = self._vertices.summit_clusters(min_size=1)
-        return tuple(sorted(summits, key=lambda pair: (pair[0], min(pair[1]))))
+        return tuple(vertex_summits(self._vertices))
 
 
 def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:

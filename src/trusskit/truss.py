@@ -5,9 +5,10 @@ belongs to a truss. One level-synchronous peel over the triangle list
 (frontier sub-rounds, as in Kabir & Madduri's PKT) yields the full
 decomposition, plain or weighted, with near-linear work in the triangles after
 the O(m^1.5) listing; maximal k-trusses are then components of the edges at
-class k and above. Cluster families are link tables built by adding classes
-from the top down: their cuts and summits are components of the links, and
-the merge log (the dendrogram) is a replay of them.
+class k and above. A cluster family is three int32 arrays: its leaves' edges
+and levels, and a link table built by adding classes from the top down. Its
+cuts and summits are components of the links, and its merge log (the
+dendrogram) is an int32 table replayed from them on first read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -244,43 +245,16 @@ def iterative_deletion_oracle(graph: Graph, k: int) -> TrussSet:
     return TrussSet(k=k, members=members)
 
 
-class Merge(NamedTuple):
-    """A merge-log row as an event: absorbed cluster ids fold into the survivor."""
-
-    level: int
-    absorbed: tuple[int, ...]
-    survivor: int
-
-
-class MergeLog:
-    """A family's merges as an int32 (M, 4) table, one row per merge: level,
-    survivor, absorbed0, and absorbed1 or -1 (at most three clusters join in
-    a merge), levels never increasing. Iterating yields `Merge` views."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table) -> None:
-        self.table = np.asarray(table, dtype=np.int32).reshape(-1, 4)
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __iter__(self) -> Iterator[Merge]:
-        for level, survivor, a0, a1 in self.table.tolist():
-            yield Merge(level, (a0,) if a1 < 0 else (a0, a1), survivor)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MergeLog) and np.array_equal(self.table, other.table)
-
-
 _REPLAY_CHUNK = 1 << 10   # link rows converted to Python per step of a replay
 
 
-def _replay(links: np.ndarray, nodes: int, leaves: int) -> MergeLog:
-    """The merge log of a link table: its rows in order over a union-find
-    with path halving whose roots are the smallest nodes of their
-    components. A row that joins components holding a leaf merges those
-    clusters at the row's level, under the smallest root."""
+def _replay(links: np.ndarray, nodes: int, leaves: int) -> np.ndarray:
+    """The merge log of a link table, an int32 (M, 4) array of rows (level,
+    survivor, absorbed0, absorbed1 or -1), levels never increasing: the
+    links in order over a union-find with path halving whose roots are the
+    smallest nodes of their components. A link that joins components
+    holding a leaf merges those clusters (at most three) at its level,
+    under the smallest root."""
     parent = list(range(nodes))
     log = array("i")
     for lo in range(0, len(links), _REPLAY_CHUNK):
@@ -309,7 +283,7 @@ def _replay(links: np.ndarray, nodes: int, leaves: int) -> MergeLog:
                     log.extend((level, x, y, z if z < leaves else -1))
             elif z < leaves:
                 log.extend((level, x, z, -1))
-    return MergeLog(log)
+    return np.frombuffer(log, dtype=np.int32).reshape(-1, 4)
 
 
 def _link_ends(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -321,21 +295,22 @@ def _link_ends(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ClusterFamily:
-    """Agglomerative family of edge clusters with merge levels.
+    """Agglomerative family of edge clusters with merge levels, held as
+    three int32 arrays and a node count.
 
     Leaves are single edges in the order they were added (descending class,
     ascending edge id within a class): `leaf_order` holds the edge id of
-    each leaf and `leaf_levels` its level, both arrays, and `leaf_edges` is
-    a tuple view of `leaf_order` built on first read. `links` is an int32
-    (L, 4) table of rows (level, x, y, z), levels never increasing, each
-    joining node x to y and, unless z is -1, to z. Nodes below
-    len(leaf_order) are leaves (the truss links add vertex nodes). The
-    leaves of a component of the links at levels >= k are a cluster alive
-    at k, whose id, its smallest leaf, is the component's smallest node.
-    `cuts` finds those components for many levels in one descent from the
-    top, contracting only the links each level adds; `clusters_at` is one
-    step of it. A merge log is such a table; `merges` replays the links
-    into one on first read, the lowest id surviving.
+    each leaf and `leaf_levels` its level. `links` is an int32 (L, 4) table
+    of rows (level, x, y, z), levels never increasing, each joining node x
+    to y and, unless z is -1, to z. Nodes below len(leaf_order) are leaves
+    (the truss links add vertex nodes). The leaves of a component of the
+    links at levels >= k are a cluster alive at k, whose id, its smallest
+    leaf, is the component's smallest node. `cuts` finds those components
+    for many levels in one descent from the top, contracting only the links
+    each level adds; `clusters_at` is one step of it. `merges` replays the
+    links into the merge log on first read, an int32 (M, 4) array of rows
+    (level, survivor, absorbed0, absorbed1 or -1), the lowest id surviving.
+    Families are equal when their leaves and merge logs are.
     """
 
     leaf_order: np.ndarray    # int32 edge id per leaf
@@ -343,21 +318,8 @@ class ClusterFamily:
     links: np.ndarray = field(repr=False)
     nodes: int
 
-    @classmethod
-    def from_merges(cls, leaf_order: Sequence[int], leaf_levels: Sequence[int], merges: MergeLog):
-        """The family whose links are the given merge log."""
-        order, levels = (np.asarray(a, dtype=np.int32) for a in (leaf_order, leaf_levels))
-        family = cls(order, levels, merges.table, len(order))
-        family.__dict__["merges"] = merges
-        return family
-
     @cached_property
-    def leaf_edges(self) -> tuple[int, ...]:
-        """The edge id of each leaf as Python ints, in leaf order."""
-        return tuple(self.leaf_order.tolist())
-
-    @cached_property
-    def merges(self) -> MergeLog:
+    def merges(self) -> np.ndarray:
         return _replay(self.links, self.nodes, len(self.leaf_order))
 
     def __eq__(self, other: object) -> bool:
@@ -366,7 +328,7 @@ class ClusterFamily:
         return (
             np.array_equal(self.leaf_order, other.leaf_order)
             and np.array_equal(self.leaf_levels, other.leaf_levels)
-            and self.merges == other.merges
+            and np.array_equal(self.merges, other.merges)
         )
 
     def cuts(self, ks: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
@@ -397,7 +359,7 @@ class ClusterFamily:
         ((_, root),) = self.cuts([k])
         alive = self.leaves_at(k)
         groups = _label_groups(np.arange(alive), root[:alive])
-        return [frozenset(self.leaf_edges[i] for i in g) for g in groups if len(g) >= min_size]
+        return [frozenset(self.leaf_order[g].tolist()) for g in groups if len(g) >= min_size]
 
     def summit_clusters(self, min_size: int = 2) -> list[tuple[int, frozenset[int]]]:
         """Clusters formed at one level from leaves no link above it reached.
@@ -422,21 +384,26 @@ class ClusterFamily:
         stale[label[seeds]] = True
         leaves = np.flatnonzero(((top >= 0) & ~stale[label])[: len(self.leaf_order)])
         return [
-            (int(top[g[0]]), frozenset(self.leaf_edges[i] for i in g))
+            (int(top[g[0]]), frozenset(self.leaf_order[g].tolist()))
             for g in _label_groups(leaves, label[leaves])
             if len(g) >= min_size
         ]
 
 
+def _leaves(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges at levels >= 1 in descending level, ascending id within a
+    level, and their levels, as int32 arrays: a family's leaves."""
+    order = np.argsort(-level, kind="stable")[: np.count_nonzero(level)].astype(np.int32)
+    return order, level[order].astype(np.int32, copy=False)
+
+
 def truss_leaves(
     decomposition: KClassDecomposition, graph: Graph
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Edge ids in the order cluster families add them as leaves
-    (descending class, ascending id within a class), and their classes, as
-    int32 arrays."""
+    """Every edge in the order cluster families add them as leaves
+    (descending class, ascending id within a class), and their classes."""
     _check_decomposition(decomposition, graph)
-    order = np.argsort(-decomposition.trussness, kind="stable").astype(np.int32)
-    return order, decomposition.trussness[order].astype(np.int32)
+    return _leaves(decomposition.trussness)
 
 
 def _vertex_family(graph: Graph, leaf_order: np.ndarray, leaf_levels: np.ndarray):
@@ -450,13 +417,11 @@ def _vertex_family(graph: Graph, leaf_order: np.ndarray, leaf_levels: np.ndarray
     return ClusterFamily(leaf_order, leaf_levels, links, count + graph.n)
 
 
-def vertex_summits(
-    graph: Graph, leaf_order: np.ndarray, leaf_levels: np.ndarray
-) -> list[tuple[int, frozenset[int]]]:
-    """Every component of the given edges at levels >= k whose edges all
-    sit at k, as (k, edge set) pairs ordered by k, then by smallest edge id.
-    Leaves come in descending level."""
-    summits = _vertex_family(graph, leaf_order, leaf_levels).summit_clusters(min_size=1)
+def vertex_summits(family: ClusterFamily) -> list[tuple[int, frozenset[int]]]:
+    """Every component of a vertex family's edges at levels >= k whose
+    edges all sit at k, as (k, edge set) pairs ordered by k, then by
+    smallest edge id."""
+    summits = family.summit_clusters(min_size=1)
     return sorted(summits, key=lambda pair: (pair[0], min(pair[1])))
 
 
@@ -464,11 +429,13 @@ def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> Cluste
     """Full dendrogram of maximal trusses by single-link agglomeration: an
     arriving edge joins the clusters of its endpoints' components.
 
-    Returned with its merge log built and as its links. Cutting at level k
-    reproduces trusses_at(k); merge levels never increase along the log.
+    Returned as the vertex family with its merge log already replayed, so
+    the replay is part of this call. Cutting at level k reproduces trusses_at(k);
+    merge levels never increase along the log.
     """
     family = _vertex_family(graph, *truss_leaves(decomposition, graph))
-    return ClusterFamily.from_merges(family.leaf_order, family.leaf_levels, family.merges)
+    family.merges
+    return family
 
 
 def summit_trusses(
@@ -481,4 +448,4 @@ def summit_trusses(
     pairs ordered by k, then by smallest edge id; the union is
     edge-disjoint.
     """
-    return vertex_summits(graph, *truss_leaves(decomposition, graph))
+    return vertex_summits(_vertex_family(graph, *truss_leaves(decomposition, graph)))

@@ -156,24 +156,32 @@ class DisjointSet:
         return self.find(a) == self.find(b)
 
 
+def merge_rows(family):
+    """The family's merge log as (level, survivor, absorbed ids) rows."""
+    return [
+        (level, survivor, (a0,) if a1 < 0 else (a0, a1))
+        for level, survivor, a0, a1 in family.merges.tolist()
+    ]
+
+
 def reference_clusters_at(family, k: int, min_size: int = 1) -> list[frozenset[int]]:
     """Clusters alive at level k by replaying the merge log's rows of level
     >= k over the leaves, ordered by cluster id."""
-    nleaf = len(family.leaf_edges)
-    ds = DisjointSet(nleaf)
-    cid = list(range(nleaf))
-    for merge in family.merges:
-        if merge.level < k:
+    leaf_edges, leaf_levels = family.leaf_order.tolist(), family.leaf_levels.tolist()
+    ds = DisjointSet(len(leaf_edges))
+    cid = list(range(len(leaf_edges)))
+    for level, survivor, absorbed in merge_rows(family):
+        if level < k:
             break
-        for a in merge.absorbed:
-            root = ds.union(ds.find(merge.survivor), ds.find(a))
-            cid[root] = merge.survivor
+        for a in absorbed:
+            root = ds.union(ds.find(survivor), ds.find(a))
+            cid[root] = survivor
     groups: dict[int, list[int]] = {}
-    for leaf in range(nleaf):
-        if family.leaf_levels[leaf] >= k:
+    for leaf, leaf_level in enumerate(leaf_levels):
+        if leaf_level >= k:
             groups.setdefault(cid[ds.find(leaf)], []).append(leaf)
     return [
-        frozenset(family.leaf_edges[i] for i in groups[key])
+        frozenset(leaf_edges[i] for i in groups[key])
         for key in sorted(groups)
         if len(groups[key]) >= min_size
     ]
@@ -184,21 +192,22 @@ def reference_summit_clusters(family, min_size: int = 2) -> list[tuple[int, froz
     while every merge in its history happened at its own formation level;
     a pure cluster absorbed below its level is reported. Ordered by cluster
     id."""
+    leaf_edges = family.leaf_order.tolist()
     state: dict[int, tuple[int, bool, list[int]]] = {}
     summits: dict[int, tuple[int, frozenset[int]]] = {}
-    for merge in family.merges:
-        level, ok, merged = merge.level, True, []
-        for p in (merge.survivor, *merge.absorbed):
+    for level, survivor, absorbed in merge_rows(family):
+        ok, merged = True, []
+        for p in (survivor, *absorbed):
             formed, pure, leaves = state.pop(p, (level, True, [p]))
             if not pure or formed != level:
                 ok = False
                 if pure and formed > level:
-                    summits[p] = (formed, frozenset(family.leaf_edges[i] for i in leaves))
+                    summits[p] = (formed, frozenset(leaf_edges[i] for i in leaves))
             merged.extend(leaves)
-        state[merge.survivor] = (level, ok, merged)
+        state[survivor] = (level, ok, merged)
     for key, (formed, pure, leaves) in state.items():
         if pure:
-            summits[key] = (formed, frozenset(family.leaf_edges[i] for i in leaves))
+            summits[key] = (formed, frozenset(leaf_edges[i] for i in leaves))
     return [summits[key] for key in sorted(summits) if len(summits[key][1]) >= min_size]
 
 

@@ -204,7 +204,11 @@ def test_check_bipartite_reads_input_once(text, bipartite, tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize(
-    "args", [["--levels", "3,2"], ["--levels", "0"], ["--levels", "x"], ["--geometric", "-1"]]
+    "args",
+    [
+        ["--levels", "3,2"], ["--levels", "0"], ["--levels", "x"], ["--geometric", "-1"],
+        ["--levels", "1,2147483648"], ["--geometric", "31"],
+    ],
 )
 def test_trapeze_bad_levels_fail_before_any_work(args, tmp_path, capsys):
     src = tmp_path / "g.tsv"
@@ -510,6 +514,41 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
         assert main(argv) == 0, argv
 
 
+BENCH_ARGS = ["bench", "--l", "4", "--size", "8", "--p", "0.9", "--mu", "0.1", "--trials", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, replays",
+    [
+        (["truss", "--k", "4", "--dot", "--graphml", str(DOLPHINS)], 1),
+        (["strong-truss", "--k", "4", str(DOLPHINS)], 1),
+        (["weighted-truss", "--k", "3", str(DOLPHINS)], 1),
+        (["summit", str(DOLPHINS)], 0),
+        (["summit", "--strong", str(DOLPHINS)], 0),
+        (["trapeze", "--levels", "1,2,4", str(DOLPHINS)], 0),
+        (["strong-trapeze", "--levels", "1,2,4", str(DOLPHINS)], 0),
+        (["summit-trapeze", "--levels", "1,2,4", str(DOLPHINS)], 0),
+        *(
+            (BENCH_ARGS + ["--method", method], 0)
+            for method in ("truss", "strong", "summit", "strong-summit")
+        ),
+        (["stats", str(DOLPHINS)], 0),
+    ],
+)
+def test_merge_log_is_replayed_once_where_written(argv, replays, tmp_path, monkeypatch):
+    """A run that writes dendrogram.tsv replays its family's links once,
+    and no other run replays any: a family is not handed back with its
+    merge log as its links, to be replayed again."""
+    import trusskit.truss
+
+    calls = []
+    real = trusskit.truss._replay
+    monkeypatch.setattr(trusskit.truss, "_replay", lambda *a: calls.append(1) or real(*a))
+    out = [] if argv[0] == "stats" else ["-o", str(tmp_path / "out")]
+    assert main([*argv, *out]) == 0
+    assert len(calls) == replays
+
+
 @pytest.mark.parametrize(
     "command, refused",
     [("trapeze", ["strong"]), ("strong-trapeze", ["weak"]), ("summit-trapeze", ["weak", "strong"])],
@@ -563,7 +602,10 @@ def test_traced_runs_report_plain_json(tmp_path, monkeypatch):
     assert report["calls"]["cli.main"] == len(runs)
     for name in ("truss.k_max", "weighted.max_support.minimum", "weighted.max_support.harmonic"):
         assert report["peaks"][name] > 0
-    for name in ("triangles.triangles", "strong.summits", "trapeze.triads", "bench.trials"):
+    for name in (
+        "triangles.triangles", "truss.dendrogram_merges", "strong.merges", "strong.summits",
+        "trapeze.triads", "bench.trials",
+    ):
         assert report["counts"][name] > 0
 
 

@@ -281,6 +281,8 @@ def test_level_run_rejects_bad_schedule():
         trapeze_level_run(g, [0, 1])
     with pytest.raises(ValueError):
         trapeze_level_run(g, [])
+    with pytest.raises(ValueError, match="levels"):
+        trapeze_level_run(g, [1, 2**31])
 
 
 def test_counts_non_increasing_on_bipartite():

@@ -5,8 +5,6 @@ import pytest
 
 from trusskit import (
     KClassDecomposition,
-    Merge,
-    MergeLog,
     SupportMap,
     TriangleWeightSpec,
     brute_force_supports,
@@ -141,7 +139,7 @@ def test_internal_min_degree():
 def test_dendrogram_k5():
     g = complete_graph(5)
     fam = truss_dendrogram(decompose(g), g)
-    assert all(m.level == 5 for m in fam.merges)
+    assert (fam.merges[:, 0] == 5).all()
     assert [len(c) for c in fam.clusters_at(5)] == [10]
 
 
@@ -152,13 +150,13 @@ def test_dendrogram_bridge():
     fam = truss_dendrogram(decompose(g), g)
     assert [len(c) for c in fam.clusters_at(4)] == [6, 6]
     assert [len(c) for c in fam.clusters_at(2)] == [13]
-    level2 = [m for m in fam.merges if m.level == 2]
-    assert len(level2) == 1 and len(level2[0].absorbed) == 2
+    level2 = fam.merges[fam.merges[:, 0] == 2]
+    assert len(level2) == 1 and level2[0, 3] >= 0   # one merge, absorbing two
 
 
 def test_dendrogram_levels_never_increase(dolphins):
     fam = truss_dendrogram(decompose(dolphins), dolphins)
-    levels = [m.level for m in fam.merges]
+    levels = fam.merges[:, 0].tolist()
     assert levels == sorted(levels, reverse=True)
 
 
@@ -263,14 +261,6 @@ def test_dendrogram_cuts_and_summits_match_the_replays(dolphins):
                 assert fam.clusters_at(k, size) == reference_clusters_at(fam, k, size)
 
 
-def test_merge_log_rows_read_as_merges():
-    log = MergeLog([(5, 0, 3, -1), (4, 1, 2, 6)])
-    assert len(log) == 2
-    assert list(log) == [Merge(5, (3,), 0), Merge(4, (2, 6), 1)]
-    assert log == MergeLog(np.array([[5, 0, 3, -1], [4, 1, 2, 6]]))
-    assert log != MergeLog([(5, 0, 3, -1)])
-
-
 def test_cuts_match_a_fresh_pass_per_level(dolphins):
     rng = random.Random(2323)
     for g, dec in many_level_cases(dolphins):
@@ -318,7 +308,7 @@ def test_views_match_the_stored_forms(dolphins):
             strong_truss_family(g, dec),
         ):
             assert fam.leaf_order.dtype == fam.leaf_levels.dtype == np.int32
-            assert fam.leaf_edges == tuple(leaves)
+            assert fam.leaf_order.tolist() == leaves
             assert fam.leaf_levels.tolist() == [phi[e] for e in leaves]
             assert all(fam.leaves_at(k) == sum(phi[e] >= k for e in leaves) for k in {1, *classes})
 
