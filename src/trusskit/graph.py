@@ -4,15 +4,20 @@ Vertices are dense integers 0..n-1; external string labels live in a side
 table. Edges are stored once, as one int32 (m, 2) array `ends` of canonical
 (lo, hi) rows with lo < hi, each with a positive weight. The tuple view
 `edges` and the per-vertex adjacency (neighbor -> edge id) are built on
-demand; only the oracles and the per-vertex queries read them.
+demand; only the oracles and the per-vertex queries read them. The
+edge-list loader reads its input in blocks of whole lines, with no Python
+step per line: a numpy scan of each block's code points gives its line
+structure, one `split()` its tokens, and one dict lookup map their ids.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from itertools import count, filterfalse, islice
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,7 +120,8 @@ def build_graph(
     """
     pairs = edges if isinstance(edges, np.ndarray) else list(edges)
     # the id type is inferred, so no id is truncated or wrapped unchecked
-    ends = np.sort(np.reshape(pairs, (-1, 2)), axis=1) if len(pairs) else np.empty((0, 2), int)
+    ends = np.reshape(pairs, (-1, 2)) if len(pairs) else np.empty((0, 2), int)
+    ends = np.stack((np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])), axis=1)
     outside = ends[(ends < 0) | (ends >= n)]
     if len(outside):
         raise ValueError(f"vertex {outside[0]} out of range for n={n}")
@@ -145,47 +151,126 @@ def build_graph(
     return Graph(n=n, labels=label_tuple, weights=ws, ends=ends)
 
 
+LOAD_BLOCK = 1 << 14   # characters of whole lines the loader scans at once
+
+# str.split()'s whitespace, the code points str.isspace accepts; no code
+# point past the table is whitespace
+_SPACE_POINTS = (
+    *range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+    0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+)
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[list(_SPACE_POINTS)] = True
+
+
+def _scan(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The code points of text (uint8 when it is ASCII, else uint32) and,
+    for each, whether str.split() splits there."""
+    if text.isascii():
+        points = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        return points, _SPACE[points]
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return points, _SPACE[np.minimum(points, len(_SPACE) - 1)]
+
+
+def _line_blocks(stream: IO[str] | Iterable[str]) -> Iterator[list[str]]:
+    """The lines of stream in blocks: of about LOAD_BLOCK characters from a
+    text stream, of LOAD_BLOCK / 32 lines from any other iterable."""
+    if hasattr(stream, "readlines"):
+        return iter(lambda: stream.readlines(LOAD_BLOCK), [])
+    lines = iter(stream)
+    return iter(lambda: list(islice(lines, LOAD_BLOCK >> 5)), [])
+
+
+def _take(tokens: list[str], at: np.ndarray) -> list[str]:
+    """The tokens at the given indexes, in index order."""
+    return list(map(tokens.__getitem__, at.ravel().tolist()))
+
+
 def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> Graph:
     """Parse whitespace-separated "u v [w]" lines into a canonical Graph.
 
-    Lines starting with '#' and blank lines are ignored. Self loops are
-    dropped. Duplicate edges collapse to one edge, placed where the pair
-    first appears and keeping the maximum weight seen (the first of equal
-    maxima). Vertex ids are assigned by first appearance.
+    Lines whose first token starts with '#' and blank lines are ignored.
+    Self loops are dropped, their weights unread. Duplicate edges collapse
+    to one edge, placed where the pair first appears and keeping the
+    maximum weight seen (the first of equal maxima). Vertex ids are
+    assigned by first appearance, and each weight token is parsed at its
+    first line. An error names the first bad line.
+
+    Lines are read in blocks, with no Python step per line: per block, one
+    numpy scan of its code points counts each line's tokens and finds its
+    comments, one `split()` gives the tokens, and one dict lookup each
+    maps them to vertex ids and weights. Lines are those the stream
+    yields, with or without their line breaks.
     """
-    ids: dict[str, int] = {}
-    us, vs, codes = [], [], []        # per kept line: its ends, its weight's index in values
+    ids: dict[str, int] = {}          # vertex name -> vertex id
     values: list[Weight] = [1]        # 1 for an omitted weight, then one per token
     code_of: dict[str, int] = {}      # weight token -> index in values
-
-    for lineno, raw in enumerate(stream, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) != 2 and not (weighted and len(tokens) == 3):
-            expected = "2 or 3" if weighted else "2"
-            raise EdgeListParseError(lineno, f"expected {expected} tokens, got {len(tokens)}")
-        u = ids.setdefault(tokens[0], len(ids))
-        v = ids.setdefault(tokens[1], len(ids))
-        if u == v:
-            continue
-        code = 0
-        if len(tokens) == 3:
-            token = tokens[2]
-            code = code_of.setdefault(token, len(values))
-            if code == len(values):   # each distinct token is parsed at its first line
+    # each kept line's ends and its weight's index, grown block by block
+    pairs, codes = array("i"), array("i")
+    most = 3 if weighted else 2       # tokens on an edge line: 2, or 3 with a weight
+    done = read = 0                   # lines and vertex names in earlier blocks
+    for lines in _line_blocks(stream):
+        # one text with a line break before each line, so no token spans two
+        text = "\n" + "\n".join(lines)
+        bounds = np.zeros(len(lines) + 1, dtype=np.int64)   # each line's break, then the end
+        np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1, out=bounds[1:])
+        del lines                     # its strings go before the tokens come
+        points, space = _scan(text)
+        heads = np.flatnonzero(space[:-1] & ~space[1:]) + 1   # where each token starts
+        lead = np.searchsorted(heads, bounds)   # each line's first token
+        width = lead[1:] - lead[:-1]            # each line's token count
+        edge = width > 0
+        edge[edge] = points[heads[lead[:-1][edge]]] != ord("#")
+        bad = np.flatnonzero(edge & ((width < 2) | (width > most)))
+        if len(bad):   # no line past the first bad one is read
+            edge[bad[0] :] = False
+        tokens = text.split()
+        line = np.flatnonzero(edge)
+        at = lead[line]
+        # every token a vertex name: no comment, weight or line past a bad one
+        names = tokens if len(tokens) == 2 * len(line) else _take(tokens, np.stack((at, at + 1), 1))
+        # one dict pass: a known name gives its vertex id, a new one its place
+        # among all names read, which no vertex id reaches; the new names then
+        # take the next ids in order of first appearance
+        place = np.fromiter(map(ids.setdefault, names, count(read)), np.int64, len(names))
+        fresh = place == np.arange(read, read + len(names))   # where a new name is first read
+        number = np.cumsum(fresh) + (len(ids) - np.count_nonzero(fresh) - 1)
+        ends = np.where(place < read, place, number.take(place - read, mode="clip"))
+        ends = ends.astype(np.int32).reshape(-1, 2)
+        ids.update(zip(_take(names, np.flatnonzero(fresh)), number[fresh].tolist()))
+        read += len(names)
+        keep = ends[:, 0] != ends[:, 1]
+        line, at = line[keep], at[keep]
+        code = np.zeros(len(line), dtype=np.int32)
+        weighed = np.flatnonzero(width[line] == 3)
+        if len(weighed):
+            texts = _take(tokens, at[weighed] + 2)
+            for token in filterfalse(code_of.__contains__, dict.fromkeys(texts)):
                 try:
-                    values.append(Fraction(token))
+                    value = Fraction(token)
+                    problem = f"non-positive weight {token}" if value <= 0 else None
                 except (ValueError, ZeroDivisionError):
-                    raise EdgeListParseError(lineno, f"bad weight {token!r}") from None
-                if values[-1] <= 0:
-                    raise EdgeListParseError(lineno, f"non-positive weight {token}")
-        us.append(u)
-        vs.append(v)
-        codes.append(code)
+                    problem = f"bad weight {token!r}"
+                if problem:
+                    raise EdgeListParseError(done + 1 + int(line[weighed[texts.index(token)]]), problem)
+                code_of[token] = len(values)
+                values.append(value)
+            code[weighed] = np.fromiter(map(code_of.__getitem__, texts), np.int32, len(texts))
+        if len(bad):
+            expected = "2 or 3" if weighted else "2"
+            raise EdgeListParseError(
+                done + 1 + int(bad[0]), f"expected {expected} tokens, got {width[bad[0]]}"
+            )
+        pairs.frombytes(ends[keep].tobytes())
+        codes.frombytes(code.tobytes())
+        done += len(width)
+        del tokens, names             # before the next block's lines are read
 
-    n, pair, code = len(ids), np.array((us, vs), dtype=np.int64), np.array(codes, dtype=np.int64)
-    key = pair.min(axis=0) * n + pair.max(axis=0)
+    n = len(ids)
+    pair = np.frombuffer(pairs, dtype=np.int32).reshape(-1, 2)
+    code = np.frombuffer(codes, dtype=np.int32)
+    key = np.minimum(pair[:, 0], pair[:, 1]).astype(np.int64) * n + np.maximum(pair[:, 0], pair[:, 1])
     level = {w: i for i, w in enumerate(sorted(set(values)))}
     heavy = np.array([-level[w] for w in values], dtype=np.int64)[code]
     # lines grouped by pair, heaviest first, then in line order (lexsort is stable)
@@ -195,7 +280,7 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     keep = np.argsort(first)                   # pairs in order of first appearance
     # no weight token read: every weight is the omitted 1
     weights = [values[c] for c in code[order[head[keep]]].tolist()] if len(values) > 1 else None
-    return build_graph(n, pair[:, first[keep]].T, weights, list(ids))
+    return build_graph(n, pair[first[keep]], weights, list(ids))
 
 
 @dataclass(frozen=True, eq=False)

@@ -536,17 +536,23 @@ BENCH_ARGS = ["bench", "--l", "4", "--size", "8", "--p", "0.9", "--mu", "0.1", "
     ],
 )
 def test_merge_log_is_replayed_once_where_written(argv, replays, tmp_path, monkeypatch):
-    """A run that writes dendrogram.tsv replays its family's links once,
-    and no other run replays any: a family is not handed back with its
-    merge log as its links, to be replayed again."""
+    """A run that writes dendrogram.tsv builds its family's merge log once,
+    and no other run builds any: a family is not handed back with its
+    merge log as its links, to be built again. The vertex family of
+    `truss` and `weighted-truss` builds it from its spanning forest; the
+    strong family replays its links."""
     import trusskit.truss
 
     calls = []
-    real = trusskit.truss._replay
-    monkeypatch.setattr(trusskit.truss, "_replay", lambda *a: calls.append(1) or real(*a))
+    for name in ("_replay", "_forest_merges"):
+        real = getattr(trusskit.truss, name)
+        monkeypatch.setattr(
+            trusskit.truss, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
     out = [] if argv[0] == "stats" else ["-o", str(tmp_path / "out")]
     assert main([*argv, *out]) == 0
-    assert len(calls) == replays
+    path = "_replay" if argv[0] == "strong-truss" else "_forest_merges"
+    assert calls == [path] * replays
 
 
 @pytest.mark.parametrize(
@@ -617,6 +623,28 @@ def many_level_text(seed=5, n=60, p=0.25):
     return "".join(f"v{i} v{j} {rng.randint(1, 1000)}\n" for i, j in pairs)
 
 
+def blocks_text(weighted, seed=13, groups=200, size=16, p=0.5, inter=5000):
+    """A seeded edge list of 190-260 KB, so the loader reads it in many
+    blocks: dense groups joined by random cross edges (some of them loops
+    or repeats), whose dendrogram merges three clusters at once."""
+    rng = random.Random(seed)
+    n = groups * size
+    pairs = [(g * size + i, g * size + j) for g in range(groups)
+             for i in range(size) for j in range(i + 1, size) if rng.random() < p]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(inter)]
+    rng.shuffle(pairs)
+    if weighted:
+        return "".join(f"v{a}\tv{b} {rng.randint(1, 1000)}\n" for a, b in pairs)
+    return "".join(f"v{a} v{b}\n" for a, b in pairs)
+
+
+SOURCES = {
+    "many-level": many_level_text,
+    "blocks": lambda: blocks_text(False),
+    "weighted-blocks": lambda: blocks_text(True),
+}
+
+
 # sha256 of output files, recorded before the cluster hierarchy moved to
 # link tables and a columnar merge log
 PINNED = [
@@ -658,6 +686,16 @@ PINNED = [
     (["trapeze", "--levels", "1,2", "--format", "json"], "dolphins", {
         "trapezes.json": "3f99513366254e6a3bd07f3bb2bc80b472703ec22b1f830b7e6707053c274c27",
     }),
+    # recorded before the block-scan loader and the merge log from the
+    # spanning forest
+    (["truss", "--k", "4"], "blocks", {
+        "clusters.tsv": "162cbf762a039fd776418af0f5519f89a5e35bfdeca0e0cace324d07d2c696ec",
+        "dendrogram.tsv": "7d50af84ed59ae640957e913807207056a76250e864a529b7a5ad6392684594b",
+    }),
+    (["weighted-truss", "--k", "4", "--weight-fn", "min"], "weighted-blocks", {
+        "clusters.tsv": "ca0fc5bd16ce743fff1ad026504fec5e4219c00328ef62b25b492ea06652eead",
+        "dendrogram.tsv": "688b4127541a5898d5cde6c89994e9c6e5425e867b41877e8641f0d836c4a739",
+    }),
 ]
 
 
@@ -666,9 +704,9 @@ PINNED = [
 )
 def test_outputs_match_pinned_digests(argv, source, digests, tmp_path):
     path = DOLPHINS
-    if source == "many-level":
+    if source != "dolphins":
         path = tmp_path / "w.tsv"
-        path.write_text(many_level_text())
+        path.write_text(SOURCES[source]())
     out = tmp_path / "out"
     assert main([*argv, str(path), "-o", str(out)]) == 0
     for name, digest in digests.items():

@@ -14,7 +14,7 @@ from trusskit import (
     load_edge_list,
     vertex_ranking,
 )
-from trusskit.graph import component_edge_sets
+from trusskit.graph import LOAD_BLOCK, _SPACE_POINTS, _scan, component_edge_sets
 from conftest import (
     DisjointSet,
     complete_graph,
@@ -92,23 +92,90 @@ def random_edge_list(rng: random.Random, weighted: bool, bad: float) -> str:
     return "\n".join(lines) + rng.choice(["", "\n"])
 
 
-def test_loader_matches_reference():
+def assert_loads_like_reference(make, weighted=False):
+    """load_edge_list and the reference loader, each on a fresh source from
+    make(), give equal graphs or fail at the same line with one message;
+    returns that line, or None."""
+
+    def load(loader):
+        source = make()
+        try:
+            return loader(source, weighted)
+        finally:
+            getattr(source, "close", lambda: None)()
+
+    try:
+        want = load(reference_load_edge_list)
+    except EdgeListParseError as err:
+        with pytest.raises(EdgeListParseError) as got:
+            load(load_edge_list)
+        assert (got.value.lineno, str(got.value)) == (err.lineno, str(err))
+        return err.lineno
+    g = load(load_edge_list)
+    assert (g.n, g.labels) == (want.n, want.labels)
+    assert g.ends.dtype == np.int32 and g.ends.tolist() == want.ends.tolist()
+    assert [(type(w), w) for w in g.weights] == [(type(w), w) for w in want.weights]
+    assert g == want
+    return None
+
+
+def text_of(text):
+    return lambda: io.StringIO(text)
+
+
+def test_loader_matches_reference(tmp_path):
     rng = random.Random(29)
     for case in range(600):
         weighted, bad = case % 2 == 1, rng.choice((0.0, 0.0, 0.02, 0.1))
-        text = random_edge_list(rng, weighted, bad)
-        try:
-            want = reference_load_edge_list(io.StringIO(text), weighted)
-        except EdgeListParseError as err:
-            with pytest.raises(EdgeListParseError) as got:
-                graph_from(text, weighted)
-            assert (got.value.lineno, str(got.value)) == (err.lineno, str(err)), text
-            continue
-        g = graph_from(text, weighted)
-        assert (g.n, g.labels) == (want.n, want.labels), text
-        assert g.ends.dtype == np.int32 and g.ends.tolist() == want.ends.tolist(), text
-        assert [(type(w), w) for w in g.weights] == [(type(w), w) for w in want.weights], text
-        assert g == want
+        assert_loads_like_reference(text_of(random_edge_list(rng, weighted, bad)), weighted)
+    # CRLF and a lone CR end lines too when open() reads them
+    path = tmp_path / "breaks.tsv"
+    path.write_bytes(b"a b\r\nb c\rc\td 2\r\n# x y z w\r\n\r\nd\ta\n\re a 1/2\r")
+    for weighted in (False, True):
+        assert_loads_like_reference(lambda: open(path, encoding="utf-8"), weighted)
+    # every code point str.split() splits at, "\n" aside, inside lines
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace() and chr(c) != "\n"]
+    for weighted in (False, True):
+        text = "".join(
+            f"{s}a{i}{s}b{i}{s}{f'{i + 1}{s}' if weighted else ''}\n{s}#{s}c d e\n"
+            for i, s in enumerate(spaces)
+        )
+        assert assert_loads_like_reference(text_of(text), weighted) is None
+    # non-ASCII labels and indented comments
+    text = "ü ö\n  # ü ö x\n日本 ü 3\n\u3000#\u3000c\n😀 日本 1/2\n\t#\nö 😀\n"
+    for weighted in (False, True):
+        assert_loads_like_reference(text_of(text), weighted)
+    # lines from any iterable, with or without their line breaks
+    for lines in (["a b", "b c\n", "# c", "", "c d 2"], ["a\tb\n", "b c 3", "a c"], ["a b"]):
+        for weighted in (False, True):
+            assert_loads_like_reference(lambda: iter(lines), weighted)
+            assert_loads_like_reference(lambda: list(lines), weighted)
+    # an input of many blocks, failing on a line of a later one; a self
+    # loop's bad weight before it is never read
+    many = [f"v{i % 997} v{i * 7 % 1009}" for i in range(LOAD_BLOCK // 2)]
+    assert sum(map(len, many)) > 4 * LOAD_BLOCK
+    assert assert_loads_like_reference(text_of("\n".join(many))) is None
+    for at, line, weighted in (
+        (len(many) - 3, "x y z", False),
+        (len(many) * 3 // 4, "x", False),
+        (len(many) // 2, "v1 v2 x", True),
+        (len(many) - 1, "v1 v2 0", True),
+        (len(many) * 2 // 3, "v1 v2 3 4", True),
+    ):
+        lines = [f"{pair} {i % 9 + 1}" if weighted else pair for i, pair in enumerate(many)]
+        lines[at // 3] = "v5 v5 x" if weighted else "v5 v5"
+        lines[at] = line
+        assert assert_loads_like_reference(text_of("\n".join(lines) + "\n"), weighted) == at + 1
+
+
+def test_scan_whitespace_is_str_split_whitespace():
+    every = "".join(map(chr, range(0x110000)))
+    want = np.array([c.isspace() for c in every])
+    points, space = _scan(every)
+    assert points.dtype == np.uint32 and np.array_equal(space, want)
+    points, space = _scan(every[:128])
+    assert points.dtype == np.uint8 and np.array_equal(space, want[:128])
+    assert sorted(_SPACE_POINTS) == np.flatnonzero(want).tolist()
 
 
 def test_loader_weight_tokens():

@@ -19,7 +19,14 @@ from trusskit import (
     weighted_k_classes,
 )
 from trusskit.graph import _component_labels, edge_nodes
-from trusskit.truss import _link_ends, _vertex_family, truss_leaves
+from trusskit.truss import (
+    _forest_merges,
+    _leaves,
+    _link_ends,
+    _replay,
+    _vertex_family,
+    truss_leaves,
+)
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -326,3 +333,54 @@ def test_oracle_and_listed_results_are_equal():
     assert SupportMap(listed.support + 1) != listed
     assert KClassDecomposition(dec.trussness + 1, dec.triangles) != dec
     assert dec != dec.phi
+
+
+def forest_graphs():
+    """300 seeded graphs of every shape a vertex family's reconstruction
+    tree can take: empty, one edge, isolated vertices, paths and stars
+    (as deep as they are long, around each power of two), and random
+    graphs, often disconnected, with shuffled vertex ids."""
+    rng = random.Random(3030)
+    graphs = [build_graph(0, []), build_graph(3, []), build_graph(2, [(0, 1)])]
+    graphs.append(build_graph(6, [(4, 1)]))
+    graphs += [build_graph(m + 1, [(i, i + 1) for i in range(m)]) for m in range(1, 70)]
+    for m in (1, 2, 3, 7, 8, 9, 31, 33):
+        graphs.append(build_graph(m + 1, [(0, i) for i in range(1, m + 1)]))
+    while len(graphs) < 300:
+        n = rng.randint(1, 40)
+        p = rng.choice((0.03, 0.08, 0.2, 0.5))
+        relabel = rng.sample(range(n), n)
+        edges = [(relabel[i], relabel[j])
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        if rng.random() < 0.2:   # a path through every vertex, in random order
+            edges = list(zip(relabel, relabel[1:]))
+        rng.shuffle(edges)
+        graphs.append(build_graph(n, edges))
+    return graphs
+
+
+def test_forest_merge_log_matches_the_replay(dolphins):
+    """The vertex family's merge log from its spanning forest equals the
+    replay of its links, for the truss family of every graph, for a family
+    over an edge subset with random levels (as the trapeze level run makes),
+    on dolphins and on minimum-weight graphs with many levels."""
+    rng = random.Random(3131)
+    cases = []
+    for g in forest_graphs():
+        cases.append((g, truss_leaves(decompose(g), g)))
+        level = np.array([rng.randint(0, 4) for _ in range(g.m)], dtype=np.int32)
+        cases.append((g, _leaves(level)))
+    cases.append((dolphins, truss_leaves(decompose(dolphins), dolphins)))
+    spec = TriangleWeightSpec("minimum", 1)
+    for g in weighted_graphs(20, 40, seed=3232):
+        cases.append((g, truss_leaves(weighted_k_classes(g, spec), g)))
+    deep = 0
+    for g, leaves in cases:
+        fam = _vertex_family(g, *leaves)
+        want = _replay(fam.links, fam.nodes, len(fam.leaf_order))
+        got = _forest_merges(fam.links, fam.nodes, len(fam.leaf_order))
+        assert got.dtype == np.int32 and got.shape == (len(want), 4)
+        assert np.array_equal(got, want)
+        assert np.array_equal(fam.merges, want)
+        deep += len(want) >= 64 and (want[:, 3] >= 0).any()
+    assert deep   # some logs are long and hold three-way merges
