@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, filterfalse, islice
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -151,7 +151,7 @@ def build_graph(
     return Graph(n=n, labels=label_tuple, weights=ws, ends=ends)
 
 
-LOAD_BLOCK = 1 << 14   # characters of whole lines the loader scans at once
+LOAD_BLOCK = 1 << 9   # lines the loader scans at once
 
 # str.split()'s whitespace, the code points str.isspace accepts; no code
 # point past the table is whitespace
@@ -164,22 +164,10 @@ _SPACE[list(_SPACE_POINTS)] = True
 
 
 def _scan(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The code points of text (uint8 when it is ASCII, else uint32) and,
-    for each, whether str.split() splits there."""
-    if text.isascii():
-        points = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        return points, _SPACE[points]
+    """The code points of text, as uint32, and for each whether str.split()
+    splits there."""
     points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     return points, _SPACE[np.minimum(points, len(_SPACE) - 1)]
-
-
-def _line_blocks(stream: IO[str] | Iterable[str]) -> Iterator[list[str]]:
-    """The lines of stream in blocks: of about LOAD_BLOCK characters from a
-    text stream, of LOAD_BLOCK / 32 lines from any other iterable."""
-    if hasattr(stream, "readlines"):
-        return iter(lambda: stream.readlines(LOAD_BLOCK), [])
-    lines = iter(stream)
-    return iter(lambda: list(islice(lines, LOAD_BLOCK >> 5)), [])
 
 
 def _take(tokens: list[str], at: np.ndarray) -> list[str]:
@@ -206,11 +194,13 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     ids: dict[str, int] = {}          # vertex name -> vertex id
     values: list[Weight] = [1]        # 1 for an omitted weight, then one per token
     code_of: dict[str, int] = {}      # weight token -> index in values
-    # each kept line's ends and its weight's index, grown block by block
-    pairs, codes = array("i"), array("i")
+    # each kept line's pair, canonical as lo << 32 | hi, and its weight's
+    # index, grown block by block
+    pairs, codes = array("q"), array("i")
     most = 3 if weighted else 2       # tokens on an edge line: 2, or 3 with a weight
     done = read = 0                   # lines and vertex names in earlier blocks
-    for lines in _line_blocks(stream):
+    source = iter(stream)
+    for lines in iter(lambda: list(islice(source, LOAD_BLOCK)), []):
         # one text with a line break before each line, so no token spans two
         text = "\n" + "\n".join(lines)
         bounds = np.zeros(len(lines) + 1, dtype=np.int64)   # each line's break, then the end
@@ -236,8 +226,7 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
         place = np.fromiter(map(ids.setdefault, names, count(read)), np.int64, len(names))
         fresh = place == np.arange(read, read + len(names))   # where a new name is first read
         number = np.cumsum(fresh) + (len(ids) - np.count_nonzero(fresh) - 1)
-        ends = np.where(place < read, place, number.take(place - read, mode="clip"))
-        ends = ends.astype(np.int32).reshape(-1, 2)
+        ends = np.where(place < read, place, number.take(place - read, mode="clip")).reshape(-1, 2)
         ids.update(zip(_take(names, np.flatnonzero(fresh)), number[fresh].tolist()))
         read += len(names)
         keep = ends[:, 0] != ends[:, 1]
@@ -262,25 +251,29 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
             raise EdgeListParseError(
                 done + 1 + int(bad[0]), f"expected {expected} tokens, got {width[bad[0]]}"
             )
-        pairs.frombytes(ends[keep].tobytes())
+        lo, hi = ends[keep].T
+        pairs.frombytes((np.minimum(lo, hi) << 32 | np.maximum(lo, hi)).tobytes())
         codes.frombytes(code.tobytes())
         done += len(width)
         del tokens, names             # before the next block's lines are read
 
-    n = len(ids)
-    pair = np.frombuffer(pairs, dtype=np.int32).reshape(-1, 2)
+    key = np.frombuffer(pairs, dtype=np.int64)
     code = np.frombuffer(codes, dtype=np.int32)
-    key = np.minimum(pair[:, 0], pair[:, 1]).astype(np.int64) * n + np.maximum(pair[:, 0], pair[:, 1])
     level = {w: i for i, w in enumerate(sorted(set(values)))}
-    heavy = np.array([-level[w] for w in values], dtype=np.int64)[code]
+    heavy = np.array([-level[w] for w in values], dtype=np.int32)[code]
     # lines grouped by pair, heaviest first, then in line order (lexsort is stable)
     order = np.lexsort((heavy, key))
-    head = np.flatnonzero(np.diff(key[order], prepend=-1))
+    del heavy
+    key = key[order]
+    head = np.flatnonzero(np.diff(key, prepend=-1))
     first = np.minimum.reduceat(order, head)   # each pair's first line
-    keep = np.argsort(first)                   # pairs in order of first appearance
+    keep = head[np.argsort(first)]             # pairs in order of first appearance
+    del first
     # no weight token read: every weight is the omitted 1
-    weights = [values[c] for c in code[order[head[keep]]].tolist()] if len(values) > 1 else None
-    return build_graph(n, pair[first[keep]], weights, list(ids))
+    weights = tuple(map(values.__getitem__, code[order[keep]].tolist())) if len(values) > 1 else None
+    key = key[keep]
+    ends = np.stack((key >> 32, key & 0xFFFFFFFF), axis=1).astype(np.int32)
+    return build_graph(len(ids), ends, weights, list(ids))
 
 
 @dataclass(frozen=True, eq=False)

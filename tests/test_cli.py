@@ -544,14 +544,14 @@ def test_merge_log_is_replayed_once_where_written(argv, replays, tmp_path, monke
     import trusskit.truss
 
     calls = []
-    for name in ("_replay", "_forest_merges"):
+    for name in ("_replay", "forest_merges"):
         real = getattr(trusskit.truss, name)
         monkeypatch.setattr(
             trusskit.truss, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
         )
     out = [] if argv[0] == "stats" else ["-o", str(tmp_path / "out")]
     assert main([*argv, *out]) == 0
-    path = "_replay" if argv[0] == "strong-truss" else "_forest_merges"
+    path = "_replay" if argv[0] == "strong-truss" else "forest_merges"
     assert calls == [path] * replays
 
 

@@ -18,9 +18,9 @@ from trusskit import (
     trusses_at,
     weighted_k_classes,
 )
+from trusskit.forest import forest_merges
 from trusskit.graph import _component_labels, edge_nodes
 from trusskit.truss import (
-    _forest_merges,
     _leaves,
     _link_ends,
     _replay,
@@ -378,7 +378,7 @@ def test_forest_merge_log_matches_the_replay(dolphins):
     for g, leaves in cases:
         fam = _vertex_family(g, *leaves)
         want = _replay(fam.links, fam.nodes, len(fam.leaf_order))
-        got = _forest_merges(fam.links, fam.nodes, len(fam.leaf_order))
+        got = forest_merges(fam.links, fam.nodes, len(fam.leaf_order))
         assert got.dtype == np.int32 and got.shape == (len(want), 4)
         assert np.array_equal(got, want)
         assert np.array_equal(fam.merges, want)
