@@ -165,6 +165,11 @@ def test_loader_matches_reference(tmp_path):
         lines[at // 3] = "v5 v5 x" if weighted else "v5 v5"
         lines[at] = line
         assert assert_loads_like_reference(text_of("\n".join(lines) + "\n"), weighted) == at + 1
+    # vertex ids past 16 bits, repeated in either order
+    wide = [(f"a{i}", f"b{i}") for i in range(33000)] + [("b32999", "a32999"), ("a0", "b32999")]
+    for weighted in (False, True):
+        lines = [f"{u} {v} {i % 7 + 1}" if weighted else f"{u} {v}" for i, (u, v) in enumerate(wide)]
+        assert assert_loads_like_reference(text_of("\n".join(lines)), weighted) is None
 
 
 def test_scan_whitespace_is_str_split_whitespace():
