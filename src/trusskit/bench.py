@@ -5,6 +5,14 @@ p) and sparse edges between groups (probability r). Instead of r one gives
 the mixing fraction mu, the expected share of a node's edges that leave its
 group; recovery of the planted groups by truss clustering is scored with
 normalized mutual information over node labels.
+
+The benchmark draws and lists each trial on its own, then scores
+consecutive trials in batches, each closed once it holds BATCH_TRIANGLES
+triangles, as one disjoint-union graph: one peel, one family, one descent
+and one summit pass per batch instead of per trial. No triangle crosses
+two trials and the union keeps each trial's edge order, so each trial's
+labels give the blocks it would give alone, and its scores are the same
+floats, summed in trial order: the rows do not depend on the batches.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,7 +30,7 @@ from .graph import Graph, build_graph
 # trusses_at or strong_trusses_at; both stay importable from this module,
 # where callers look them up to wrap them
 from .strong import strong_truss_family, strong_trusses_at, summit_strong_trusses  # noqa: F401
-from .triangles import edge_supports
+from .triangles import SupportMap, edge_supports
 from .truss import (  # noqa: F401
     ClusterFamily,
     _vertex_family,
@@ -135,13 +143,13 @@ def generate_planted(model: PlantedModel) -> tuple[Graph, Partition]:
         r = model.inter_prob
     else:
         r = derive_inter_prob(model.l, n, model.p, model.mu)
-    pairs = [np.empty((0, 2), dtype=np.int64)]
-    for base, size in zip(offsets, sizes):
-        upper = np.stack(np.triu_indices(size, k=1), axis=1)
-        pairs.append(upper[rng.random(len(upper)) < model.p] + base)
+    # every group's (i, j) pairs, i < j, in group order, drawn in that order;
+    # one pair table per distinct group size
+    upper = {size: np.stack(np.triu_indices(size, k=1), axis=1) for size in set(sizes)}
+    intra = np.concatenate([upper[size] + base for base, size in zip(offsets, sizes)])
+    pairs = [intra[rng.random(len(intra)) < model.p]]
 
-    intra_pairs = sum(s * (s - 1) // 2 for s in sizes)
-    inter_pairs = n * (n - 1) // 2 - intra_pairs
+    inter_pairs = n * (n - 1) // 2 - len(intra)
     if inter_pairs > 0 and r > 0:
         count = int(rng.binomial(inter_pairs, r))
         chosen = np.empty(0, dtype=np.int64)   # pairs (a, b), a < b, as a * n + b
@@ -295,6 +303,104 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
+# A batch of trials closes once it holds this many triangles: it is scored
+# as one graph, and its peel's and cluster family's arrays grow with them
+BATCH_TRIANGLES = 1 << 15
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Consecutive trials joined into one disjoint-union graph. Trial t
+    owns vertices vertex_at[t]..vertex_at[t+1]-1 and edges
+    edge_at[t]..edge_at[t+1]-1, in its own order."""
+
+    graph: Graph
+    supports: SupportMap
+    truths: list[Partition]
+    vertex_at: list[int]
+    edge_at: list[int]
+
+
+def _union(trials: list[tuple[Graph, Partition, SupportMap]]) -> _Batch:
+    """The trials' graphs as one graph, their vertex and edge ids offset,
+    and their triangle lists, shifted by the same edge offsets, as one
+    SupportMap; assembled from `ends`, not through build_graph."""
+    graphs, truths, supports = zip(*trials)
+    vertex_at = list(accumulate((g.n for g in graphs), initial=0))
+    edge_at = list(accumulate((g.m for g in graphs), initial=0))
+    graph = Graph(
+        n=vertex_at[-1],
+        labels=tuple(chain.from_iterable(g.labels for g in graphs)),
+        weights=tuple(chain.from_iterable(g.weights for g in graphs)),
+        ends=np.concatenate([g.ends + at for g, at in zip(graphs, vertex_at)]),
+    )
+    joined = SupportMap(
+        np.concatenate([s.support for s in supports]),
+        np.concatenate([s.triangles + at for s, at in zip(supports, edge_at)]),
+    )
+    return _Batch(graph, joined, list(truths), vertex_at, edge_at)
+
+
+def _batches(model: PlantedModel, trials: int) -> Iterator[_Batch]:
+    """The trials in order, each drawn and listed on its own, joined into
+    batches that close once they hold BATCH_TRIANGLES triangles."""
+    batch: list[tuple[Graph, Partition, SupportMap]] = []
+    held = 0
+    for i in range(trials):
+        graph, truth = generate_planted(model.with_seed(model.seed + i))
+        supports = edge_supports(graph)
+        batch.append((graph, truth, supports))
+        held += len(supports.triangles)
+        if held >= BATCH_TRIANGLES or i == trials - 1:
+            union = _union(batch)
+            # the trials' own graphs and triangle lists go before the union
+            # is scored, and the union before the next trial is drawn
+            del graph, truth, supports
+            batch, held = [], 0
+            yield union
+            del union
+
+
+def _batch_scores(
+    batch: _Batch, method: str, ks: list[int] | None
+) -> Iterator[tuple[int | None, float]]:
+    """The NMI terms of a batch's trials, in trial order: (k, score) for
+    each level of a trial's range under "truss" and "strong", a repeated
+    level once per repeat, or (None, score) per trial under the summit
+    methods. Each trial's labels are a slice of the batch's."""
+    graph = batch.graph
+    decomposition = k_classes(graph, batch.supports)
+    spans = zip(batch.truths, batch.vertex_at, batch.vertex_at[1:])
+    if method in ("summit", "strong-summit"):
+        if method == "summit":
+            pairs = summit_trusses(decomposition, graph)
+        else:
+            pairs = summit_strong_trusses(strong_truss_family(graph, decomposition))
+        clusters = [edges for _, edges in pairs]
+        levels_of = [level for level, _ in pairs]
+        label = clusters_to_node_partition(graph, clusters, levels_of).label
+        for truth, lo, hi in spans:
+            yield None, nmi(truth, Partition(label=label[lo:hi]))
+        return
+    if method == "strong":
+        family, min_size = strong_truss_family(graph, decomposition), 2
+    else:
+        family, min_size = _vertex_family(graph, *truss_leaves(decomposition, graph)), 1
+    trussness = decomposition.trussness
+    trial_levels = [
+        ks if ks is not None else list(range(2, int(trussness[a:b].max(initial=0)) + 1))
+        for a, b in zip(batch.edge_at, batch.edge_at[1:])
+    ]
+    labels = dict(_level_labels(graph, family, chain.from_iterable(trial_levels), min_size))
+    for (truth, lo, hi), levels in zip(spans, trial_levels):
+        scores = {
+            k: nmi(truth, Partition(label=tuple(labels[k][lo:hi].tolist())))
+            for k in sorted(set(levels), reverse=True)
+        }
+        for k in levels:
+            yield k, scores[k]
+
+
 def run_benchmark(
     model: PlantedModel,
     method: str,
@@ -311,6 +417,17 @@ def run_benchmark(
     edge-connected vertex family for "truss" (its clusters are the maximal
     k-trusses). A repeated k is scored once per trial and counted once per
     repeat.
+
+    Trials are drawn and their triangles listed one at a time, in order;
+    consecutive trials are then joined, until they hold BATCH_TRIANGLES
+    triangles, into one disjoint-union graph, which is peeled, given its
+    cluster family, cut and summited once. No triangle crosses two trials, and the union
+    keeps each trial's edge order, so each trial's trussness is a slice of
+    the union's, its clusters and summits come in the same relative order,
+    and its vertex labels give the same blocks as a trial scored alone.
+    `nmi` depends only on those blocks, met in vertex order, and scores
+    are added per trial in trial order, so every row is bit-identical to
+    scoring the trials one by one.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -325,37 +442,14 @@ def run_benchmark(
     n_sum = 0
     m_sum = 0
     started = time.perf_counter()
-    for i in range(trials):
-        graph, truth = generate_planted(model.with_seed(model.seed + i))
-        n_sum += graph.n
-        m_sum += graph.m
-        decomposition = k_classes(graph, edge_supports(graph))
-        if method in ("truss", "strong"):
-            if method == "strong":
-                family, min_size = strong_truss_family(graph, decomposition), 2
-            else:
-                family, min_size = _vertex_family(graph, *truss_leaves(decomposition, graph)), 1
-            levels = ks if ks is not None else list(range(2, decomposition.k_max + 1))
-            scores = {
-                k: nmi(truth, Partition(label=tuple(label.tolist())))
-                for k, label in _level_labels(graph, family, levels, min_size)
-            }
-            for k in levels:
-                sums[k] = sums.get(k, 0.0) + scores[k]
-                seen_counts[k] = seen_counts.get(k, 0) + 1
-        else:
-            if method == "summit":
-                pairs = summit_trusses(decomposition, graph)
-            else:
-                pairs = summit_strong_trusses(strong_truss_family(graph, decomposition))
-            clusters = [edges for _, edges in pairs]
-            levels_of = [level for level, _ in pairs]
-            part = clusters_to_node_partition(graph, clusters, levels_of)
-            score = nmi(truth, part)
-            sums[None] = sums.get(None, 0.0) + score
-            seen_counts[None] = seen_counts.get(None, 0) + 1
-        # free this trial's graph and triangle list before the next is drawn
-        del graph, truth, decomposition
+    for batch in _batches(model, trials):
+        n_sum += batch.graph.n
+        m_sum += batch.graph.m
+        for key, score in _batch_scores(batch, method, ks):
+            sums[key] = sums.get(key, 0.0) + score
+            seen_counts[key] = seen_counts.get(key, 0) + 1
+        # free this batch's union and triangle list before the next is drawn
+        del batch
     elapsed = time.perf_counter() - started
 
     rows = []

@@ -18,6 +18,8 @@ from trusskit import (
     nmi,
     strong_truss_family,
     strong_trusses_at,
+    summit_strong_trusses,
+    summit_trusses,
     trapezes_at,
     trim,
     trusses_at,
@@ -229,24 +231,38 @@ def reference_level_summits(graph, schedule) -> tuple[tuple[int, frozenset[int]]
 
 
 def reference_benchmark_rows(model, method: str, trials: int, k_range=None) -> tuple:
-    """The rows run_benchmark reports for "truss" or "strong", by cutting
-    each level of each trial on its own (trusses_at or strong_trusses_at),
-    turning the clusters into a partition with clusters_to_node_partition
-    and scoring it with nmi."""
+    """The rows run_benchmark reports, by scoring each trial on its own:
+    for "truss" and "strong" each level cut alone (trusses_at or
+    strong_trusses_at), for "summit" and "strong-summit" the trial's
+    summits (summit_trusses or summit_strong_trusses); the clusters become
+    a partition with clusters_to_node_partition, scored with nmi."""
     ks = sorted(k_range) if k_range is not None else None
-    sums: dict[int, float] = {}
-    seen: dict[int, int] = {}
+    sums: dict[int | None, float] = {}
+    seen: dict[int | None, int] = {}
+
+    def score(key, clusters, levels=None):
+        value = nmi(truth, clusters_to_node_partition(graph, clusters, levels))
+        sums[key] = sums.get(key, 0.0) + value
+        seen[key] = seen.get(key, 0) + 1
+
     for i in range(trials):
         graph, truth = generate_planted(model.with_seed(model.seed + i))
         dec = k_classes(graph, edge_supports(graph))
+        if method in ("summit", "strong-summit"):
+            if method == "summit":
+                pairs = summit_trusses(dec, graph)
+            else:
+                pairs = summit_strong_trusses(strong_truss_family(graph, dec))
+            score(None, [edges for _, edges in pairs], [level for level, _ in pairs])
+            continue
         family = strong_truss_family(graph, dec) if method == "strong" else None
         levels = ks if ks is not None else list(range(2, dec.k_max + 1))
         for k in levels:
             if method == "truss":
-                clusters = list(trusses_at(dec, graph, k).members)
+                score(k, list(trusses_at(dec, graph, k).members))
             else:
-                clusters = strong_trusses_at(family, k)
-            score = nmi(truth, clusters_to_node_partition(graph, clusters))
-            sums[k] = sums.get(k, 0.0) + score
-            seen[k] = seen.get(k, 0) + 1
-    return tuple(BenchmarkRow(method, k, sums[k] / seen[k], seen[k]) for k in sorted(sums))
+                score(k, strong_trusses_at(family, k))
+    return tuple(
+        BenchmarkRow(method, k, sums[k] / seen[k], seen[k])
+        for k in sorted(sums, key=lambda k: (k is None, k or 0))
+    )

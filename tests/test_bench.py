@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from trusskit import (
     InfeasibleModelError,
     Partition,
     PlantedModel,
+    build_graph,
     clusters_to_node_partition,
     derive_inter_prob,
     edge_supports,
@@ -71,6 +73,53 @@ def test_generate_mixed_sizes():
         sizes[c] += 1
     assert all(5 <= s <= 10 for s in sizes)
     assert g.n == sum(sizes)
+
+
+def per_group_generate(model):
+    """generate_planted with the group pairs of np.triu_indices built for
+    every group on its own."""
+    rng = np.random.default_rng(model.seed)
+    if isinstance(model.group_size, tuple):
+        lo, hi = model.group_size
+        sizes = rng.integers(lo, hi + 1, size=model.l).tolist()
+    else:
+        sizes = [model.group_size] * model.l
+    n = int(sum(sizes))
+    group = np.repeat(np.arange(model.l), sizes)
+    offsets = (np.cumsum(sizes) - sizes).tolist()
+    r = model.inter_prob
+    if r is None:
+        r = derive_inter_prob(model.l, n, model.p, model.mu)
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for base, size in zip(offsets, sizes):
+        upper = np.stack(np.triu_indices(size, k=1), axis=1)
+        pairs.append(upper[rng.random(len(upper)) < model.p] + base)
+    intra_pairs = sum(s * (s - 1) // 2 for s in sizes)
+    inter_pairs = n * (n - 1) // 2 - intra_pairs
+    if inter_pairs > 0 and r > 0:
+        count = int(rng.binomial(inter_pairs, r))
+        chosen = np.empty(0, dtype=np.int64)
+        while len(chosen) < count:
+            need = count - len(chosen)
+            us = rng.integers(0, n, size=2 * need + 8)
+            vs = rng.integers(0, n, size=2 * need + 8)
+            ok = (us != vs) & (group[us] != group[vs])
+            key = np.minimum(us[ok], vs[ok]) * n + np.maximum(us[ok], vs[ok])
+            key = key[np.sort(np.unique(key, return_index=True)[1])]
+            chosen = np.concatenate((chosen, key[~np.isin(key, chosen)][:need]))
+        pairs.append(np.stack(np.divmod(np.sort(chosen), n), axis=1))
+    return build_graph(n, np.concatenate(pairs)), Partition(label=tuple(group.tolist()))
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (2, 9), (5, 10), (7, 7)])
+def test_generate_mixed_sizes_match_the_per_group_loop(sizes):
+    # repeated sizes share one pair table; the draws keep their order
+    for seed in range(6):
+        for p, mu in ((0.7, 0.2), (1.0, 0.0), (0.3, 0.5)):
+            model = PlantedModel(l=12, group_size=sizes, p=p, mu=mu, seed=seed)
+            graph, truth = generate_planted(model)
+            want_graph, want_truth = per_group_generate(model)
+            assert graph == want_graph and truth == want_truth
 
 
 def test_generate_edge_count_band():
@@ -249,3 +298,63 @@ def test_benchmark_refuses_k_below_2_before_the_first_trial(method, monkeypatch)
     model = PlantedModel(l=4, group_size=6, p=0.9, mu=0.1, seed=2)
     with pytest.raises(ValueError, match="k must be at least 2"):
         run_benchmark(model, method, trials=2, k_range=(4, 1))
+
+
+# a model with no edges; one whose trials have edges but no triangle; mixed
+# group sizes; trials whose k_max ranges below and above the fixed levels
+BATCH_MODELS = (
+    PlantedModel(l=3, group_size=4, p=0.0, mu=0.0, seed=1),
+    PlantedModel(l=6, group_size=2, p=1.0, mu=0.0, seed=2),
+    PlantedModel(l=5, group_size=(3, 9), p=0.7, mu=0.3, seed=3),
+    PlantedModel(l=6, group_size=10, p=0.8, mu=0.3, seed=4),
+)
+BATCH_TRIALS = 7
+
+
+def trial_triangles(model, trials):
+    return [
+        len(edge_supports(generate_planted(model.with_seed(model.seed + i))[0]).triangles)
+        for i in range(trials)
+    ]
+
+
+@pytest.mark.parametrize("split", ["one per batch", "uneven", "all in one"])
+@pytest.mark.parametrize("model", BATCH_MODELS, ids=["no-edges", "no-triangles", "mixed", "fixed"])
+def test_batches_score_like_trials_alone(model, split, monkeypatch):
+    # exact floats: each trial's labels are a slice of its batch's, with the
+    # same blocks met in the same vertex order as when it is scored alone
+    import trusskit.bench as bench
+
+    counts = trial_triangles(model, BATCH_TRIALS)
+    edges = sum(generate_planted(model.with_seed(model.seed + i))[0].m for i in range(BATCH_TRIALS))
+    budget = {"one per batch": 0, "uneven": sum(counts[:3]), "all in one": sum(counts) + 1}[split]
+    monkeypatch.setattr(bench, "BATCH_TRIANGLES", budget)
+    batches = []
+    union = bench._union
+    monkeypatch.setattr(bench, "_union", lambda trials: batches.append(len(trials)) or union(trials))
+    for method in ("truss", "strong", "summit", "strong-summit"):
+        for k_range in (None, (9, 3, 8, 3, 2)):
+            batches.clear()
+            report = run_benchmark(model, method, trials=BATCH_TRIALS, k_range=k_range)
+            assert report.rows == reference_benchmark_rows(model, method, BATCH_TRIALS, k_range)
+            assert report.mean_m * BATCH_TRIALS == edges
+            if split == "all in one":
+                assert batches == [BATCH_TRIALS]
+            elif split == "one per batch" or not budget:
+                assert batches == [1] * BATCH_TRIALS
+            else:
+                assert batches[0] == 3 and len(set(batches)) > 1 and sum(batches) == BATCH_TRIALS
+
+
+def test_batches_build_each_trial_graph_once(monkeypatch):
+    # the union is assembled from the trials' arrays, so build_graph (and the
+    # tracer's graph.n and graph.m) see the trials alone
+    import trusskit.bench as bench
+
+    built = []
+    original = bench.build_graph
+    monkeypatch.setattr(bench, "build_graph", lambda *a, **k: built.append(a[0]) or original(*a, **k))
+    monkeypatch.setattr(bench, "BATCH_TRIANGLES", 1 << 30)
+    model = PlantedModel(l=4, group_size=6, p=0.9, mu=0.1, seed=2)
+    run_benchmark(model, "summit", trials=5)
+    assert built == [24] * 5

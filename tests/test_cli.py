@@ -585,6 +585,7 @@ def test_traced_runs_report_plain_json(tmp_path, monkeypatch):
     a numpy scalar in a count fails here, not first in the benchmark."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
     from perfbench.tracing import Tracer
+    import trusskit.bench
     import trusskit.cli
 
     weighted = tmp_path / "w.tsv"
@@ -596,7 +597,11 @@ def test_traced_runs_report_plain_json(tmp_path, monkeypatch):
         ["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "--alpha", "6", str(weighted)],
         ["trapeze", "--levels", "1,2,4", str(DOLPHINS)],
         ["bench", "--l", "4", "--size", "8", "--p", "0.9", "--mu", "0.1", "--trials", "2"],
+        # a batch closes at its first trial's triangles: three batches
+        ["bench", "--l", "4", "--size", "8", "--p", "0.9", "--mu", "0.1", "--trials", "3",
+         "--method", "summit"],
     ]
+    monkeypatch.setattr(trusskit.bench, "BATCH_TRIANGLES", 1)
     tracer = Tracer()
     tracer.install()
     try:
@@ -613,6 +618,11 @@ def test_traced_runs_report_plain_json(tmp_path, monkeypatch):
         "trapeze.triads", "bench.trials",
     ):
         assert report["counts"][name] > 0
+    # every trial is drawn on its own; each batch, one trial here, is peeled
+    # once, as are the two decompose runs' graphs
+    assert report["calls"]["bench.generate_planted"] == report["counts"]["bench.trials"] == 5
+    assert report["calls"]["truss.k_classes"] == 2 + 5
+    assert report["calls"]["truss.summit_trusses"] == 3 and report["counts"]["truss.summits"] > 0
 
 
 def many_level_text(seed=5, n=60, p=0.25):
