@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
-from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -152,6 +151,10 @@ def dot_export(graph: Graph, rows) -> str:
 
 
 def graphml_export(graph: Graph, decomposition: KClassDecomposition, rows) -> str:
+    # imported here: xml.sax.saxutils pulls in urllib.request, http.client,
+    # ssl, email and socket, which no other subcommand needs
+    from xml.sax.saxutils import quoteattr
+
     cluster_of = np.full(graph.m, -1)
     for idx, _, edges in rows:
         cluster_of[edges] = idx

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import _component_labels
+from .graph import _component_labels, _sorted_unique
 
 
 def _spanning_forest(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -33,7 +33,7 @@ def _spanning_forest(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         best = np.full(n, len(a), dtype=np.int32)   # each root's lightest link
         np.minimum.at(best, la, ids)
         np.minimum.at(best, lb, ids)
-        pick = np.unique(best[best < len(a)])
+        pick = _sorted_unique(best[best < len(a)])
         picked.append(pick)
         at = np.searchsorted(ids, pick)
         root = _component_labels(n, la[at], lb[at])

@@ -293,9 +293,12 @@ def vertex_ranking(graph: Graph) -> VertexRanking:
     Using labels rather than internal ids keeps the order independent of the
     input file's line order.
     """
-    degree, labels = graph.degrees.tolist(), graph.labels
-    order = np.array(sorted(range(graph.n), key=lambda v: (degree[v], labels[v])), dtype=np.int32)
-    return VertexRanking(rank=np.argsort(order).astype(np.int32), order=order)
+    label_rank = np.empty(graph.n, dtype=np.int32)
+    label_rank[sorted(range(graph.n), key=graph.labels.__getitem__)] = np.arange(graph.n)
+    order = np.lexsort((label_rank, graph.degrees)).astype(np.int32)
+    rank = np.empty(graph.n, dtype=np.int32)
+    rank[order] = np.arange(graph.n)
+    return VertexRanking(rank=rank, order=order)
 
 
 def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,6 +326,15 @@ def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return label
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of an integer array, by a sort and an adjacent-difference
+    mask: numpy's hash path for unique integers is slower here."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _label_groups(ids: np.ndarray, label: np.ndarray) -> list[list[int]]:
     """Ascending ids grouped by equal label, groups ordered by smallest id."""
     order = np.argsort(label, kind="stable")
@@ -341,7 +353,7 @@ def component_edge_sets(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> l
     """
     if not isinstance(edge_ids, np.ndarray):
         edge_ids = np.fromiter(edge_ids, np.int64)
-    eids = np.unique(edge_ids)
+    eids = _sorted_unique(edge_ids)
     ends = graph.ends[eids]
     label = _component_labels(graph.n, ends[:, 0], ends[:, 1])
     return _label_groups(eids, label[ends[:, 0]])

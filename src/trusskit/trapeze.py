@@ -9,10 +9,14 @@ representation is unique, so an edge's rectangle count is the sum of
 (degree - 1) over the peripheries of its triads. One vectorized pass builds
 the structure: low-apex triads pair the edges inside a vertex's upward
 bucket, median-apex triads pair its downward bucket with its upward one,
-peripheries are numbered by sorting their pair keys, and peripheries of
-degree 1 are pruned. Trimming runs level-synchronous rounds, like the truss
-peel: every live edge with fewer than k rectangles falls at once, with its
-triads, until none falls. k may only grow across calls, so one structure
+peripheries are numbered by one sort of their pair keys packed with the
+row, and peripheries of degree 1 are pruned. Trimming runs level-synchronous
+rounds, like the truss peel: every live edge with fewer than k rectangles
+falls at once, with its triads, until none falls. The rectangles are
+counted once; each round then subtracts what its dead triads closed
+(after Sarıyüce & Pinar, WSDM 2018), so the structure keeps each edge's
+count, each periphery's live triad count and an edge -> triad index
+between rounds and calls. k may only grow across calls, so one structure
 serves a whole level schedule. A level run stores one level per edge, the
 highest scheduled level it survives, like a trussness: its weak trapezes
 and summits are views of one vertex family over those levels, its strong
@@ -27,14 +31,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, VertexRanking, _label_groups, component_edge_sets, vertex_ranking
+from .graph import (
+    Graph,
+    VertexRanking,
+    _label_groups,
+    _sorted_unique,
+    component_edge_sets,
+    vertex_ranking,
+)
 from .truss import ClusterFamily, TrussSet, _leaves, _vertex_family, vertex_summits
 
 LOW_APEX = 0
 MEDIAN_APEX = 1
 
 # Most triads one structure may hold. A triad costs 13 bytes in the
-# structure and up to about 50 more while it is built.
+# structure, up to about 50 more while it is built, and once trimmed 8 more
+# per live triad and 4 per periphery for trim's index.
 DEFAULT_TRIAD_CAP = 1 << 25
 
 
@@ -46,7 +58,8 @@ class ETPGraph:
     vertex ranks as rank_lo * n + rank_hi, and `periph_degree` its live
     triad count, 0 once it closes no rectangle. `triad_alive` is a
     bytearray (`triad_live` views it as numpy bools) and `edge_alive` a
-    bool array. Mutable: trimming consumes the structure in place.
+    bool array. Mutable: trimming consumes the structure in place and
+    keeps its counts in `_trim_index`.
     """
 
     def __init__(self, graph: Graph, ranking: VertexRanking):
@@ -85,8 +98,7 @@ class ETPGraph:
         arm2 = np.concatenate((lo_arms[1], down_arm.astype(np.int32)))
         del first, second, offs, down_arm, lo_key, lo_arms
 
-        order = np.argsort(key, kind="stable")
-        key = key[order]
+        key, order = _stable_sort(key, n * n)
         opens = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=opens[1:])
         self.periph_key = key[opens]
@@ -108,6 +120,24 @@ class ETPGraph:
         self.triad_live[:] = self.periph_degree[self.triads[:, 2]] > 0
         self.edge_alive = np.zeros(m, dtype=bool)
         self.edge_alive[self.triads[self.triad_live, :2].ravel()] = True
+
+    @cached_property
+    def _trim_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What `trim` keeps between rounds and calls, built on its first
+        call: each edge's rectangle count over the live triads (float64,
+        exact), the live triads of each edge e as edge_triads[edge_start[e]:
+        edge_start[e + 1]], and each periphery p's rows as
+        periph_start[p]:periph_start[p + 1]. No triad revives, so the index
+        covers the triads live when it is built."""
+        m, npe = self.graph.m, len(self.periph_key)
+        support = _supports(self)
+        ids = np.flatnonzero(self.triad_live)
+        arm, order = _stable_sort(self.triads[ids, :2].ravel(), m)
+        edge_triads = ids[order >> 1].astype(np.int32)
+        edge_start = np.searchsorted(arm, np.arange(m + 1))
+        periph_start = np.zeros(npe + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.triads[:, 2], minlength=npe), out=periph_start[1:])
+        return support, edge_start, edge_triads, periph_start
 
     # -- inspection ------------------------------------------------------
 
@@ -142,14 +172,35 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src, offs
 
 
-def _supports(
-    m: int, arm1: np.ndarray, arm2: np.ndarray, periph: np.ndarray, npe: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Periphery degrees over the given live triads, and the rectangle
-    count per edge that those triads give: (degree - 1) per arm."""
-    degree = np.bincount(periph, minlength=npe)
-    weight = degree[periph] - 1
-    return degree, np.bincount(arm1, weight, m) + np.bincount(arm2, weight, m)
+def _stable_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keys sorted, and the permutation a stable argsort gives, for
+    keys in 0..bound-1. Packed with its row as key * len + row, each key
+    sorts as one distinct int64, so numpy's plain sort does the work;
+    where that product could overflow int64, a stable argsort does."""
+    rows = len(key)
+    if bound * rows >= 1 << 63:
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+    packed = key.astype(np.int64) * rows
+    packed += np.arange(rows)
+    packed.sort()
+    return np.divmod(packed, rows)
+
+
+def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers of every range start[i]..stop[i]-1, concatenated."""
+    counts = stop - start
+    return np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+
+
+def _supports(etp: ETPGraph) -> np.ndarray:
+    """The rectangles each edge closes over the live triads, as float64
+    (exact): every live triad gives each arm its periphery's live degree
+    minus one."""
+    live = etp.triads[etp.triad_live]
+    weight = etp.periph_degree[live[:, 2]] - 1
+    m = etp.graph.m
+    return np.bincount(live[:, 0], weight, m) + np.bincount(live[:, 1], weight, m)
 
 
 def build_etp_graph(graph: Graph, ranking: VertexRanking | None = None) -> ETPGraph:
@@ -168,19 +219,24 @@ def rectangle_supports(etp: ETPGraph) -> list[int]:
     peripheries reachable from the edge. Call before trimming."""
     if etp.current_k > 0:
         raise ValueError("rectangle supports require an untrimmed structure")
-    live = etp.triads[etp.triad_live]
-    _, support = _supports(etp.graph.m, live[:, 0], live[:, 1], live[:, 2], len(etp.periph_key))
-    return support.astype(np.int64).tolist()
+    return _supports(etp).astype(np.int64).tolist()
 
 
 def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
     """Remove edge vertices until all survivors have >= k rectangles.
 
-    Each round counts every live edge's rectangles among the live triads
-    and removes all edges under k at once, with their triads. k must not
-    decrease across calls on one structure. The optional rng applies each
-    round's frontier in random batches, one batch per round, which must not
-    change the outcome (tested). Returns the surviving edge ids.
+    Each round removes every live edge with fewer than k rectangles at once
+    and marks their live triads dead; then it subtracts what they closed,
+    rather than recounting the live triads. A dead triad's two arms lose
+    the degree - 1 rectangles it closed on its periphery, and every
+    surviving triad of that periphery loses one per lost triad on both
+    arms. The counts and indexes this reads (`ETPGraph._trim_index`) are
+    built on the first call and kept. After the last round a periphery left
+    with one triad closes nothing: that triad goes too, and the periphery's
+    degree reads 0. k must not decrease across calls on one structure. The
+    optional rng applies each round's frontier in random batches, one batch
+    per round, which must not change the outcome (tested). Returns the
+    surviving edge ids.
     """
     if k < 1:
         raise ValueError("support level must be at least 1")
@@ -189,30 +245,44 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
             f"trim level {k} is below the completed level {etp.current_k}; "
             "levels must not decrease"
         )
-    m, alive = etp.graph.m, etp.edge_alive
-    ids = np.flatnonzero(etp.triad_live)
-    arm1, arm2, periph = (np.ascontiguousarray(etp.triads[ids, j]) for j in range(3))
-    # number the live peripheries 0..P-1; rows are grouped by periphery
-    opens = np.ones(len(ids), dtype=bool)
-    np.not_equal(periph[1:], periph[:-1], out=opens[1:])
-    periph_of = periph[opens]
-    periph = np.cumsum(opens, dtype=np.int32) - 1
+    support, edge_start, edge_triads, periph_start = etp._trim_index
+    alive, live, degree = etp.edge_alive, etp.triad_live, etp.periph_degree
+    periph = etp.triads[:, 2]
+    touched = []
     while True:
-        degree, support = _supports(m, arm1, arm2, periph, len(periph_of))
         fall = np.flatnonzero(alive & (support < k))
         if not len(fall):
             break
         if rng is not None:
             fall = np.array(rng.sample(fall.tolist(), rng.randint(1, len(fall))))
         alive[fall] = False
-        keep = alive[arm1] & alive[arm2]
-        ids, arm1, arm2, periph = ids[keep], arm1[keep], arm2[keep], periph[keep]
-    # a periphery left with one triad closes nothing: that triad goes too
-    degree[degree < 2] = 0
-    etp.periph_degree[:] = 0
-    etp.periph_degree[periph_of] = degree
-    etp.triad_live[:] = False
-    etp.triad_live[ids[degree[periph] > 0]] = True
+        dead = edge_triads[_ranges(edge_start[fall], edge_start[fall + 1])]
+        dead = _sorted_unique(dead[live[dead]])     # both arms may fall
+        live[dead] = False
+        # rows are grouped by periphery, so ascending dead rows come grouped too
+        opens = np.ones(len(dead), dtype=bool)
+        np.not_equal(periph[dead[1:]], periph[dead[:-1]], out=opens[1:])
+        hit = periph[dead[opens]]
+        lost = np.diff(np.append(np.flatnonzero(opens), len(dead)))
+        closed = degree[hit] - 1
+        degree[hit] -= lost
+        rows = _ranges(periph_start[hit], periph_start[hit + 1])
+        kept = live[rows]
+        rows = np.concatenate((dead, rows[kept]))
+        loss = np.concatenate((
+            np.repeat(closed, lost),
+            np.repeat(lost, periph_start[hit + 1] - periph_start[hit])[kept],
+        ))
+        arms = etp.triads[rows, :2]
+        support -= np.bincount(arms[:, 0], loss, len(support))
+        support -= np.bincount(arms[:, 1], loss, len(support))
+        touched.append(hit)
+    if touched:
+        lone = _sorted_unique(np.concatenate(touched))
+        lone = lone[degree[lone] == 1]
+        rows = _ranges(periph_start[lone], periph_start[lone + 1])
+        live[rows] = False
+        degree[lone] = 0
     etp.current_k = k
     return etp.surviving_edges()
 

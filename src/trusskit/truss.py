@@ -291,11 +291,12 @@ def _replay(links: np.ndarray, nodes: int, leaves: int) -> np.ndarray:
     return np.frombuffer(log, dtype=np.int32).reshape(-1, 4)
 
 
-def _link_ends(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level and both nodes of every link a table makes: x-y for each row,
-    and x-z for each row whose z is not -1."""
+def _link_ends(links: np.ndarray, columns=(0, 1, 2)) -> tuple[np.ndarray, ...]:
+    """The given columns, 0 the level and 1 and 2 the nodes, of every link
+    a table makes: x-y for each row, and x-z, z read from column 3, for each
+    row whose z is not -1."""
     third = links[:, 3] >= 0
-    return tuple(np.concatenate((links[:, c], links[third, d])) for c, d in ((0, 0), (1, 1), (2, 3)))
+    return tuple(np.concatenate((links[:, c], links[third, c + (c == 2)])) for c in columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +351,7 @@ class ClusterFamily:
         for k in sorted(set(ks), reverse=True):
             stop = int(np.searchsorted(down, -k, side="right"))
             if stop > start:
-                _, a, b = _link_ends(self.links[start:stop])
+                a, b = _link_ends(self.links[start:stop], (1, 2))
                 # join the old roots, then read every node through its root
                 root = _component_labels(self.nodes, root[a], root[b])[root]
                 start = stop

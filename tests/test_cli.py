@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from trusskit.cli import main
 K4_PENDANT = "a b\na c\na d\nb c\nb d\nc d\nd e\n"
 C4_BOWTIE = "a b\nb c\nc d\nd a\nd e\ne f\nf g\ng d\n"  # two 4-cycles sharing d
 DOLPHINS = Path(__file__).parent / "data" / "dolphins.tsv"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -577,6 +581,16 @@ def test_each_trapeze_subcommand_builds_only_what_it_writes(
         argv = [command, "--levels", "1,2,4", "--format", fmt, str(DOLPHINS), "-o", str(out)]
         assert main(argv) == 0
         assert (out / f"trapezes.{fmt}").stat().st_size > 0
+
+
+def test_cli_import_leaves_out_the_network_modules():
+    """xml.sax.saxutils drags in urllib.request and its network stack; only
+    --graphml needs it, so it is imported there."""
+    heavy = ["urllib.request", "http.client", "ssl", "email", "socket"]
+    code = f"import sys, trusskit.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_traced_runs_report_plain_json(tmp_path, monkeypatch):

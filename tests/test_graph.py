@@ -253,6 +253,18 @@ def test_ranking_star():
     assert [r for _, r in leaves] == [0, 1, 2, 3, 4]
 
 
+def test_ranking_matches_a_degree_then_label_sort():
+    rng = random.Random(17)
+    for _, g in random_graphs(30, 25, seed=1717):
+        labels = [rng.choice("abcdefgh") * rng.randint(1, 3) for _ in range(g.n)]
+        g = build_graph(g.n, g.ends, labels=labels)
+        degree = g.degrees.tolist()
+        expected = sorted(range(g.n), key=lambda v: (degree[v], labels[v]))
+        s = vertex_ranking(g)
+        assert s.order.tolist() == expected
+        assert s.rank.tolist() == np.argsort(expected).tolist()
+
+
 def test_ranking_independent_of_line_order():
     a = graph_from("a b\nb c\nc d")
     b = graph_from("c d\na b\nb c")

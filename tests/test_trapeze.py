@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 
 from trusskit import (
@@ -19,7 +20,8 @@ from trusskit import (
     trusses_at,
     vertex_ranking,
 )
-from trusskit.trapeze import LOW_APEX, MEDIAN_APEX
+import trusskit.trapeze
+from trusskit.trapeze import LOW_APEX, MEDIAN_APEX, _stable_sort
 from conftest import (
     complete_bipartite,
     complete_graph,
@@ -455,3 +457,107 @@ def test_strong_trapezes_split_when_the_bridging_rectangle_falls():
     strong = strong_trapezes_at(g, etp, 2)
     assert sorted(len(m) for m in strong.members) == [6, 6]
     assert sorted(etp.alive_periphery_degrees().values()) == [3, 3]
+
+
+def recount(m, arm1, arm2, periph, npe):
+    """Periphery degrees over the given triads, and each edge's rectangles:
+    (degree - 1) per arm of each triad."""
+    degree = np.bincount(periph, minlength=npe)
+    weight = degree[periph] - 1
+    return degree, np.bincount(arm1, weight, m) + np.bincount(arm2, weight, m)
+
+
+def reference_trim(etp, k, rng=None):
+    """The round-recount trim: every round counts each live edge's
+    rectangles over all live triads and removes the edges under k, until
+    none falls; then peripheries left with one triad are pruned."""
+    m, alive = etp.graph.m, etp.edge_alive
+    ids = np.flatnonzero(etp.triad_live)
+    arm1, arm2, periph = (np.ascontiguousarray(etp.triads[ids, j]) for j in range(3))
+    opens = np.ones(len(ids), dtype=bool)
+    np.not_equal(periph[1:], periph[:-1], out=opens[1:])
+    periph_of = periph[opens]
+    periph = np.cumsum(opens, dtype=np.int32) - 1
+    while True:
+        degree, support = recount(m, arm1, arm2, periph, len(periph_of))
+        fall = np.flatnonzero(alive & (support < k))
+        if not len(fall):
+            break
+        if rng is not None:
+            fall = np.array(rng.sample(fall.tolist(), rng.randint(1, len(fall))))
+        alive[fall] = False
+        keep = alive[arm1] & alive[arm2]
+        ids, arm1, arm2, periph = ids[keep], arm1[keep], arm2[keep], periph[keep]
+    degree[degree < 2] = 0
+    etp.periph_degree[:] = 0
+    etp.periph_degree[periph_of] = degree
+    etp.triad_live[:] = False
+    etp.triad_live[ids[degree[periph] > 0]] = True
+    etp.current_k = k
+    return etp.surviving_edges()
+
+
+def random_bipartite_graphs_of_side(side, count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        p = (0.1, 0.2, 0.3, 0.5)[i % 4]
+        edges = [(a, side + b) for a in range(side) for b in range(side) if rng.random() < p]
+        yield i, build_graph(2 * side, edges)
+
+
+def decrement_cases():
+    yield from oracle_graphs()
+    yield from glued_graphs(40, seed=2222)
+    yield from random_bipartite_graphs_of_side(40, 4, seed=2323)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_trim_decrements_match_the_round_recount(seed):
+    for _, g in decrement_cases():
+        etp, ref = build_etp_graph(g), build_etp_graph(g)
+        rng = None if seed is None else random.Random(seed)
+        ref_rng = None if seed is None else random.Random(seed)
+        for k in range(1, 8):
+            assert trim(etp, k, rng=rng) == reference_trim(ref, k, rng=ref_rng)
+            assert etp.alive_triads() == ref.alive_triads()
+            assert etp.alive_periphery_degrees() == ref.alive_periphery_degrees()
+            # the kept counts are what a recount of the live triads gives
+            live = etp.triads[etp.triad_live]
+            _, support = recount(g.m, live[:, 0], live[:, 1], live[:, 2], len(etp.periph_key))
+            kept = etp._trim_index[0]
+            assert np.array_equal(kept[etp.edge_alive], support[etp.edge_alive])
+
+
+def test_etp_rows_match_a_stable_argsort(monkeypatch):
+    def argsort_reference(key, bound):
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+
+    rng = random.Random(7)
+    edges = [(i, 300 + j) for i in range(300) for j in range(300) if rng.random() < 0.05]
+    graphs = [g for _, g in oracle_graphs()] + [build_graph(600, edges)]
+    built = [build_etp_graph(g) for g in graphs]
+    monkeypatch.setattr(trusskit.trapeze, "_stable_sort", argsort_reference)
+    for g, etp in zip(graphs, built):
+        ref = build_etp_graph(g)
+        assert np.array_equal(etp.triads, ref.triads)
+        assert np.array_equal(etp.periph_key, ref.periph_key)
+        assert np.array_equal(etp.periph_degree, ref.periph_degree)
+
+
+def test_stable_sort_packs_keys_or_falls_back():
+    rng = np.random.default_rng(5)
+    small = rng.integers(0, 40, 5000)
+    # packed keys up to bound * rows - 1, just under 2^63
+    rows = 4
+    edge = (2**63 - 1) // rows
+    near_edge = np.array([edge - 1, edge - 3, edge - 1, edge - 2], dtype=np.int64)
+    # bound * rows >= 2^63: the stable argsort
+    big = (1 << 62) + rng.integers(0, 40, 5000)
+    pair = np.array([(1 << 62) + 3, (1 << 62) + 1], dtype=np.int64)
+    cases = ((small, 40), (near_edge, edge), (big, (1 << 62) + 40), (pair, (1 << 62) + 4), (small[:0], 1))
+    for key, bound in cases:
+        order = np.argsort(key, kind="stable")
+        keys, got = _stable_sort(key, bound)
+        assert np.array_equal(got, order)
+        assert np.array_equal(keys, key[order])
