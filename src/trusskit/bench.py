@@ -324,14 +324,14 @@ class _Batch:
 def _union(trials: list[tuple[Graph, Partition, SupportMap]]) -> _Batch:
     """The trials' graphs as one graph, their vertex and edge ids offset,
     and their triangle lists, shifted by the same edge offsets, as one
-    SupportMap; assembled from `ends`, not through build_graph."""
+    SupportMap; assembled from `ends`, not through build_graph, with the
+    unit weights of generated trials."""
     graphs, truths, supports = zip(*trials)
     vertex_at = list(accumulate((g.n for g in graphs), initial=0))
     edge_at = list(accumulate((g.m for g in graphs), initial=0))
     graph = Graph(
         n=vertex_at[-1],
         labels=tuple(chain.from_iterable(g.labels for g in graphs)),
-        weights=tuple(chain.from_iterable(g.weights for g in graphs)),
         ends=np.concatenate([g.ends + at for g, at in zip(graphs, vertex_at)]),
     )
     joined = SupportMap(

@@ -2,18 +2,20 @@
 
 Vertices are dense integers 0..n-1; external string labels live in a side
 table. Edges are stored once, as one int32 (m, 2) array `ends` of canonical
-(lo, hi) rows with lo < hi, each with a positive weight. The tuple view
-`edges` and the per-vertex adjacency (neighbor -> edge id) are built on
-demand; only the oracles and the per-vertex queries read them. The
-edge-list loader reads its input in blocks of whole lines, with no Python
-step per line: a numpy scan of each block's code points gives its line
-structure, one `split()` its tokens, and one dict lookup map their ids.
+(lo, hi) rows with lo < hi, their weights as int32 codes into the distinct
+weights. The tuple views `edges` and `weights` and the per-vertex adjacency
+(neighbor -> edge id) are built on demand, for the oracles and the
+per-vertex queries. The edge-list loader reads its input in blocks of
+whole lines, with no Python step per line: a numpy scan of each block's
+code points gives its line structure, one `split()` its tokens, and one
+dict lookup map their ids.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, filterfalse, islice
@@ -36,15 +38,18 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Simple undirected graph, immutable after construction.
 
-    `ends` is the one edge store. Graphs are equal when their n, labels,
-    weights and edge rows in order are. `edges` and `adj` are views of
-    `ends` built on first use, for the oracles and the per-vertex queries.
+    `ends` is the one edge store. Edge e weighs `weight_values[weight_code[e]]`,
+    or the integer 1 with no codes; the values are positive, used, sorted and
+    kept as given (1 and Fraction(1) are two). Graphs are equal when their n,
+    labels, edge rows and per-edge weights are. `edges`, `weights` and `adj`
+    are views built on first use, for the oracles and the per-vertex queries.
     """
 
     n: int
     labels: tuple[str, ...]
-    weights: tuple[Weight, ...]
     ends: np.ndarray   # int32 (m, 2), canonical (lo, hi) rows, lo < hi
+    weight_code: np.ndarray | None = None   # int32 per edge, or None: all the integer 1
+    weight_values: tuple[Weight, ...] = (1,)
 
     @property
     def m(self) -> int:
@@ -52,6 +57,12 @@ class Graph:
 
     def _key(self) -> tuple:
         return self.n, self.labels, self.weights, self.ends.tobytes()
+
+    @cached_property
+    def weights(self) -> tuple[Weight, ...]:
+        """Each edge's weight object, in edge id order."""
+        code = np.zeros(self.m, np.int32) if self.weight_code is None else self.weight_code
+        return tuple(map(self.weight_values.__getitem__, code.tolist()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._key() == other._key()
@@ -135,20 +146,32 @@ def build_graph(
     dup = keys[1:][keys[1:] == keys[:-1]]
     if len(dup):
         raise ValueError(f"duplicate edge {divmod(int(dup[0]), n)}")
-    if weights is None:
-        ws: tuple[Weight, ...] = (1,) * len(ends)
-    else:
-        ws = tuple(weights)
-        if len(ws) != len(ends):
-            raise ValueError("weights length does not match edges")
-        # each distinct weight object once: the loader repeats one per token
-        for w in {id(w): w for w in ws}.values():
-            if w <= 0:
-                raise ValueError(f"non-positive edge weight {w}")
     label_tuple = tuple(map(str, range(n))) if labels is None else tuple(labels)
     if len(label_tuple) != n:
         raise ValueError("labels length does not match vertex count")
-    return Graph(n=n, labels=label_tuple, weights=ws, ends=ends)
+    graph = Graph(n=n, labels=label_tuple, ends=ends)
+    if weights is None:
+        return graph
+    # one code per distinct weight; equal weights of one type are alike
+    kinds: dict[tuple[type, Weight], int] = {}
+    code = np.fromiter((kinds.setdefault((type(w), w), len(kinds)) for w in weights), np.int32)
+    if len(code) != len(ends):
+        raise ValueError("weights length does not match edges")
+    return _weighed(graph, code, [w for _, w in kinds])
+
+
+def _weighed(graph: Graph, code: np.ndarray, values: Sequence[Weight]) -> Graph:
+    """graph with edge e weighing values[code[e]]: the values checked, the
+    used ones sorted stably by value, and no codes if only int 1 is used."""
+    for w in values:
+        if not 0 < w < math.inf:
+            raise ValueError(f"non-positive edge weight {w}")
+    used = sorted(np.flatnonzero(np.bincount(code)).tolist(), key=values.__getitem__)
+    if all(type(values[c]) is int and values[c] == 1 for c in used):
+        return graph
+    place = np.zeros(len(values), dtype=np.int32)
+    place[used] = np.arange(len(used))
+    return replace(graph, weight_code=place[code], weight_values=tuple(map(values.__getitem__, used)))
 
 
 LOAD_BLOCK = 1 << 9   # lines the loader scans at once
@@ -269,11 +292,9 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     first = np.minimum.reduceat(order, head)   # each pair's first line
     keep = head[np.argsort(first)]             # pairs in order of first appearance
     del first
-    # no weight token read: every weight is the omitted 1
-    weights = tuple(map(values.__getitem__, code[order[keep]].tolist())) if len(values) > 1 else None
     key = key[keep]
     ends = np.stack((key >> 32, key & 0xFFFFFFFF), axis=1).astype(np.int32)
-    return build_graph(len(ids), ends, weights, list(ids))
+    return _weighed(build_graph(len(ids), ends, None, list(ids)), code[order[keep]], values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,9 +408,10 @@ def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Subgraph:
     sub = build_graph(
         len(vertex_of),
         np.argsort(by_first)[local].reshape(-1, 2),
-        [graph.weights[e] for e in eids.tolist()],
-        [graph.labels[v] for v in vertex_of],
+        labels=[graph.labels[v] for v in vertex_of],
     )
+    if graph.weight_code is not None:
+        sub = _weighed(sub, graph.weight_code[eids], graph.weight_values)
     return Subgraph(graph=sub, vertex_of=tuple(vertex_of), edge_of=tuple(eids.tolist()))
 
 

@@ -35,7 +35,7 @@ class TriangleWeightSpec:
     def __post_init__(self):
         if self.kind not in ("minimum", "harmonic"):
             raise ValueError(f"unknown triangle weight kind {self.kind!r}")
-        if self.alpha <= 0:
+        if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive")
 
 
@@ -54,33 +54,23 @@ def _weight_table(graph: Graph, spec: TriangleWeightSpec, triangles: np.ndarray)
     """Exact triangle weights as (values, index): triangle t weighs
     values[index[t]].
 
-    minimum: values are floor(alpha * w) per distinct edge weight w, in
-    ascending order, and a triangle takes its lightest edge's entry; floor
-    is monotone, so that is floor(alpha * min). harmonic: triangle_weight
-    runs once per distinct weight triple.
+    minimum: values are floor(alpha * w) per stored edge weight w, and a
+    triangle takes its lowest code's entry; the stored weights ascend and
+    floor is monotone, so that is floor(alpha * min). harmonic:
+    triangle_weight runs once per distinct code triple.
     """
-    # keyed by (numerator, denominator): Fraction hashing is slow
-    distinct = list({w.as_integer_ratio() for w in graph.weights})
+    exact = [Fraction(w) for w in graph.weight_values]
+    code = graph.weight_code
+    tri_codes = np.zeros(triangles.shape, np.int32) if code is None else code[triangles]
     if spec.kind == "minimum":
-        scaled = {nd: triangle_weight(spec, *(Fraction(*nd),) * 3) for nd in distinct}
-        distinct.sort(key=scaled.__getitem__)
-    code_of = {nd: i for i, nd in enumerate(distinct)}
-    codes = np.fromiter(
-        (code_of[w.as_integer_ratio()] for w in graph.weights), dtype=np.int64, count=graph.m
-    )
-    tri_codes = codes[triangles]
-    if spec.kind == "minimum":
-        return [scaled[nd] for nd in distinct], tri_codes.min(axis=1)
-    rows = np.sort(tri_codes, axis=1)
+        return [triangle_weight(spec, w, w, w) for w in exact], tri_codes.min(axis=1)
+    rows = np.sort(tri_codes, axis=1).astype(np.int64)
     # number each distinct (c0, c1) pair, then each distinct (pair, c2); no
     # key exceeds T * D, so none overflows
-    pair = np.unique(rows[:, 0] * len(distinct) + rows[:, 1], return_inverse=True)[1]
-    triple = pair.reshape(-1) * len(distinct) + rows[:, 2]
+    pair = np.unique(rows[:, 0] * len(exact) + rows[:, 1], return_inverse=True)[1]
+    triple = pair.reshape(-1) * len(exact) + rows[:, 2]
     _, first, index = np.unique(triple, return_index=True, return_inverse=True)
-    values = [
-        triangle_weight(spec, *(Fraction(*distinct[c]) for c in row))
-        for row in rows[first].tolist()
-    ]
+    values = [triangle_weight(spec, *map(exact.__getitem__, row)) for row in rows[first].tolist()]
     return values, index.reshape(-1)
 
 

@@ -331,7 +331,14 @@ def test_batches_score_like_trials_alone(model, split, monkeypatch):
     monkeypatch.setattr(bench, "BATCH_TRIANGLES", budget)
     batches = []
     union = bench._union
-    monkeypatch.setattr(bench, "_union", lambda trials: batches.append(len(trials)) or union(trials))
+
+    def counted(trials):
+        batches.append(len(trials))
+        joined = union(trials)
+        assert joined.graph.weight_code is None   # generated trials weigh 1 per edge
+        return joined
+
+    monkeypatch.setattr(bench, "_union", counted)
     for method in ("truss", "strong", "summit", "strong-summit"):
         for k_range in (None, (9, 3, 8, 3, 2)):
             batches.clear()

@@ -367,6 +367,17 @@ def test_triangle_cap_exits_1_without_output(k4_file, tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fn, top", [("min", 10**400), ("harmonic", 10**400 // 3)])
+def test_huge_weights_exit_1_at_the_exact_cap(fn, top, tmp_path, capsys):
+    src = tmp_path / "huge.tsv"
+    src.write_text("a b 1e400\nb c 1e400\na c 1e400\n")
+    out = tmp_path / "out"
+    assert main(["weighted-truss", "--k", "3", "--weight-fn", fn, str(src), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: maximum weighted support {top} exceeds cap ")
+    assert not out.exists()
+
+
 def test_memory_error_exits_1_with_one_line(k4_file, tmp_path, capsys, monkeypatch):
     import trusskit.cli
 
@@ -477,6 +488,7 @@ def test_output_path_that_is_a_file_exits_1_with_one_line(k4_file, tmp_path, cap
 VIEWS = {
     "adj": Graph,
     "edges": Graph,
+    "weights": Graph,
     "sup": SupportMap,
     "phi": KClassDecomposition,
     "classes": KClassDecomposition,
@@ -487,7 +499,7 @@ VIEWS = {
 def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
     """Every production path, --check-bipartite and every export included,
     runs on the arrays; only the oracles and the tests read Graph.adj or the
-    tuple and dict views of the edges, supports and trussness."""
+    tuple and dict views of the edges, weights, supports and trussness."""
     owner = VIEWS[view]
 
     def refuse(obj):

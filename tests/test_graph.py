@@ -92,6 +92,17 @@ def random_edge_list(rng: random.Random, weighted: bool, bad: float) -> str:
     return "\n".join(lines) + rng.choice(["", "\n"])
 
 
+def assert_weight_store(g):
+    """Weights are int32 codes into positive, non-decreasing values, or no
+    codes exactly when every weight is the integer 1."""
+    code, values = g.weight_code, g.weight_values
+    assert all(w > 0 for w in values) and all(a <= b for a, b in zip(values, values[1:]))
+    assert (code is None) == all(type(w) is int and w == 1 for w in g.weights)
+    if code is not None:
+        assert code.dtype == np.int32 and code.shape == (g.m,)
+        assert np.all((code >= 0) & (code < len(values)))
+
+
 def assert_loads_like_reference(make, weighted=False):
     """load_edge_list and the reference loader, each on a fresh source from
     make(), give equal graphs or fail at the same line with one message;
@@ -115,6 +126,8 @@ def assert_loads_like_reference(make, weighted=False):
     assert (g.n, g.labels) == (want.n, want.labels)
     assert g.ends.dtype == np.int32 and g.ends.tolist() == want.ends.tolist()
     assert [(type(w), w) for w in g.weights] == [(type(w), w) for w in want.weights]
+    assert_weight_store(g)
+    assert_weight_store(want)
     assert g == want
     return None
 
@@ -359,6 +372,16 @@ def test_induced_k4_minus_edge():
     sub = induced_edge_subgraph(g, [e for e in range(g.m) if e != 0])
     assert sub.graph.m == 5
     assert sorted(len(a) for a in sub.graph.adj) == [2, 2, 3, 3]
+    assert sub.graph.weight_code is None
+
+
+def test_induced_keeps_the_parent_weight_objects():
+    g = graph_from("a b 2\nb c 1.0\nc a\nc d 5/2\nd a 4/2\nb d 3\nd e", weighted=True)
+    for subset in ([0, 1, 2, 3, 4, 5, 6], [1, 3, 5], [2, 6], [0, 4], []):
+        sub = induced_edge_subgraph(g, subset)
+        assert_weight_store(sub.graph)
+        assert len(sub.graph.weights) == len(sub.edge_of)
+        assert all(w is g.weights[e] for w, e in zip(sub.graph.weights, sub.edge_of))
 
 
 def test_induced_unknown_edge():
@@ -372,8 +395,11 @@ def test_build_graph_rejects_bad_input():
         build_graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         build_graph(2, [(0, 1), (1, 0)])  # duplicate under canonicalization
-    with pytest.raises(ValueError):
-        build_graph(2, [(0, 1)], weights=[0])
+    for weight in (0, -1, float("nan"), float("inf"), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="non-positive edge weight"):
+            build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=[2, weight, 2])
+        with pytest.raises(ValueError, match="non-positive edge weight"):
+            build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=[weight] * 3)
     with pytest.raises(ValueError, match="vertex -1 out of range"):
         build_graph(3, [(-1, 1), (0, 1)])
     with pytest.raises(ValueError, match="vertex 3 out of range"):

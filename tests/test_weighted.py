@@ -41,8 +41,9 @@ def test_examples():
 def test_rejects_nonpositive_weight():
     with pytest.raises(ValueError):
         triangle_weight(MIN1, 0, 1, 1)
-    with pytest.raises(ValueError):
-        TriangleWeightSpec("minimum", 0)
+    for alpha in (0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            TriangleWeightSpec("minimum", alpha)
     with pytest.raises(ValueError):
         TriangleWeightSpec("median", 1)
 
@@ -188,6 +189,16 @@ def test_support_cap_enforced():
     g = graph_from("a b 1\nb c 1\na c 1", weighted=True)
     with pytest.raises(ValueError):
         weighted_supports(g, TriangleWeightSpec("minimum", 1 << 30))
+
+
+def test_huge_weights_stay_exact():
+    # 10**400 is past every float and int64; the cap message names the
+    # exact support, so the weights and the sums stay Python numbers
+    g = graph_from("a b 1e400\nb c 1e400\na c 1e400", weighted=True)
+    assert g.weight_values == (10**400,)
+    for spec, top in ((MIN1, 10**400), (HARM1, 10**400 // 3)):
+        with pytest.raises(ValueError, match=rf"^maximum weighted support {top} exceeds cap "):
+            weighted_supports(g, spec)
 
 
 def test_support_cap_is_read_at_call_time(monkeypatch):
