@@ -2,14 +2,21 @@
 
 `triangle_list` is the one production triangle scan: it orients every edge
 from its lower- to its higher-ranked endpoint and, for each oriented edge
-v->a and each a->b, looks up the closing edge v->b among the sorted
-oriented edge keys, so each triangle is found exactly once, from its
-minimum-ranked vertex. Worst-case work is O(m^1.5); the listing runs as
-numpy array operations over bounded chunks of wedges. Plain and weighted
-supports are a `SupportMap` holding that list: its per-edge row counts, or
-its rows' weights summed (weighted.py). The truss peel walks the list,
-weighted or not, and the strong-truss family reads it as links. A direct
-common-neighbor oracle backs the tests.
+v->a and each a->b, finds the closing edge v->b, so each triangle is found
+exactly once, from its minimum-ranked vertex. Worst-case work is O(m^1.5);
+the listing runs as numpy array operations over chunks of consecutive
+oriented edges, each closed by a wedge budget. The closing edge is found by
+direct addressing, as the marking array of the forward listings does
+(Schank & Wagner 2005; Latapy 2008), batched over a chunk's source vertices:
+an int32 table with a row per source and a column per rank receives the
+position of every out-edge of the chunk's sources, each wedge reads its
+cell once, and the written cells are cleared. The table's TABLE_CELLS
+budget also closes chunks; where n leaves it too few rows to pay for the
+chunks it adds, a binary search over the sorted oriented edge keys finds
+the same edges. Plain and weighted supports are a `SupportMap` holding the
+list: its per-edge row counts, or its rows' weights summed (weighted.py).
+The truss peel walks the list, weighted or not, and the strong-truss family
+reads it as links. A direct common-neighbor oracle backs the tests.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from .graph import Graph, VertexRanking, vertex_ranking
 DEFAULT_TRIANGLE_CAP = 1 << 26
 # wedges tested per numpy pass; bounds the listing's scratch arrays
 WEDGE_CHUNK = 1 << 17
+# cells of the closing-edge table, one int32 each: 4 MB at most
+TABLE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +94,28 @@ def triangle_list(graph: Graph, ranking: VertexRanking | None = None) -> np.ndar
     return np.concatenate(list(_triangle_chunks(graph, ranking)))
 
 
+def _table_rows(n: int, wedges: int) -> int:
+    """Rows of the closing-edge table for a graph, or 0 to binary-search.
+
+    A table row is one source vertex and a chunk holds at most `rows` of
+    them, so below rows = n the table closes about n / rows - 1 chunks that
+    the wedge budget alone would not. Each extra chunk costs a fixed run of
+    numpy calls, about as long as 2,048 binary searches over a large key
+    array (on the 425k-edge benchmark graph, chunks of 1.8k wedges tied),
+    so the table is used when the wedges pay for the chunks it adds. With
+    rows = n the table adds none and is always used; with n > TABLE_CELLS
+    it has no row at all.
+    """
+    rows = min(TABLE_CELLS // n, n)
+    return rows if (n - rows) * 2048 <= wedges * rows else 0
+
+
 def _triangle_chunks(graph: Graph, ranking: VertexRanking):
     n, m = graph.n, graph.m
     rank = np.asarray(ranking.rank, dtype=np.int32)
     ends = rank[graph.ends]
-    # oriented edge v->a, v ranked below a, as key v*n + a, sorted
+    # oriented edge v->a, v ranked below a, as key v*n + a, sorted; the
+    # out-edges of each source v are one run, ascending in a
     key = ends.min(axis=1).astype(np.int64) * n + ends.max(axis=1)
     del ends
     eid = np.argsort(key).astype(np.int32)
@@ -104,20 +130,45 @@ def _triangle_chunks(graph: Graph, ranking: VertexRanking):
             f"triangle listing would test {total} wedges, over the cap of "
             f"{DEFAULT_TRIANGLE_CAP}; the graph is too large to list its triangles"
         )
+    rows = _table_rows(n, total)
+    # cell (v - s0) * n + b holds 1 + the position of v->b while the chunk
+    # whose first source is s0 runs; pages never written are never touched
+    table = np.zeros(rows * n, dtype=np.int32) if rows else None
 
     lo = 0
     while lo < m:
         base = int(ends_at[lo - 1]) if lo else 0
         hi = max(int(np.searchsorted(ends_at, base + WEDGE_CHUNK, "right")), lo + 1)
+        s0 = int(key[lo]) // n                       # the chunk's first source
+        if rows and s0 + rows < n:
+            hi = min(hi, int(start[s0 + rows]))      # sources s0 .. s0 + rows - 1
         reps = np.diff(ends_at[lo:hi], prepend=base)
-        first = np.repeat(np.arange(lo, hi), reps)                      # v->a
-        offs = np.arange(len(first)) - np.repeat(ends_at[lo:hi] - reps - base, reps)
-        second = start[dst[first]] + offs                                # a->b
-        closing = key[first] - dst[first] + dst[second]                  # v->b, if present
-        third = np.searchsorted(key, closing)
-        np.minimum(third, m - 1, out=third)
-        hit = key[third] == closing
-        yield np.stack((eid[first[hit]], eid[second[hit]], eid[third[hit]]), axis=1)
+        # wedge j of v->a pairs it with a->b, the j-th out-edge of a. Arrays
+        # that index stay intp: an int32 index is copied to intp per gather
+        second = np.repeat(start[dst[lo:hi]] - (ends_at[lo:hi] - reps - base), reps)
+        second += np.arange(len(second))
+        off = s0 * n if rows else 0
+        closing = np.repeat(key[lo:hi] - dst[lo:hi] - off, reps)
+        closing += dst[second]                       # key of v->b, less off
+        if rows:
+            # closing is the cell of v->b, if present. Every out-edge of the
+            # chunk's sources, some before lo or past hi, is written, each
+            # wedge's cell read once, and only the written cells cleared
+            s1 = int(key[hi - 1]) // n
+            wlo, whi = start[s0], start[s1] + outdeg[s1]
+            written = key[wlo:whi] - off
+            table[written] = np.arange(wlo + 1, whi + 1, dtype=np.int32)
+            third = table[closing]
+            table[written] = 0
+            hit = np.flatnonzero(third)
+            third = third[hit] - 1
+        else:
+            third = np.searchsorted(key, closing)
+            np.minimum(third, m - 1, out=third)
+            hit = np.flatnonzero(key[third] == closing)
+            third = third[hit]
+        first = lo + np.searchsorted(ends_at[lo:hi] - base, hit, "right")   # v->a
+        yield np.stack((eid[first], eid[second[hit]], eid[third]), axis=1)
         lo = hi
 
 

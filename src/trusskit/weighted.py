@@ -42,8 +42,8 @@ class TriangleWeightSpec:
 def triangle_weight(spec: TriangleWeightSpec, w1: Weight, w2: Weight, w3: Weight) -> int:
     """Integer weight of one triangle: floor(alpha * min) or
     floor(alpha / (1/w1 + 1/w2 + 1/w3))."""
-    if w1 <= 0 or w2 <= 0 or w3 <= 0:
-        raise ValueError("edge weights must be positive")
+    if not all(0 < w < math.inf for w in (w1, w2, w3)):
+        raise ValueError("edge weights must be positive and finite")
     if spec.kind == "minimum":
         return math.floor(spec.alpha * min(w1, w2, w3))
     recip = Fraction(1, 1) / w1 + Fraction(1, 1) / w2 + Fraction(1, 1) / w3

@@ -2,9 +2,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import trusskit.triangles as triangles_module
-from trusskit import brute_force_supports, build_graph, edge_supports, vertex_ranking
+from trusskit import (
+    PlantedModel,
+    brute_force_supports,
+    build_graph,
+    edge_supports,
+    generate_planted,
+    vertex_ranking,
+)
+from trusskit.bench import _union
 from trusskit.graph import VertexRanking
 from trusskit.triangles import triangle_list
 from conftest import complete_graph, cycle_graph, er_graph, graph_from, random_graphs
@@ -115,5 +124,148 @@ def test_triangle_cap_fails_fast(monkeypatch):
     monkeypatch.setattr(triangles_module, "DEFAULT_TRIANGLE_CAP", 20)
     assert len(triangle_list(k6)) == 20
     monkeypatch.setattr(triangles_module, "DEFAULT_TRIANGLE_CAP", 19)
+
+    def no_table(n, wedges):
+        raise AssertionError("the closing-edge table was sized")
+
+    # the cap is checked before the table is sized or allocated
+    monkeypatch.setattr(triangles_module, "_table_rows", no_table)
     with pytest.raises(ValueError, match=r"test 20 wedges, over the cap of 19"):
         edge_supports(k6)
+
+
+# -- closing edges by table and by binary search ------------------------------
+
+
+def _listed(g, rows=None, chunk=None, rule=True):
+    """triangle_list with `rows` table rows (TABLE_CELLS = rows * n) and
+    WEDGE_CHUNK = chunk, each left as is when None. rule=False uses the
+    table whenever it has a row, whatever the pay-off rule says. Returns
+    the list, the rows the listing used and its number of chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(triangles_module, "TABLE_CELLS", rows * g.n)
+        if chunk is not None:
+            mp.setattr(triangles_module, "WEDGE_CHUNK", chunk)
+        chosen = triangles_module._table_rows if rule else (
+            lambda n, wedges: min(triangles_module.TABLE_CELLS // n, n)
+        )
+        sized = []
+
+        def table_rows(n, wedges):
+            sized.append(chosen(n, wedges))
+            return sized[-1]
+
+        mp.setattr(triangles_module, "_table_rows", table_rows)
+        listed = triangle_list(g)
+        chunks = len(list(triangles_module._triangle_chunks(g, vertex_ranking(g)))) if g.m else 0
+    return listed, (sized or [None])[0], chunks
+
+
+def _searched(g):
+    """The list by binary search alone: a table of no row."""
+    listed, rows, _ = _listed(g, rows=0)
+    assert rows == (0 if g.m else None)
+    return listed
+
+
+def _lookup_cases(dolphins):
+    cases = [dolphins, complete_graph(5), complete_graph(6), cycle_graph(7), build_graph(3, [])]
+    cases += [g for _, g in random_graphs(30, 30, seed=1717)]
+    model = PlantedModel(l=6, group_size=8, p=0.8, mu=0.3, seed=5)
+    cases.append(generate_planted(model)[0])
+    # a three-trial disjoint union, as the benchmark scores a batch
+    trials = [generate_planted(model.with_seed(5 + i)) for i in range(3)]
+    cases.append(_union([(g, truth, edge_supports(g)) for g, truth in trials]).graph)
+    return cases
+
+
+# rows per table and wedges per chunk: (None, None) are the module's budgets
+BUDGETS = {
+    "default": (None, None),
+    "table budget": (3, 1 << 30),
+    "wedge budget": (1 << 12, 8),
+    "split sources": (5, 1),
+}
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_table_lists_what_binary_search_lists(dolphins, budget):
+    rows, chunk = BUDGETS[budget]
+    for g in _lookup_cases(dolphins):
+        expected = _searched(g)
+        listed, used, _ = _listed(g, rows, chunk, rule=False)
+        assert listed.dtype == np.int32 and np.array_equal(listed, expected)
+        assert g.m == 0 or used == min(rows or triangles_module.TABLE_CELLS // g.n, g.n)
+
+
+def _wedge_heads(g):
+    """Per source vertex, how many of its out-edges open a wedge."""
+    rank = vertex_ranking(g).rank
+    out = [[] for _ in range(g.n)]
+    for u, w in g.edges:
+        v, a = sorted((u, w), key=rank.__getitem__)
+        out[v].append(a)
+    return [sum(1 for a in heads if out[a]) for heads in out]
+
+
+def test_each_budget_closes_chunks(dolphins):
+    _, rows, one = _listed(dolphins, rows=1 << 12, chunk=1 << 30, rule=False)
+    assert (rows, one) == (dolphins.n, 1)
+    # three rows per chunk and no wedge budget: the table closes the chunks
+    _, rows, chunks = _listed(dolphins, rows=3, chunk=1 << 30, rule=False)
+    assert rows == 3 and chunks > 1
+    # a table for the whole graph: only the wedge budget closes chunks
+    _, rows, chunks = _listed(dolphins, rows=1 << 12, chunk=8, rule=False)
+    assert rows == dolphins.n and chunks > 1
+    # a one-wedge chunk holds at most one edge that opens a wedge, so a
+    # source with two such out-edges has them split across chunks
+    heads = _wedge_heads(dolphins)
+    assert max(heads) >= 2
+    _, rows, chunks = _listed(dolphins, rows=5, chunk=1, rule=False)
+    assert rows == 5 and chunks >= sum(heads)
+
+
+def test_table_rows_rule():
+    cells = triangles_module.TABLE_CELLS
+    rule = triangles_module._table_rows
+    # a table for the whole graph adds no chunk: used even with no wedge
+    assert rule(1, 0) == 1 and rule(1000, 0) == 1000
+    # no room for one row of n columns: binary search
+    assert rule(cells + 1, 1 << 40) == 0
+    # the benchmark's 20,000-vertex graph: 52 rows per chunk
+    assert rule(20_000, 6_000_045) == cells // 20_000 == 52
+    # a sparse graph of 200,000 vertices: 5 rows per chunk do not pay
+    assert rule(200_000, 10**6) == 0
+    # the pay-off boundary: the table's extra chunks against the wedges
+    n = 10_000
+    rows = cells // n
+    edge = -(-(n - rows) * 2048 // rows)
+    assert (rule(n, edge), rule(n, edge - 1)) == (rows, 0)
+
+
+def test_large_n_lists_by_binary_search(dolphins):
+    # TABLE_CELLS below n leaves no row; so does a row budget too small to pay
+    for rows in (0, 4):
+        listed, used, _ = _listed(dolphins, rows=rows)
+        assert used == 0
+        assert np.array_equal(listed, triangle_list(dolphins))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=24))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [p for p, keep in zip(pairs, chosen) if keep])
+
+
+@given(
+    small_graphs(),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=200),
+    st.booleans(),
+)
+def test_any_budget_lists_what_binary_search_lists(g, rows, chunk, rule):
+    listed, _, _ = _listed(g, rows, chunk, rule)
+    assert np.array_equal(listed, _searched(g))
