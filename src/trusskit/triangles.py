@@ -99,12 +99,19 @@ def _table_rows(n: int, wedges: int) -> int:
 
     A table row is one source vertex and a chunk holds at most `rows` of
     them, so below rows = n the table closes about n / rows - 1 chunks that
-    the wedge budget alone would not. Each extra chunk costs a fixed run of
-    numpy calls, about as long as 2,048 binary searches over a large key
-    array (on the 425k-edge benchmark graph, chunks of 1.8k wedges tied),
-    so the table is used when the wedges pay for the chunks it adds. With
-    rows = n the table adds none and is always used; with n > TABLE_CELLS
-    it has no row at all.
+    the wedge budget alone would not, each a fixed run of numpy calls (51-59
+    us). The table is used when the wedges pay for them: wedges * rows >=
+    2048 * (n - rows). With rows = n the table adds no chunk and is always
+    used; with n > TABLE_CELLS it has no row at all.
+
+    The 2048 is where the two lookups tie. Timed in process on seeded
+    planted graphs of 10,000-200,000 vertices (one Xeon core, best of three
+    or median of five runs), table time over search time at each value of
+    wedges * rows / (n - rows) was 36 (200,000 vertices, 1.45M wedges):
+    12.5; 235: 2.7; 678: 1.59; 1,418: 1.14; 1,861: 1.10; 1,868: 1.05; then
+    2,449: 0.92; 2,657: 0.91; 2,839: 0.78; 15,641 (the 20,000-vertex
+    benchmark graph): 0.55. One graph at 1,637 gave 0.93, so the tie lies
+    between 1,600 and 2,450.
     """
     rows = min(TABLE_CELLS // n, n)
     return rows if (n - rows) * 2048 <= wedges * rows else 0
@@ -151,13 +158,14 @@ def _triangle_chunks(graph: Graph, ranking: VertexRanking):
         closing = np.repeat(key[lo:hi] - dst[lo:hi] - off, reps)
         closing += dst[second]                       # key of v->b, less off
         if rows:
-            # closing is the cell of v->b, if present. Every out-edge of the
-            # chunk's sources, some before lo or past hi, is written, each
-            # wedge's cell read once, and only the written cells cleared
+            # closing is the cell of v->b, if present. v->b sorts after v->a,
+            # so every out-edge of the chunk's sources from lo on, some past
+            # hi, is written, each wedge's cell read once, and only the
+            # written cells cleared
             s1 = int(key[hi - 1]) // n
-            wlo, whi = start[s0], start[s1] + outdeg[s1]
-            written = key[wlo:whi] - off
-            table[written] = np.arange(wlo + 1, whi + 1, dtype=np.int32)
+            whi = start[s1] + outdeg[s1]
+            written = key[lo:whi] - off
+            table[written] = np.arange(lo + 1, whi + 1, dtype=np.int32)
             third = table[closing]
             table[written] = 0
             hit = np.flatnonzero(third)
