@@ -5,13 +5,17 @@ into an output directory, and exits 0 on success, 1 on runtime or
 validation failures (one diagnostic line on stderr), 2 on usage errors.
 All randomness flows through --seed. Outputs are staged in a temporary
 sibling of the output directory and moved into it only once every file is
-written, so a failed run leaves the output directory as it was; tables are
-streamed in chunks of rows rather than built as one string.
+written, so a failed run leaves the output directory as it was. Every file
+is written as UTF-8 bytes with "\\n" line ends. A TSV table is a list of
+columns, of strings or of integers, written in blocks of rows: each block is
+one byte array gathered from the cells' encodings and one write(), never a
+Python string per cell.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
@@ -21,7 +25,7 @@ import tempfile
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -60,50 +64,111 @@ def label_pairs(graph: Graph, edges) -> list[list[str]]:
     return [[labels[u], labels[v]] for u, v in zip(us, vs)]
 
 
-# Tables stream as text blocks of up to ROWS_PER_WRITE rows, each block one
-# write(): one write per row costs wall time, one string per table memory.
+# A table is written in blocks of up to ROWS_PER_WRITE rows, each block one
+# uint8 array and one write(): one write per row costs wall time, one array
+# per table memory. A block's scratch, mostly an int64 index per byte it
+# writes, is 1-2 MB.
 ROWS_PER_WRITE = 1 << 12
+TAB, NEWLINE = ord("\t"), ord("\n")
 
 
-def tsv_block(*columns) -> str:
-    """Newline-terminated rows of tab-separated cells, row i holding item i
-    of each column of strings. The cells and separators are laid out in one
-    object array and joined at once, with no Python step per row."""
-    cells = np.empty((len(columns[0]), 2 * len(columns)), dtype=object)
-    cells[:, 1::2] = "\t"
-    cells[:, -1] = "\n"
-    for j, column in enumerate(columns):
-        cells[:, 2 * j] = column
-    return "".join(cells.ravel().tolist())
+class Strings:
+    """A column of strings: row i holds strings[i], or strings[index[i]]
+    once `at` has set an index. Each string is UTF-8 encoded once, followed
+    by a tab, into one buffer; a cell is a (start, length) segment of it."""
+
+    def __init__(self, strings):
+        encoded = list(map(str.encode, strings))
+        self.data = np.frombuffer(b"\t".join(encoded) + b"\t", np.uint8)
+        self.length = np.fromiter(map(len, encoded), np.int64, len(encoded)) + 1
+        self.start = np.cumsum(self.length) - self.length
+        self.index, self.rows = None, len(encoded)
+
+    def at(self, index: np.ndarray) -> "Strings":
+        """The same strings, row i holding strings[index[i]]."""
+        column = copy.copy(self)
+        column.index, column.rows = index, len(index)
+        return column
+
+    def cells(self, region: np.ndarray, lo: int, hi: int):
+        pick = slice(lo, hi) if self.index is None else self.index[lo:hi]
+        return self.start[pick], self.length[pick]
 
 
-def edge_rows(graph: Graph, rows, kind: str | None = None) -> Iterator[str]:
-    """Blocks of "<k>\t[<kind>\t]<index>\t<u>\t<v>" rows, one per edge of
-    each renumbered cluster; blocks span clusters."""
+class Ints:
+    """A column of integers, each written in decimal and followed by `sep`:
+    a byte, or one byte per row. A negative value is an empty cell, with no
+    separator: the dendrogram's missing third id. `data` is scratch for one
+    block, a (rows, width + 1) grid of right-aligned digits and the
+    separator, so a cell is its grid row past the leading zeros."""
+
+    def __init__(self, values: np.ndarray, sep=TAB):
+        self.values, self.rows = values, len(values)
+        self.width = len(str(int(values.max(initial=0))))
+        self.sep = np.broadcast_to(np.asarray(sep, np.uint8), (self.rows,))
+        block = min(self.rows, ROWS_PER_WRITE)
+        self.data = np.empty(block * (self.width + 1), np.uint8)
+        self.last = np.arange(block) * (self.width + 1) + self.width   # each grid row's separator
+
+    def cells(self, region: np.ndarray, lo: int, hi: int):
+        values, width = self.values[lo:hi], self.width
+        grid = region[: (hi - lo) * (width + 1)]
+        written = values >= 0
+        digits = written.astype(np.int64)
+        rest = values
+        # one strided 1-d write per place: numpy's floor division by a
+        # scalar is fast, its divmod and % are not
+        for place in range(width - 1, -1, -1):
+            high = rest // 10
+            np.subtract(rest, high * 10, out=grid[place :: width + 1], casting="unsafe")
+            digits += high > 0
+            rest = high
+        grid += ord("0")
+        grid[width :: width + 1] = self.sep[lo:hi]
+        return self.last[: hi - lo] - digits, digits + written
+
+
+def write_rows(outdir: Path, name: str, columns: list) -> None:
+    """Write a table whose row i holds cell i of each column, tab-separated
+    and newline-terminated. All columns' data lie in one byte pool; each
+    block of rows is one gather of its cells' byte segments from the pool
+    (the `_ranges` idiom of trapeze.py) and one write()."""
+    base = np.cumsum([0, *(len(column.data) for column in columns)])
+    pool = np.concatenate([column.data for column in columns])
+    rows, ncols = columns[0].rows, len(columns)
+    with open(outdir / name, "wb") as handle:
+        for lo in range(0, rows, ROWS_PER_WRITE):
+            hi = min(lo + ROWS_PER_WRITE, rows)
+            start = np.empty((hi - lo, ncols), np.int64)
+            length = np.empty_like(start)
+            for j, column in enumerate(columns):
+                cell_start, length[:, j] = column.cells(pool[base[j] : base[j + 1]], lo, hi)
+                np.add(cell_start, base[j], out=start[:, j])
+            counts = length.ravel()
+            stop = np.cumsum(counts)   # each cell's end in the block
+            block = pool[np.arange(stop[-1]) + np.repeat(start.ravel() - (stop - counts), counts)]
+            block[stop[ncols - 1 :: ncols] - 1] = NEWLINE   # each row's last tab
+            handle.write(block)
+
+
+def edge_rows(graph: Graph, rows, kind: str | None = None) -> list:
+    """Columns of "<k>\t[<kind>\t]<index>\t<u>\t<v>" rows, one per edge of
+    each renumbered cluster."""
     prefix = "" if kind is None else f"{kind}\t"
-    heads = np.array([f"{k}\t{prefix}{idx}" for idx, k, _ in rows], dtype=object)
-    head = np.repeat(heads, [len(edges) for *_, edges in rows])
+    heads = Strings([f"{k}\t{prefix}{idx}" for idx, k, _ in rows])
     eids = np.concatenate([np.empty(0, np.int64), *(edges for *_, edges in rows)])
-    labels = np.array(graph.labels, dtype=object)
-    for lo in range(0, len(eids), ROWS_PER_WRITE):
-        pair = labels[graph.ends[eids[lo : lo + ROWS_PER_WRITE]]]
-        yield tsv_block(head[lo : lo + ROWS_PER_WRITE], pair[:, 0], pair[:, 1])
+    ends, labels = graph.ends[eids], Strings(graph.labels)
+    return [
+        heads.at(np.repeat(np.arange(len(rows)), [len(edges) for *_, edges in rows])),
+        labels.at(ends[:, 0]),
+        labels.at(ends[:, 1]),
+    ]
 
 
-def level_strings(levels: np.ndarray) -> np.ndarray:
-    """Each level as a str in an object array, one str built per distinct
-    level: a block has few."""
-    distinct, index = np.unique(levels, return_inverse=True)
-    return np.array([str(k) for k in distinct.tolist()], dtype=object)[index]
-
-
-def trussness_rows(graph: Graph, trussness: np.ndarray) -> Iterator[str]:
-    """Blocks of "<u>\t<v>\t<trussness>" rows, one row per edge in id order."""
-    labels = np.array(graph.labels, dtype=object)
-    for lo in range(0, graph.m, ROWS_PER_WRITE):
-        pair = labels[graph.ends[lo : lo + ROWS_PER_WRITE]]
-        level = level_strings(trussness[lo : lo + ROWS_PER_WRITE])
-        yield tsv_block(pair[:, 0], pair[:, 1], level)
+def trussness_rows(graph: Graph, trussness: np.ndarray) -> list:
+    """Columns of "<u>\t<v>\t<trussness>" rows, one row per edge in id order."""
+    labels = Strings(graph.labels)
+    return [labels.at(graph.ends[:, 0]), labels.at(graph.ends[:, 1]), Ints(trussness)]
 
 
 def clusters_json(graph: Graph, rows, kind: str | None = None, name: str = "clusters") -> str:
@@ -115,23 +180,22 @@ def clusters_json(graph: Graph, rows, kind: str | None = None, name: str = "clus
     return json.dumps({name: out}, indent=2, sort_keys=True) + "\n"
 
 
-def labels_rows(graph: Graph) -> Iterator[str]:
-    """Blocks of "<vertex id>\t<label>\n" rows."""
-    for lo in range(0, graph.n, ROWS_PER_WRITE):
-        hi = min(lo + ROWS_PER_WRITE, graph.n)
-        yield tsv_block(list(map(str, range(lo, hi))), graph.labels[lo:hi])
+def labels_rows(graph: Graph) -> list:
+    """Columns of "<vertex id>\t<label>" rows."""
+    return [Ints(np.arange(graph.n)), Strings(graph.labels)]
 
 
-def dendrogram_rows(family) -> Iterator[str]:
-    """Blocks of "<level>\t<absorbed,...>\t<survivor>\n" rows, one per merge."""
+def dendrogram_rows(family) -> list:
+    """Columns of "<level>\t<absorbed>[,<third>]\t<survivor>" rows, one per
+    merge; a third id joins merges of three clusters."""
     table = family.merges
-    for lo in range(0, len(table), ROWS_PER_WRITE):
-        chunk = table[lo : lo + ROWS_PER_WRITE]
-        survivor, absorbed = (list(map(str, column)) for column in chunk[:, 1:3].T.tolist())
-        three = np.flatnonzero(chunk[:, 3] >= 0)    # merges of three clusters
-        for i, third in zip(three.tolist(), chunk[three, 3].tolist()):
-            absorbed[i] += f",{third}"
-        yield tsv_block(level_strings(chunk[:, 0]), absorbed, survivor)
+    third = table[:, 3]
+    return [
+        Ints(table[:, 0]),
+        Ints(table[:, 2], sep=np.where(third >= 0, np.uint8(ord(",")), np.uint8(TAB))),
+        Ints(third),
+        Ints(table[:, 1]),
+    ]
 
 
 def dot_export(graph: Graph, rows) -> str:
@@ -180,13 +244,8 @@ def graphml_export(graph: Graph, decomposition: KClassDecomposition, rows) -> st
 
 
 def write(outdir: Path, name: str, text: str) -> None:
-    (outdir / name).write_text(text, encoding="utf-8")
-
-
-def write_rows(outdir: Path, name: str, blocks: Iterable[str]) -> None:
-    """Write a table streamed as blocks of rows, one write per block."""
-    with open(outdir / name, "w", encoding="utf-8") as handle:
-        handle.writelines(blocks)
+    """Write text as UTF-8 bytes, so each line ends in "\\n" on every platform."""
+    (outdir / name).write_bytes(text.encode())
 
 
 @contextmanager

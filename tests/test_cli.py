@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trusskit import Graph, KClassDecomposition, SupportMap
@@ -457,11 +458,18 @@ def test_outputs_move_into_an_existing_directory(k4_file, tmp_path, capsys):
         ["strong-truss", "--k", "3", str(DOLPHINS)],
         ["summit", "--strong", str(DOLPHINS)],
         ["strong-trapeze", "--levels", "1,2,4", str(DOLPHINS)],
+        # weighted levels in the dendrogram; weak trapezes and summits.tsv
+        ["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "many-level"],
+        ["trapeze", "--levels", "1,2,4", str(DOLPHINS)],
     ],
 )
 def test_streamed_tables_do_not_depend_on_chunk_size(argv, tmp_path, monkeypatch):
     import trusskit.cli
 
+    if argv[-1] in SOURCES:
+        path = tmp_path / "input.tsv"
+        path.write_text(SOURCES[argv[-1]]())
+        argv = [*argv[:-1], str(path)]
     whole = tmp_path / "whole"
     assert main([*argv, "-o", str(whole)]) == 0
     monkeypatch.setattr(trusskit.cli, "ROWS_PER_WRITE", 7)
@@ -473,6 +481,163 @@ def test_streamed_tables_do_not_depend_on_chunk_size(argv, tmp_path, monkeypatch
         text = (whole / name).read_text()
         assert (chunked / name).read_text() == text
         assert text == "" or (text.endswith("\n") and not text.endswith("\n\n"))
+
+
+# The string writers the byte-table writer replaced, kept verbatim but for
+# their names, block-size constant and return annotations, as the reference
+# it must match byte for byte.
+REFERENCE_ROWS_PER_WRITE = 1 << 12
+
+
+def reference_tsv_block(*columns) -> str:
+    """Newline-terminated rows of tab-separated cells, row i holding item i
+    of each column of strings. The cells and separators are laid out in one
+    object array and joined at once, with no Python step per row."""
+    cells = np.empty((len(columns[0]), 2 * len(columns)), dtype=object)
+    cells[:, 1::2] = "\t"
+    cells[:, -1] = "\n"
+    for j, column in enumerate(columns):
+        cells[:, 2 * j] = column
+    return "".join(cells.ravel().tolist())
+
+
+def reference_edge_rows(graph: Graph, rows, kind: str | None = None):
+    """Blocks of "<k>\t[<kind>\t]<index>\t<u>\t<v>" rows, one per edge of
+    each renumbered cluster; blocks span clusters."""
+    prefix = "" if kind is None else f"{kind}\t"
+    heads = np.array([f"{k}\t{prefix}{idx}" for idx, k, _ in rows], dtype=object)
+    head = np.repeat(heads, [len(edges) for *_, edges in rows])
+    eids = np.concatenate([np.empty(0, np.int64), *(edges for *_, edges in rows)])
+    labels = np.array(graph.labels, dtype=object)
+    for lo in range(0, len(eids), REFERENCE_ROWS_PER_WRITE):
+        pair = labels[graph.ends[eids[lo : lo + REFERENCE_ROWS_PER_WRITE]]]
+        yield reference_tsv_block(
+            head[lo : lo + REFERENCE_ROWS_PER_WRITE], pair[:, 0], pair[:, 1]
+        )
+
+
+def reference_level_strings(levels: np.ndarray) -> np.ndarray:
+    """Each level as a str in an object array, one str built per distinct
+    level: a block has few."""
+    distinct, index = np.unique(levels, return_inverse=True)
+    return np.array([str(k) for k in distinct.tolist()], dtype=object)[index]
+
+
+def reference_trussness_rows(graph: Graph, trussness: np.ndarray):
+    """Blocks of "<u>\t<v>\t<trussness>" rows, one row per edge in id order."""
+    labels = np.array(graph.labels, dtype=object)
+    for lo in range(0, graph.m, REFERENCE_ROWS_PER_WRITE):
+        pair = labels[graph.ends[lo : lo + REFERENCE_ROWS_PER_WRITE]]
+        level = reference_level_strings(trussness[lo : lo + REFERENCE_ROWS_PER_WRITE])
+        yield reference_tsv_block(pair[:, 0], pair[:, 1], level)
+
+
+def reference_labels_rows(graph: Graph):
+    """Blocks of "<vertex id>\t<label>\n" rows."""
+    for lo in range(0, graph.n, REFERENCE_ROWS_PER_WRITE):
+        hi = min(lo + REFERENCE_ROWS_PER_WRITE, graph.n)
+        yield reference_tsv_block(list(map(str, range(lo, hi))), graph.labels[lo:hi])
+
+
+def reference_dendrogram_rows(family):
+    """Blocks of "<level>\t<absorbed,...>\t<survivor>\n" rows, one per merge."""
+    table = family.merges
+    for lo in range(0, len(table), REFERENCE_ROWS_PER_WRITE):
+        chunk = table[lo : lo + REFERENCE_ROWS_PER_WRITE]
+        survivor, absorbed = (list(map(str, column)) for column in chunk[:, 1:3].T.tolist())
+        three = np.flatnonzero(chunk[:, 3] >= 0)    # merges of three clusters
+        for i, third in zip(three.tolist(), chunk[three, 3].tolist()):
+            absorbed[i] += f",{third}"
+        yield reference_tsv_block(reference_level_strings(chunk[:, 0]), absorbed, survivor)
+
+
+def writer_pairs(graph: Graph, family=None, trussness=None):
+    """(name, reference blocks, columns) of every table the subcommands
+    write for this graph: labels, trussness, the dendrogram and the
+    clusters, trapezes and summits, each with and without a kind."""
+    from trusskit import edge_supports, k_classes, truss_dendrogram, trusses_at
+    from trusskit.cli import dendrogram_rows, edge_rows, labels_rows, renumber, trussness_rows
+
+    decomposition = k_classes(graph, edge_supports(graph))
+    trussness = decomposition.trussness if trussness is None else trussness
+    family = truss_dendrogram(decomposition, graph) if family is None else family
+    rows = renumber([(3, m) for m in trusses_at(decomposition, graph, 3).members])
+    top = renumber([(2**31 - 1, m) for m in trusses_at(decomposition, graph, 2).members])
+    yield "labels", reference_labels_rows(graph), labels_rows(graph)
+    yield "trussness", reference_trussness_rows(graph, trussness), trussness_rows(graph, trussness)
+    yield "dendrogram", reference_dendrogram_rows(family), dendrogram_rows(family)
+    for kind in (None, "strong", "weak", "summit"):
+        yield f"{kind} clusters", reference_edge_rows(graph, rows, kind), edge_rows(graph, rows, kind)
+        yield f"{kind} top", reference_edge_rows(graph, top, kind), edge_rows(graph, top, kind)
+    yield "no clusters", reference_edge_rows(graph, []), edge_rows(graph, [])
+
+
+def odd_labels_graph():
+    """Multibyte UTF-8 labels and one holding NUL, which str.split() keeps."""
+    from trusskit import load_edge_list
+
+    text = "é ü\nü 名前\n名前 é\né a\x00b\na\x00b ü\n😀 é\n😀 ü\nx y\n"
+    return load_edge_list(text.splitlines())
+
+
+def merges_table(rows, seed=3):
+    """A stand-in family whose merge log has wide ids, levels up to 2^31-1
+    and a third id on about half the rows."""
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 2**31, (rows, 4)).astype(np.int32)
+    table[: rows // 2, 1:] = rng.integers(0, 10, (rows // 2, 3))
+    table[:, 0] = np.sort(rng.choice([0, 2, 9, 10, 99, 2**16 + 1, 2**31 - 1], rows))[::-1]
+    table[rng.random(rows) < 0.5, 3] = -1
+    return SimpleNamespace(merges=table)
+
+
+@pytest.mark.parametrize(
+    "case, block",
+    [
+        (case, block)
+        for case in ("odd labels", "no edges", "no vertices", "dolphins", "blocks")
+        for block in (1, 7, None)
+        if (case, block) != ("blocks", 1)   # 17k writes per table: dolphins covers it
+    ],
+)
+def test_byte_tables_match_the_string_writers(case, block, tmp_path, monkeypatch):
+    import trusskit.cli
+    from trusskit import build_graph, load_edge_list
+
+    if block is not None:
+        monkeypatch.setattr(trusskit.cli, "ROWS_PER_WRITE", block)
+    family = trussness = None
+    if case == "odd labels":
+        graph = odd_labels_graph()
+    elif case == "no edges":
+        graph = build_graph(3, [])
+    elif case == "no vertices":
+        graph = build_graph(0, [])
+    elif case == "dolphins":
+        graph = load_edge_list(DOLPHINS.read_text().splitlines())
+        family = merges_table(401)
+        trussness = np.where(np.arange(graph.m) % 3 == 0, 2**31 - 1, 2 + np.arange(graph.m) % 11)
+    else:   # three-way merges in its dendrogram
+        graph = load_edge_list(blocks_text(False).splitlines())
+    for name, reference, columns in writer_pairs(graph, family, trussness):
+        trusskit.cli.write_rows(tmp_path, "table.tsv", columns)
+        assert (tmp_path / "table.tsv").read_bytes() == "".join(reference).encode(), name
+
+
+def test_byte_tables_match_past_2_to_the_16(tmp_path):
+    """Vertex, edge and merge ids past 2^16: a path of 70,000 edges, whose
+    dendrogram merges every edge at level 2, and a wide merge log."""
+    from trusskit import build_graph
+    from trusskit.cli import write_rows
+
+    n = 70_001
+    graph = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    for family in (None, merges_table(3 * 2**16 + 5)):
+        for name, reference, columns in writer_pairs(graph, family):
+            write_rows(tmp_path, "table.tsv", columns)
+            assert (tmp_path / "table.tsv").read_bytes() == "".join(reference).encode(), name
 
 
 def test_output_path_that_is_a_file_exits_1_with_one_line(k4_file, tmp_path, capsys):
@@ -731,6 +896,19 @@ PINNED = [
     (["weighted-truss", "--k", "4", "--weight-fn", "min"], "weighted-blocks", {
         "clusters.tsv": "ca0fc5bd16ce743fff1ad026504fec5e4219c00328ef62b25b492ea06652eead",
         "dendrogram.tsv": "688b4127541a5898d5cde6c89994e9c6e5425e867b41877e8641f0d836c4a739",
+    }),
+    # labels and trussness, recorded before tables were written as bytes
+    (["truss", "--k", "3"], "dolphins", {
+        "labels.tsv": "7b1d27a646311c318349e7cd2a1a0fc05e01c5ef2214332010222a4baae496b8",
+        "trussness.tsv": "f7847b63b78e6b9b81a02d555580c4f92930edb4c301a206f88b9218a7a13830",
+    }),
+    (["weighted-truss", "--k", "2", "--weight-fn", "harmonic"], "many-level", {
+        "labels.tsv": "2ed177aa6420feed5cd7cbbc0dfee80015874bea55fd3bc452b56c474a385624",
+        "trussness.tsv": "378de85589d51aef1859b09ac90c262fa62a35637443402d49a0fe28c1eda775",
+    }),
+    (["truss", "--k", "3"], "blocks", {
+        "labels.tsv": "f7dca24bc6fdcfa7d126b3d78ef5430ac14ffe16504220d034bd53576276f260",
+        "trussness.tsv": "9005c0c35599cd94ff101f1dadaf17f2852d7cffae2e1daa8288ab19bced1a6f",
     }),
 ]
 
