@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from . import bench as bench_mod
-from .graph import Graph, _component_labels, load_edge_list
+from .graph import Graph, _component_labels, _ranges, load_edge_list
 from .strong import strong_truss_family, strong_trusses_at, summit_strong_trusses
 from .triangles import edge_supports
 from .trapeze import check_schedule, trapeze_level_run
@@ -131,8 +131,8 @@ class Ints:
 def write_rows(outdir: Path, name: str, columns: list) -> None:
     """Write a table whose row i holds cell i of each column, tab-separated
     and newline-terminated. All columns' data lie in one byte pool; each
-    block of rows is one gather of its cells' byte segments from the pool
-    (the `_ranges` idiom of trapeze.py) and one write()."""
+    block of rows is one gather of its cells' byte ranges from the pool
+    (`graph._ranges`) and one write()."""
     base = np.cumsum([0, *(len(column.data) for column in columns)])
     pool = np.concatenate([column.data for column in columns])
     rows, ncols = columns[0].rows, len(columns)
@@ -144,10 +144,8 @@ def write_rows(outdir: Path, name: str, columns: list) -> None:
             for j, column in enumerate(columns):
                 cell_start, length[:, j] = column.cells(pool[base[j] : base[j + 1]], lo, hi)
                 np.add(cell_start, base[j], out=start[:, j])
-            counts = length.ravel()
-            stop = np.cumsum(counts)   # each cell's end in the block
-            block = pool[np.arange(stop[-1]) + np.repeat(start.ravel() - (stop - counts), counts)]
-            block[stop[ncols - 1 :: ncols] - 1] = NEWLINE   # each row's last tab
+            block = pool[_ranges(start.ravel(), (start + length).ravel())]
+            block[np.cumsum(length.sum(axis=1)) - 1] = NEWLINE   # each row's last tab
             handle.write(block)
 
 
@@ -447,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def decompose(p, needs_k=False):
         common(p)
+        p.set_defaults(run=cmd_decompose)
         p.add_argument("--weighted", action="store_true", help="input has edge weights")
         p.add_argument("--dot", action="store_true", help="also write DOT export")
         p.add_argument("--graphml", action="store_true", help="also write GraphML export")
@@ -466,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("trapeze", "strong-trapeze", "summit-trapeze"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')}s over a level schedule")
         common(p)
+        p.set_defaults(run=cmd_trapeze)
         p.add_argument("--levels", help="comma-separated ascending support levels")
         p.add_argument(
             "--geometric", type=int, default=6,
@@ -475,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report (not enforce) whether the graph is bipartite")
 
     p = sub.add_parser("bench", help="planted-partition benchmark")
+    p.set_defaults(run=cmd_bench)
     p.add_argument("--l", type=int, required=True, help="number of groups")
     p.add_argument("--size", type=int, help="nodes per group")
     p.add_argument("--sizes", help="uniform size range lo..hi")
@@ -490,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", default="trusskit-out")
 
     p = sub.add_parser("stats", help="basic graph statistics")
+    p.set_defaults(run=cmd_stats)
     p.add_argument("input")
     p.add_argument("--weighted", action="store_true")
 
@@ -500,14 +502,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("truss", "strong-truss", "summit", "weighted-truss"):
-            cmd_decompose(args)
-        elif args.command in ("trapeze", "strong-trapeze", "summit-trapeze"):
-            cmd_trapeze(args)
-        elif args.command == "bench":
-            cmd_bench(args)
-        elif args.command == "stats":
-            cmd_stats(args)
+        args.run(args)
     except (CommandError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -356,6 +356,25 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers of every range start[i]..stop[i]-1, concatenated, as intp."""
+    counts = stop - start
+    out = np.repeat(start - np.cumsum(counts, dtype=np.intp) + counts, counts)
+    out += np.arange(len(out))
+    return out
+
+
+def _incidence(slots: np.ndarray, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows holding each edge, for a flat array of edge ids, `width` per
+    row: edge e is in rows[start[e]:start[e + 1]], a row once per slot it
+    fills. `start` is int64, `rows` int32."""
+    start = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slots, minlength=m), out=start[1:])
+    rows = np.argsort(slots)
+    rows //= width
+    return start, rows.astype(np.int32)
+
+
 def _label_groups(ids: np.ndarray, label: np.ndarray) -> list[list[int]]:
     """Ascending ids grouped by equal label, groups ordered by smallest id."""
     order = np.argsort(label, kind="stable")

@@ -14,13 +14,14 @@ row, and peripheries of degree 1 are pruned. Trimming runs level-synchronous
 rounds, like the truss peel: every live edge with fewer than k rectangles
 falls at once, with its triads, until none falls. The rectangles are
 counted once; each round then subtracts what its dead triads closed
-(after Sarıyüce & Pinar, WSDM 2018), so the structure keeps each edge's
-count, each periphery's live triad count and an edge -> triad index
-between rounds and calls. k may only grow across calls, so one structure
-serves a whole level schedule. A level run stores one level per edge, the
-highest scheduled level it survives, like a trussness: its weak trapezes
-and summits are views of one vertex family over those levels, its strong
-trapezes of one triad link family. Trapezes at a level are `TrussSet`s.
+(after Sarıyüce & Pinar, WSDM 2018), so the structure is built with each
+edge's count, each periphery's row range and live triad count, and an
+edge -> triad index, and keeps them between rounds and calls. k may only
+grow across calls, so one structure serves a whole level schedule. A
+level run stores one level per edge, the highest scheduled level it
+survives, like a trussness: its weak trapezes and summits are views of
+one vertex family over those levels, its strong trapezes of one triad
+link family. Trapezes at a level are `TrussSet`s.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ import numpy as np
 from .graph import (
     Graph,
     VertexRanking,
+    _incidence,
     _label_groups,
+    _ranges,
     _sorted_unique,
     component_edge_sets,
     vertex_ranking,
@@ -45,8 +48,8 @@ LOW_APEX = 0
 MEDIAN_APEX = 1
 
 # Most triads one structure may hold. A triad costs 13 bytes in the
-# structure, up to about 50 more while it is built, and once trimmed 8 more
-# per live triad and 4 per periphery for trim's index.
+# structure, up to about 50 more while it is built, and 8 more per live
+# triad and 4 per periphery for trim's index.
 DEFAULT_TRIAD_CAP = 1 << 25
 
 
@@ -54,12 +57,16 @@ class ETPGraph:
     """Tripartite edge-triad-periphery arrays for one graph.
 
     `triads` is an int32 (T, 3) array of (arm edge, arm edge, periphery)
-    rows grouped by periphery. `periph_key` holds each periphery's outer
-    vertex ranks as rank_lo * n + rank_hi, and `periph_degree` its live
-    triad count, 0 once it closes no rectangle. `triad_alive` is a
-    bytearray (`triad_live` views it as numpy bools) and `edge_alive` a
-    bool array. Mutable: trimming consumes the structure in place and
-    keeps its counts in `_trim_index`.
+    rows grouped by periphery; periphery p's rows are periph_start[p]:
+    periph_start[p + 1]. `periph_key` holds each periphery's outer vertex
+    ranks as rank_lo * n + rank_hi, and `periph_degree` its live triad
+    count, 0 once it closes no rectangle. `triad_alive` is a bytearray
+    (`triad_live` views it as numpy bools) and `edge_alive` a bool array.
+    `support` holds each live edge's rectangle count over the live triads
+    (float64, exact), and the live triads of edge e are edge_triads[
+    edge_start[e]:edge_start[e + 1]]; no triad revives, so that index
+    covers every triad `trim` can kill. Mutable: trimming consumes the
+    structure in place.
     """
 
     def __init__(self, graph: Graph, ranking: VertexRanking):
@@ -85,18 +92,20 @@ class ETPGraph:
         outer = high[by_low]
         up_end = np.cumsum(up)
         # low-apex: each bucket slot pairs with every later slot of its bucket
-        first, offs = _expand(up_end[low[by_low]] - np.arange(1, m + 1))
-        second = first + 1 + offs
+        slot, bucket_end = np.arange(1, m + 1), up_end[low[by_low]]
+        first = np.repeat(slot - 1, bucket_end - slot)
+        second = _ranges(slot, bucket_end)
         lo_key = np.minimum(outer[first], outer[second]) * n + np.maximum(outer[first], outer[second])
         lo_arms = (by_low[first], by_low[second])
         # median-apex: each edge, as a downward arm of its upper endpoint,
         # pairs with every slot of that endpoint's upward bucket
-        down_arm, offs = _expand(up[high])
-        second = (up_end - up)[high[down_arm]] + offs
+        down_arm = np.repeat(np.arange(m, dtype=np.int32), up[high])
+        second = _ranges((up_end - up)[high], up_end[high])
         key = np.concatenate((lo_key, low[down_arm] * n + outer[second]))
         arm1 = np.concatenate((lo_arms[0], by_low[second]))
-        arm2 = np.concatenate((lo_arms[1], down_arm.astype(np.int32)))
-        del first, second, offs, down_arm, lo_key, lo_arms
+        arm2 = np.concatenate((lo_arms[1], down_arm))
+        del rank, low, high, up, down, by_low, outer, up_end
+        del slot, bucket_end, first, second, down_arm, lo_key, lo_arms
 
         key, order = _stable_sort(key, n * n)
         opens = np.ones(len(key), dtype=bool)
@@ -106,38 +115,28 @@ class ETPGraph:
         self.triads[:, 0] = arm1[order]
         self.triads[:, 1] = arm2[order]
         del key, arm1, arm2, order
+        self.periph_start = np.append(np.flatnonzero(opens), len(opens)).astype(np.int32)
         np.cumsum(opens, dtype=np.int32, out=self.triads[:, 2])
         self.triads[:, 2] -= 1
         del opens
 
-        # degree-1 peripheries close no rectangles: prune them and their
-        # triads up front; edges with no triad left are not alive
-        degree = np.bincount(self.triads[:, 2], minlength=len(self.periph_key))
+        # a triad closes degree - 1 rectangles on each arm. Degree-1
+        # peripheries close none: prune them and their triads up front;
+        # edges with no triad left are not alive
+        degree = np.diff(self.periph_start)
+        closes = degree[self.triads[:, 2]] - 1
+        self.support = np.bincount(self.triads[:, 0], closes, m)
+        self.support += np.bincount(self.triads[:, 1], closes, m)
         degree[degree < 2] = 0
-        self.periph_degree = degree.astype(np.int32)
+        self.periph_degree = degree
         self.triad_alive = bytearray(len(self.triads))
         self.triad_live = np.frombuffer(self.triad_alive, dtype=bool)
-        self.triad_live[:] = self.periph_degree[self.triads[:, 2]] > 0
-        self.edge_alive = np.zeros(m, dtype=bool)
-        self.edge_alive[self.triads[self.triad_live, :2].ravel()] = True
-
-    @cached_property
-    def _trim_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """What `trim` keeps between rounds and calls, built on its first
-        call: each edge's rectangle count over the live triads (float64,
-        exact), the live triads of each edge e as edge_triads[edge_start[e]:
-        edge_start[e + 1]], and each periphery p's rows as
-        periph_start[p]:periph_start[p + 1]. No triad revives, so the index
-        covers the triads live when it is built."""
-        m, npe = self.graph.m, len(self.periph_key)
-        support = _supports(self)
-        ids = np.flatnonzero(self.triad_live)
-        arm, order = _stable_sort(self.triads[ids, :2].ravel(), m)
-        edge_triads = ids[order >> 1].astype(np.int32)
-        edge_start = np.searchsorted(arm, np.arange(m + 1))
-        periph_start = np.zeros(npe + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.triads[:, 2], minlength=npe), out=periph_start[1:])
-        return support, edge_start, edge_triads, periph_start
+        np.greater(closes, 0, out=self.triad_live)
+        del closes
+        ids = np.flatnonzero(self.triad_live).astype(np.int32)
+        self.edge_start, rows = _incidence(self.triads[ids, :2].ravel(), m, 2)
+        self.edge_triads = ids[rows]
+        self.edge_alive = np.diff(self.edge_start) > 0
 
     # -- inspection ------------------------------------------------------
 
@@ -165,13 +164,6 @@ class ETPGraph:
         return np.flatnonzero(self.edge_alive).tolist()
 
 
-def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For counts c, the pairs (i, j) with 0 <= j < c[i], as two arrays."""
-    src = np.repeat(np.arange(len(counts)), counts)
-    offs = np.arange(len(src)) - np.repeat(np.cumsum(counts) - counts, counts)
-    return src, offs
-
-
 def _stable_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """The keys sorted, and the permutation a stable argsort gives, for
     keys in 0..bound-1. Packed with its row as key * len + row, each key
@@ -185,22 +177,6 @@ def _stable_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     packed += np.arange(rows)
     packed.sort()
     return np.divmod(packed, rows)
-
-
-def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The integers of every range start[i]..stop[i]-1, concatenated."""
-    counts = stop - start
-    return np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-
-
-def _supports(etp: ETPGraph) -> np.ndarray:
-    """The rectangles each edge closes over the live triads, as float64
-    (exact): every live triad gives each arm its periphery's live degree
-    minus one."""
-    live = etp.triads[etp.triad_live]
-    weight = etp.periph_degree[live[:, 2]] - 1
-    m = etp.graph.m
-    return np.bincount(live[:, 0], weight, m) + np.bincount(live[:, 1], weight, m)
 
 
 def build_etp_graph(graph: Graph, ranking: VertexRanking | None = None) -> ETPGraph:
@@ -219,7 +195,7 @@ def rectangle_supports(etp: ETPGraph) -> list[int]:
     peripheries reachable from the edge. Call before trimming."""
     if etp.current_k > 0:
         raise ValueError("rectangle supports require an untrimmed structure")
-    return _supports(etp).astype(np.int64).tolist()
+    return etp.support.astype(np.int64).tolist()
 
 
 def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
@@ -230,8 +206,8 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
     rather than recounting the live triads. A dead triad's two arms lose
     the degree - 1 rectangles it closed on its periphery, and every
     surviving triad of that periphery loses one per lost triad on both
-    arms. The counts and indexes this reads (`ETPGraph._trim_index`) are
-    built on the first call and kept. After the last round a periphery left
+    arms. The counts and indexes this reads and updates are the structure's
+    own (`ETPGraph`), built with it. After the last round a periphery left
     with one triad closes nothing: that triad goes too, and the periphery's
     degree reads 0. k must not decrease across calls on one structure. The
     optional rng applies each round's frontier in random batches, one batch
@@ -245,8 +221,8 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
             f"trim level {k} is below the completed level {etp.current_k}; "
             "levels must not decrease"
         )
-    support, edge_start, edge_triads, periph_start = etp._trim_index
-    alive, live, degree = etp.edge_alive, etp.triad_live, etp.periph_degree
+    support, alive, live, degree = etp.support, etp.edge_alive, etp.triad_live, etp.periph_degree
+    edge_start, edge_triads, periph_start = etp.edge_start, etp.edge_triads, etp.periph_start
     periph = etp.triads[:, 2]
     touched = []
     while True:
@@ -287,18 +263,9 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
     return etp.surviving_edges()
 
 
-def _ensure_trimmed(etp: ETPGraph, k: int) -> None:
-    if k < 1:
-        raise ValueError("support level must be at least 1")
-    if etp.current_k > k:
-        raise ValueError(f"structure already trimmed past level {k}")
-    if etp.current_k < k:
-        trim(etp, k)
-
-
 def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
     """Maximal k-trapezes: components of the survivors of trim(k)."""
-    _ensure_trimmed(etp, k)
+    trim(etp, k)
     members = tuple(map(frozenset, component_edge_sets(graph, np.flatnonzero(etp.edge_alive))))
     return TrussSet(k=k, members=members)
 
@@ -307,7 +274,7 @@ def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
     """Rectangle-connected clusters among the survivors of trim(k): one cut
     of the triad family with every survivor at level k. Members are ordered
     by their smallest edge id."""
-    _ensure_trimmed(etp, k)
+    trim(etp, k)
     level = np.where(etp.edge_alive, k, 0).astype(np.int32)
     return _cut_sets(_triad_family(level, etp.triads), [k])[k]
 

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import Graph, VertexRanking, vertex_ranking
+from .graph import Graph, VertexRanking, _ranges, vertex_ranking
 
 # Most wedges (and so triangles) one listing may test. A triangle costs 12
 # bytes in the list and up to about 40 more while the peel indexes it.
@@ -152,8 +152,8 @@ def _triangle_chunks(graph: Graph, ranking: VertexRanking):
         reps = np.diff(ends_at[lo:hi], prepend=base)
         # wedge j of v->a pairs it with a->b, the j-th out-edge of a. Arrays
         # that index stay intp: an int32 index is copied to intp per gather
-        second = np.repeat(start[dst[lo:hi]] - (ends_at[lo:hi] - reps - base), reps)
-        second += np.arange(len(second))
+        out_a = start[dst[lo:hi]]
+        second = _ranges(out_a, out_a + reps)
         off = s0 * n if rows else 0
         closing = np.repeat(key[lo:hi] - dst[lo:hi] - off, reps)
         closing += dst[second]                       # key of v->b, less off

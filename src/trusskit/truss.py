@@ -23,7 +23,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .forest import forest_merges
-from .graph import Graph, _component_labels, _label_groups, component_edge_sets, edge_nodes
+from .graph import (
+    Graph,
+    _component_labels,
+    _incidence,
+    _label_groups,
+    _ranges,
+    component_edge_sets,
+    edge_nodes,
+)
 from .triangles import SupportMap, triangle_list
 
 
@@ -138,14 +146,8 @@ def peel_triangles(
     proportional to the edges it touches, not to m.
     """
     tri = np.asarray(triangles).reshape(-1, 3)
-    flat = tri.ravel()
-    # edge -> triangle CSR: the triangles of edge e are tri_of[ptr[e]:ptr[e+1]]
-    ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=m), out=ptr[1:])
-    order = np.argsort(flat)
-    order //= 3
-    tri_of = order.astype(np.int32)
-    del order
+    # the triangles of edge e are tri_of[ptr[e]:ptr[e+1]]
+    ptr, tri_of = _incidence(tri.ravel(), m, 3)
     if weights is not None:
         weights = np.repeat(weights, 3).reshape(-1, 3)   # aligned with tri
     stamp = np.empty(max(m, len(tri)), dtype=np.int32)
@@ -169,9 +171,7 @@ def peel_triangles(
         while len(peel):
             alive[peel] = False
             remaining -= len(peel)
-            lens = ptr[peel + 1] - ptr[peel]
-            idx = np.arange(int(lens.sum())) + np.repeat(ptr[peel] - (np.cumsum(lens) - lens), lens)
-            killed = tri_of[idx]
+            killed = tri_of[_ranges(ptr[peel], ptr[peel + 1])]
             killed = distinct(killed[tri_alive[killed]])
             tri_alive[killed] = False
             touched = tri[killed]

@@ -14,7 +14,14 @@ from trusskit import (
     load_edge_list,
     vertex_ranking,
 )
-from trusskit.graph import LOAD_BLOCK, _SPACE_POINTS, _scan, component_edge_sets
+from trusskit.graph import (
+    LOAD_BLOCK,
+    _SPACE_POINTS,
+    _incidence,
+    _ranges,
+    _scan,
+    component_edge_sets,
+)
 from conftest import (
     DisjointSet,
     complete_graph,
@@ -354,6 +361,52 @@ def test_component_edge_sets_match_bfs():
         subset = [e for e in range(g.m) if rng.random() < 0.9]
         assert component_edge_sets(g, subset + subset[:50]) == bfs_components(g, subset)
 
+
+
+def reference_ranges(start, stop):
+    return [i for lo, hi in zip(start, stop) for i in range(lo, hi)]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_ranges_match_a_loop(dtype):
+    rng = np.random.default_rng(3)
+    cases = [
+        ([], []),
+        ([4], [4]),                      # one zero-length range
+        ([5, 2, 9], [5, 2, 9]),          # nothing but zero-length ranges
+        ([0, 7, 3, 3], [2, 7, 6, 4]),    # zero-length between others; overlaps
+        ([2**31 - 3, 0], [2**31 - 1, 1]),
+    ]
+    for _ in range(50):
+        start = rng.integers(0, 1000, rng.integers(0, 30))
+        cases.append((start, start + rng.integers(0, 5, len(start))))
+    for start, stop in cases:
+        got = _ranges(np.asarray(start, dtype), np.asarray(stop, dtype))
+        assert got.dtype == np.intp
+        assert got.tolist() == reference_ranges(list(start), list(stop))
+
+
+def reference_incidence(slots, m, width):
+    return [[i // width for i, e in enumerate(slots) if e == edge] for edge in range(m)]
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_incidence_matches_a_loop(width):
+    rng = np.random.default_rng(width)
+    cases = [
+        (np.empty(0, np.int32), 0),
+        (np.empty(0, np.int32), 3),      # edges with no rows at all
+        (np.array([0, 2] * width, np.int32), 4),   # edges 1 and 3 have none
+    ]
+    for m in (1, 5, 30, 200):
+        for dtype in (np.int32, np.int64):
+            cases.append((rng.integers(0, m, width * rng.integers(0, 60)).astype(dtype), m))
+    for slots, m in cases:
+        start, rows = _incidence(slots, m, width)
+        assert start.dtype == np.int64 and rows.dtype == np.int32
+        assert len(start) == m + 1 and len(rows) == len(slots)
+        want = reference_incidence(slots.tolist(), m, width)
+        assert [sorted(rows[start[e] : start[e + 1]].tolist()) for e in range(m)] == want
 
 def test_induced_identity():
     g = complete_graph(4)

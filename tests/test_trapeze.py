@@ -118,6 +118,27 @@ def test_trim_monotone_contract():
         trim(etp, 0)
 
 
+
+def test_trapezes_at_below_the_completed_level_raise():
+    # two K_{2,3} glued at a hub and bridged by one rectangle: edges fall at 2
+    text = "a 0\na x1\na x2\na2 0\na2 x1\na2 x2\nb 0\nb y1\nb y2\nb2 0\nb2 y1\nb2 y2\nw a\nw b"
+    g = graph_from(text)
+    etp = build_etp_graph(g)
+    weak, strong = trapezes_at(g, etp, 2), strong_trapezes_at(g, etp, 2)
+    assert weak == trapezes_at(g, build_etp_graph(g), 2)
+    assert not etp.edge_alive.all()
+    alive, support = etp.edge_alive.copy(), etp.support.copy()
+    for at in (trapezes_at, strong_trapezes_at):
+        with pytest.raises(ValueError, match="below the completed level 2"):
+            at(g, etp, 1)
+        assert np.array_equal(etp.edge_alive, alive)
+        assert np.array_equal(etp.support, support)
+    # at the completed level the sets come back unchanged
+    assert trapezes_at(g, etp, 2) == weak
+    assert strong_trapezes_at(g, etp, 2) == strong
+    assert np.array_equal(etp.edge_alive, alive)
+    assert np.array_equal(etp.support, support)
+
 def test_trim_idempotent():
     for _, g in random_graphs(20, 16, seed=1515):
         etp = build_etp_graph(g)
@@ -524,7 +545,7 @@ def test_trim_decrements_match_the_round_recount(seed):
             # the kept counts are what a recount of the live triads gives
             live = etp.triads[etp.triad_live]
             _, support = recount(g.m, live[:, 0], live[:, 1], live[:, 2], len(etp.periph_key))
-            kept = etp._trim_index[0]
+            kept = etp.support
             assert np.array_equal(kept[etp.edge_alive], support[etp.edge_alive])
 
 
