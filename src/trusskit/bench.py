@@ -8,11 +8,13 @@ normalized mutual information over node labels.
 
 The benchmark draws and lists each trial on its own, then scores
 consecutive trials in batches, each closed once it holds BATCH_TRIANGLES
-triangles, as one disjoint-union graph: one peel, one family, one descent
-and one summit pass per batch instead of per trial. No triangle crosses
-two trials and the union keeps each trial's edge order, so each trial's
-labels give the blocks it would give alone, and its scores are the same
-floats, summed in trial order: the rows do not depend on the batches.
+triangles, as one disjoint-union graph: one peel, one family, one descent,
+one summit pass and one NMI pass (`_nmi_scores`, over every (trial, level)
+pair) per batch instead of per trial. No triangle crosses two trials and
+the union keeps each trial's edge order, so each trial's labels give the
+blocks it would give alone, and its scores are the same floats, summed in
+trial order: the rows do not depend on the batches. `nmi` scores one pair
+with the same code.
 """
 
 from __future__ import annotations
@@ -223,34 +225,84 @@ def nmi(a: Partition, b: Partition) -> float:
     """Normalized mutual information between two node partitions.
 
     Uses the confusion-matrix form with natural logs; 1 means either
-    partition determines the other, 0 means independence.
+    partition determines the other, 0 means independence. One pair of
+    `_nmi_scores`, the benchmark's scorer.
     """
     if a.n != b.n:
         raise ValueError("partitions cover different vertex sets")
-    total = a.n
-    if total == 0:
+    if a.n == 0:
         raise ValueError("empty partitions")
+    return _nmi_scores(np.asarray(a.label), np.asarray(b.label), (0, a.n))[0]
 
-    counts: dict[tuple[int, int], int] = {}
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    for la, lb in zip(a.label, b.label):
-        counts[(la, lb)] = counts.get((la, lb), 0) + 1
-        rows[la] = rows.get(la, 0) + 1
-        cols[lb] = cols.get(lb, 0) + 1
 
-    ha = sum(c * math.log(c / total) for c in rows.values())
-    hb = sum(c * math.log(c / total) for c in cols.values())
-    if ha == 0.0 and hb == 0.0:
-        return 1.0   # both single-block (or single-node) partitions
-    if ha == 0.0 or hb == 0.0:
-        return 0.0   # one partition carries no information
-    mutual = sum(
-        nij * math.log(nij * total / (rows[i] * cols[j]))
-        for (i, j), nij in counts.items()
+def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys numbered in order of first appearance: each
+    element's number, and each number's count and first position."""
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
     )
-    # rounding can push perfect agreement a few ulp past 1
-    return min(max(-2.0 * mutual / (ha + hb), 0.0), 1.0)
+    order = np.argsort(first)
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = np.arange(len(order))
+    return number[inverse.ravel()], counts[order], first[order]
+
+
+def _nmi_scores(truth: np.ndarray, found: np.ndarray, at: Sequence[int]) -> list[float]:
+    """The NMI of each pair of labellings truth[lo:hi] and found[lo:hi],
+    for consecutive offsets lo, hi in `at`, no pair empty.
+
+    The confusion-matrix form (Danon, Diaz-Guilera, Duch & Arenas, JSTAT
+    2005): the two entropies and the mutual information are sums of
+    count * log terms over a pair's blocks of each side and of both sides
+    at once. Every pair's blocks are counted in one pass, in order of first
+    appearance; each distinct log argument is logged once, with math.log,
+    from the float a per-vertex dict loop computes; and each sum is sum()
+    over its terms in the loop's order. So every score is the loop's float.
+    """
+    sizes = np.diff(np.asarray(at, dtype=np.int64))
+    pairs = len(sizes)
+    pair = np.repeat(np.arange(pairs), sizes)
+
+    def blocks(label: np.ndarray):
+        # ranked first, so the (pair, label) key fits int64 whatever the labels
+        _, label = np.unique(label, return_inverse=True)
+        return _first_seen(pair * (int(label.max(initial=0)) + 1) + label.ravel())
+
+    row, row_count, row_first = blocks(truth)
+    col, col_count, col_first = blocks(found)
+    _, joint_count, joint_first = _first_seen(row * len(col_count) + col)
+    # c / n for each block and n_ij * n / (n_i * n_j) for each joint block:
+    # exact integers, one division each, as Python divides them
+    args = np.concatenate((
+        row_count / sizes[pair[row_first]],
+        col_count / sizes[pair[col_first]],
+        joint_count * sizes[pair[joint_first]]
+        / (row_count[row[joint_first]] * col_count[col[joint_first]]),
+    ))
+    distinct, inverse = np.unique(args, return_inverse=True)
+    logs = np.array([math.log(x) for x in distinct.tolist()])
+    counts = np.concatenate((row_count, col_count, joint_count))
+    terms = counts * logs[inverse.ravel()]
+    # a pair's blocks are consecutive within each part: rows, columns, joint
+    per_pair = [np.bincount(pair[f], minlength=pairs) for f in (row_first, col_first, joint_first)]
+    bounds = np.cumsum(np.concatenate(([0], *per_pair))).tolist()
+
+    def part_sum(part: int, p: int) -> float:
+        # Python floats added by sum(), as the loop adds them
+        return sum(terms[bounds[part * pairs + p] : bounds[part * pairs + p + 1]].tolist())
+
+    scores = []
+    for p in range(pairs):
+        ha, hb = part_sum(0, p), part_sum(1, p)
+        if ha == 0.0 and hb == 0.0:
+            scores.append(1.0)   # both single-block (or single-node) partitions
+        elif ha == 0.0 or hb == 0.0:
+            scores.append(0.0)   # one partition carries no information
+        else:
+            mutual = part_sum(2, p)
+            # rounding can push perfect agreement a few ulp past 1
+            scores.append(min(max(-2.0 * mutual / (ha + hb), 0.0), 1.0))
+    return scores
 
 
 @dataclass(frozen=True)
@@ -367,10 +419,12 @@ def _batch_scores(
     """The NMI terms of a batch's trials, in trial order: (k, score) for
     each level of a trial's range under "truss" and "strong", a repeated
     level once per repeat, or (None, score) per trial under the summit
-    methods. Each trial's labels are a slice of the batch's."""
+    methods. Each trial's labels are a slice of the batch's, and every
+    (trial, level) pair of the batch is scored in one `_nmi_scores` pass."""
     graph = batch.graph
     decomposition = k_classes(graph, batch.supports)
-    spans = zip(batch.truths, batch.vertex_at, batch.vertex_at[1:])
+    truth = np.concatenate([t.label for t in batch.truths])
+    spans = list(zip(batch.vertex_at, batch.vertex_at[1:]))
     if method in ("summit", "strong-summit"):
         if method == "summit":
             pairs = summit_trusses(decomposition, graph)
@@ -378,9 +432,9 @@ def _batch_scores(
             pairs = summit_strong_trusses(strong_truss_family(graph, decomposition))
         clusters = [edges for _, edges in pairs]
         levels_of = [level for level, _ in pairs]
-        label = clusters_to_node_partition(graph, clusters, levels_of).label
-        for truth, lo, hi in spans:
-            yield None, nmi(truth, Partition(label=label[lo:hi]))
+        label = np.array(clusters_to_node_partition(graph, clusters, levels_of).label)
+        for score in _nmi_scores(truth, label, batch.vertex_at):
+            yield None, score
         return
     if method == "strong":
         family, min_size = strong_truss_family(graph, decomposition), 2
@@ -392,13 +446,22 @@ def _batch_scores(
         for a, b in zip(batch.edge_at, batch.edge_at[1:])
     ]
     labels = dict(_level_labels(graph, family, chain.from_iterable(trial_levels), min_size))
-    for (truth, lo, hi), levels in zip(spans, trial_levels):
-        scores = {
-            k: nmi(truth, Partition(label=tuple(labels[k][lo:hi].tolist())))
-            for k in sorted(set(levels), reverse=True)
-        }
+    # one (trial, level) pair per distinct level of each trial's range
+    scored = [
+        (t, k) for t, levels in enumerate(trial_levels) for k in sorted(set(levels), reverse=True)
+    ]
+    if not scored:   # no trial of the batch has a level to score
+        return
+    segments = [spans[t] for t, _ in scored]
+    scores = _nmi_scores(
+        np.concatenate([truth[lo:hi] for lo, hi in segments]),
+        np.concatenate([labels[k][lo:hi] for (_, k), (lo, hi) in zip(scored, segments)]),
+        list(accumulate((hi - lo for lo, hi in segments), initial=0)),
+    )
+    score_of = dict(zip(scored, scores))
+    for t, levels in enumerate(trial_levels):
         for k in levels:
-            yield k, scores[k]
+            yield k, score_of[t, k]
 
 
 def run_benchmark(
@@ -425,7 +488,7 @@ def run_benchmark(
     keeps each trial's edge order, so each trial's trussness is a slice of
     the union's, its clusters and summits come in the same relative order,
     and its vertex labels give the same blocks as a trial scored alone.
-    `nmi` depends only on those blocks, met in vertex order, and scores
+    A score depends only on those blocks, met in vertex order, and scores
     are added per trial in trial order, so every row is bit-identical to
     scoring the trials one by one.
     """

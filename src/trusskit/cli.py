@@ -149,13 +149,13 @@ def write_rows(outdir: Path, name: str, columns: list) -> None:
             handle.write(block)
 
 
-def edge_rows(graph: Graph, rows, kind: str | None = None) -> list:
+def edge_rows(graph: Graph, labels: Strings, rows, kind: str | None = None) -> list:
     """Columns of "<k>\t[<kind>\t]<index>\t<u>\t<v>" rows, one per edge of
-    each renumbered cluster."""
+    each renumbered cluster; `labels` is the column of the graph's labels."""
     prefix = "" if kind is None else f"{kind}\t"
     heads = Strings([f"{k}\t{prefix}{idx}" for idx, k, _ in rows])
     eids = np.concatenate([np.empty(0, np.int64), *(edges for *_, edges in rows)])
-    ends, labels = graph.ends[eids], Strings(graph.labels)
+    ends = graph.ends[eids]
     return [
         heads.at(np.repeat(np.arange(len(rows)), [len(edges) for *_, edges in rows])),
         labels.at(ends[:, 0]),
@@ -163,9 +163,9 @@ def edge_rows(graph: Graph, rows, kind: str | None = None) -> list:
     ]
 
 
-def trussness_rows(graph: Graph, trussness: np.ndarray) -> list:
-    """Columns of "<u>\t<v>\t<trussness>" rows, one row per edge in id order."""
-    labels = Strings(graph.labels)
+def trussness_rows(graph: Graph, labels: Strings, trussness: np.ndarray) -> list:
+    """Columns of "<u>\t<v>\t<trussness>" rows, one row per edge in id order;
+    `labels` is the column of the graph's labels."""
     return [labels.at(graph.ends[:, 0]), labels.at(graph.ends[:, 1]), Ints(trussness)]
 
 
@@ -178,9 +178,11 @@ def clusters_json(graph: Graph, rows, kind: str | None = None, name: str = "clus
     return json.dumps({name: out}, indent=2, sort_keys=True) + "\n"
 
 
-def labels_rows(graph: Graph) -> list:
-    """Columns of "<vertex id>\t<label>" rows."""
-    return [Ints(np.arange(graph.n)), Strings(graph.labels)]
+def labels_rows(labels: Strings) -> list:
+    """Columns of "<vertex id>\t<label>" rows, from the column of a graph's
+    labels: each subcommand encodes them once and passes that column to
+    every table it writes."""
+    return [Ints(np.arange(labels.rows)), labels]
 
 
 def dendrogram_rows(family) -> list:
@@ -301,8 +303,9 @@ def cmd_decompose(args: argparse.Namespace) -> None:
 def _decompose_outputs(
     args: argparse.Namespace, graph: Graph, decomposition: KClassDecomposition, stage: Path
 ) -> list:
-    write_rows(stage, "labels.tsv", labels_rows(graph))
-    write_rows(stage, "trussness.tsv", trussness_rows(graph, decomposition.trussness))
+    labels = Strings(graph.labels)
+    write_rows(stage, "labels.tsv", labels_rows(labels))
+    write_rows(stage, "trussness.tsv", trussness_rows(graph, labels, decomposition.trussness))
 
     if args.command in ("truss", "weighted-truss"):
         rows = renumber([(args.k, m) for m in trusses_at(decomposition, graph, args.k).members])
@@ -322,7 +325,7 @@ def _decompose_outputs(
         kind = None
 
     if args.format == "tsv":
-        write_rows(stage, "clusters.tsv", edge_rows(graph, rows, kind))
+        write_rows(stage, "clusters.tsv", edge_rows(graph, labels, rows, kind))
     else:
         write(stage, "clusters.json", clusters_json(graph, rows, kind))
     if args.dot:
@@ -358,13 +361,14 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
         rows = [row for ts in sets for row in renumber([(ts.k, m) for m in ts.members])]
 
     with staged_output(args.out) as stage:
-        write_rows(stage, "labels.tsv", labels_rows(graph))
+        labels = Strings(graph.labels)
+        write_rows(stage, "labels.tsv", labels_rows(labels))
         if args.format == "tsv":
-            write_rows(stage, "trapezes.tsv", edge_rows(graph, rows, kind))
+            write_rows(stage, "trapezes.tsv", edge_rows(graph, labels, rows, kind))
         else:
             write(stage, "trapezes.json", clusters_json(graph, rows, kind, "trapezes"))
         # summits always accompany a level run
-        write_rows(stage, "summits.tsv", edge_rows(graph, summits, "summit"))
+        write_rows(stage, "summits.tsv", edge_rows(graph, labels, summits, "summit"))
     print(f"{len(rows)} entries -> {Path(args.out)}")
 
 

@@ -3,19 +3,24 @@
 Edges are added from the highest class downward. The family is the
 triangle list the decomposition was peeled from, read as links: each
 triangle joins its last-arriving edge to the other two at that edge's class
-level. Strong trusses at level k are components of the links at >= k;
-the family's `cuts` yields them for many levels from one descent, which is
-how the benchmark scores every level of a trial. Summits are components of
-the links at one level that no higher link touches, and the merge log is
-replayed from the links only when read.
+level, and the links are ordered by level alone. Strong trusses at level k
+are components of the links at >= k; the family's `cuts` yields them for
+many levels from one descent, which is how the benchmark scores every level
+of a trial. Summits are components of the links at one level that no higher
+link touches. Neither reads the order of the links within a level; only
+the merge log does, and it sorts and replays its own copy of the links
+when first read.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import truss
 from .graph import Graph
 from .truss import ClusterFamily, KClassDecomposition, truss_leaves
 
@@ -24,27 +29,49 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
     """Agglomerative family of strong trusses from the k-classes.
 
     Within a class, edges enter in ascending edge id. Each row of the
-    decomposition's triangle list is one link row, ordered by its last
-    edge to enter; triangles closed by the same edge go in ascending id of
-    their third vertex, the one that edge does not touch. Cluster ids follow
-    addition order and the lowest id survives a merge, which pins the merge
-    log, the int32 rows `merges` replays from the links, for snapshot tests.
+    decomposition's triangle list is one link row (level, last leaf, first
+    leaf, middle leaf), at the level of its last edge to enter; the rows
+    are ordered by level alone, by one stable sort, since cuts and summits
+    read only which rows sit at each level. The merge log, the int32 rows
+    `merges` replays from the links on first read, orders its own copy of
+    them: by last edge to enter, then by ascending id of the third vertex,
+    the one that edge does not touch. Cluster ids follow addition order and
+    the lowest id survives a merge, which pins the log for snapshot tests.
     """
-    m = graph.m
     order, leaf_levels = truss_leaves(decomposition, graph)
-    leaf_of_edge = np.empty(m, dtype=np.int32)
-    leaf_of_edge[order] = np.arange(m, dtype=np.int32)
-    rows = np.sort(leaf_of_edge[decomposition.triangles], axis=1)
-    # the third vertex is the endpoint of the first edge off the last edge
-    first, last = graph.ends[order[rows[:, 0]]], graph.ends[order[rows[:, 2]]]
-    off = (first[:, 0] != last[:, 0]) & (first[:, 0] != last[:, 1])
-    third = np.where(off, first[:, 0], first[:, 1])
-    rows = rows[np.lexsort((third, rows[:, 2]))]
-    del leaf_of_edge, first, last, off, third
+    leaf_of_edge = np.empty(graph.m, dtype=np.int32)
+    leaf_of_edge[order] = np.arange(graph.m, dtype=np.int32)
+    rows = leaf_of_edge[decomposition.triangles]
+    del leaf_of_edge
+    rows.sort(axis=1)
+    by_level = np.argsort(-leaf_levels[rows[:, 2]], kind="stable")
     links = np.empty((len(rows), 4), dtype=np.int32)
-    links[:, 0] = leaf_levels[rows[:, 2]]
-    links[:, 1:] = rows[:, [2, 0, 1]]
-    return ClusterFamily(order, leaf_levels, links, m)
+    for column, leaf in ((1, 2), (2, 0), (3, 1)):   # last, first, middle
+        links[:, column] = rows[by_level, leaf]
+    del rows, by_level
+    links[:, 0] = leaf_levels[links[:, 1]]
+    return _StrongFamily(order, leaf_levels, links, graph.m, graph.ends)
+
+
+@dataclass(frozen=True, eq=False)
+class _StrongFamily(ClusterFamily):
+    """A strong-truss family: its link rows are (level, last leaf, first
+    leaf, middle leaf), and `ends`, the graph's edge store, gives the third
+    vertex of each row's triangle, which orders its merge log."""
+
+    ends: np.ndarray = field(repr=False)
+
+    @cached_property
+    def merges(self) -> np.ndarray:
+        links, edge = self.links, self.leaf_order
+        # the third vertex is the endpoint of the first edge off the last edge
+        first, last = self.ends[edge[links[:, 2]]], self.ends[edge[links[:, 1]]]
+        off = (first[:, 0] != last[:, 0]) & (first[:, 0] != last[:, 1])
+        third = np.where(off, first[:, 0], first[:, 1])
+        del first, last, off
+        links = links[np.lexsort((third, links[:, 1]))]
+        # looked up on the module at call time, where tests count the replays
+        return truss._replay(links, self.nodes, len(edge))
 
 
 def strong_trusses_at(family: ClusterFamily, k: int) -> list[frozenset[int]]:

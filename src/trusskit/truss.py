@@ -308,7 +308,10 @@ class ClusterFamily:
     ascending edge id within a class): `leaf_order` holds the edge id of
     each leaf and `leaf_levels` its level. `links` is an int32 (L, 4) table
     of rows (level, x, y, z), levels never increasing, each joining node x
-    to y and, unless z is -1, to z. Nodes below len(leaf_order) are leaves
+    to y and, unless z is -1, to z. The order of rows within a level means
+    nothing to cuts and summits; it orders the replayed merge log, unless a
+    family's `merges` sorts its own copy of the links first, as the strong
+    family's does. Nodes below len(leaf_order) are leaves
     (the truss links add vertex nodes). The leaves of a component of the
     links at levels >= k are a cluster alive at k, whose id, its smallest
     leaf, is the component's smallest node. `cuts` finds those components
@@ -375,18 +378,24 @@ class ClusterFamily:
         Such a cluster is a component of the links at exactly its level none
         of whose nodes has a link at a higher level; a cluster that absorbs
         one formed higher up is none. A leaf no link reaches never forms one.
+        Read per link row: each node peaks at the top level among the rows
+        it is in; a row joins its nodes only if all of them peak at its
+        level, and otherwise spoils the components of those that do.
         Returns (formation level, edge set) pairs ordered by cluster id.
         """
-        level, a, b = _link_ends(self.links)
+        level, x, y, z = self.links.T
+        has_z = z >= 0
         top = np.full(self.nodes, -1, dtype=level.dtype)   # highest level linking each node
-        np.maximum.at(top, a, level)
-        np.maximum.at(top, b, level)
-        a_top, b_top = top[a] == level, top[b] == level
-        both = a_top & b_top
-        # a link to a node linked higher up spoils the other end's component
-        seeds = np.concatenate((a[a_top & ~both], b[b_top & ~both]))
-        a, b = a[both], b[both]
-        del level, a_top, b_top, both    # bounds the peak on large families
+        np.maximum.at(top, x, level)
+        np.maximum.at(top, y, level)
+        np.maximum.at(top, z[has_z], level[has_z])
+        x_top, y_top = top[x] == level, top[y] == level
+        z_top = has_z & (top[z] == level)   # z = -1 reads a node it then masks
+        joins = x_top & y_top & (z_top | ~has_z)
+        seeds = np.concatenate((x[x_top & ~joins], y[y_top & ~joins], z[z_top & ~joins]))
+        joins_z = joins & has_z
+        a, b = np.concatenate((x[joins], x[joins_z])), np.concatenate((y[joins], z[joins_z]))
+        del has_z, x_top, y_top, z_top, joins, joins_z    # bounds the peak on large families
         label = _component_labels(self.nodes, a, b)
         stale = np.zeros(self.nodes, dtype=bool)
         stale[label[seeds]] = True

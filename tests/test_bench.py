@@ -20,7 +20,7 @@ from trusskit import (
     strong_trusses_at,
     trusses_at,
 )
-from conftest import graph_from, random_graphs, reference_benchmark_rows
+from conftest import graph_from, random_graphs, reference_benchmark_rows, reference_nmi
 
 
 def test_inter_prob_zero_mixing():
@@ -205,6 +205,42 @@ def test_nmi_symmetry():
 def test_nmi_mismatched_universe():
     with pytest.raises(ValueError):
         nmi(Partition((0, 1)), Partition((0, 1, 2)))
+
+
+def nmi_cases(count: int, seed: int):
+    """Seeded partition pairs: n = 1, one block, all singletons, exactly one
+    side a single block, then random labellings (some negative or wide)
+    with few to many blocks."""
+    rng = random.Random(seed)
+    yield Partition((0,)), Partition((3,))
+    yield Partition((2,) * 9), Partition((2,) * 9)
+    yield Partition(tuple(range(7))), Partition(tuple(range(7, 0, -1)))
+    yield Partition((0,) * 6), Partition((0, 1, 1, 2, 2, 2))
+    yield Partition((5, 4, 4, 3, 3, 3)), Partition((1,) * 6)
+    for _ in range(count):
+        n = rng.choice((1, 2, 3, 8, 40, 400))
+        a = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        b = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        if rng.random() < 0.2:
+            a = [x * -1_000_003 for x in a]
+        if rng.random() < 0.1:
+            a, b = [0] * n, b   # one side a single block
+        yield Partition(tuple(a)), Partition(tuple(b))
+
+
+def test_nmi_matches_the_dict_loop_bit_for_bit():
+    # the same floats, not close ones: bench rows are means of these scores
+    from trusskit.bench import _nmi_scores
+
+    cases = list(nmi_cases(320, seed=2424))
+    for a, b in cases:
+        assert nmi(a, b).hex() == reference_nmi(a, b).hex()
+    # every pair in one pass, as a benchmark batch scores its trials
+    at = np.cumsum([0, *(a.n for a, _ in cases)])
+    truth = np.concatenate([a.label for a, _ in cases])
+    found = np.concatenate([b.label for _, b in cases])
+    got = _nmi_scores(truth, found, at)
+    assert [x.hex() for x in got] == [reference_nmi(a, b).hex() for a, b in cases]
 
 
 def test_perfect_recovery_at_group_size():

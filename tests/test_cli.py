@@ -556,20 +556,32 @@ def writer_pairs(graph: Graph, family=None, trussness=None):
     write for this graph: labels, trussness, the dendrogram and the
     clusters, trapezes and summits, each with and without a kind."""
     from trusskit import edge_supports, k_classes, truss_dendrogram, trusses_at
-    from trusskit.cli import dendrogram_rows, edge_rows, labels_rows, renumber, trussness_rows
+    from trusskit.cli import (
+        Strings,
+        dendrogram_rows,
+        edge_rows,
+        labels_rows,
+        renumber,
+        trussness_rows,
+    )
 
     decomposition = k_classes(graph, edge_supports(graph))
     trussness = decomposition.trussness if trussness is None else trussness
     family = truss_dendrogram(decomposition, graph) if family is None else family
     rows = renumber([(3, m) for m in trusses_at(decomposition, graph, 3).members])
     top = renumber([(2**31 - 1, m) for m in trusses_at(decomposition, graph, 2).members])
-    yield "labels", reference_labels_rows(graph), labels_rows(graph)
-    yield "trussness", reference_trussness_rows(graph, trussness), trussness_rows(graph, trussness)
+    labels = Strings(graph.labels)   # one column serves every table, as in the subcommands
+    yield "labels", reference_labels_rows(graph), labels_rows(labels)
+    yield "trussness", reference_trussness_rows(graph, trussness), trussness_rows(
+        graph, labels, trussness
+    )
     yield "dendrogram", reference_dendrogram_rows(family), dendrogram_rows(family)
     for kind in (None, "strong", "weak", "summit"):
-        yield f"{kind} clusters", reference_edge_rows(graph, rows, kind), edge_rows(graph, rows, kind)
-        yield f"{kind} top", reference_edge_rows(graph, top, kind), edge_rows(graph, top, kind)
-    yield "no clusters", reference_edge_rows(graph, []), edge_rows(graph, [])
+        yield f"{kind} clusters", reference_edge_rows(graph, rows, kind), edge_rows(
+            graph, labels, rows, kind
+        )
+        yield f"{kind} top", reference_edge_rows(graph, top, kind), edge_rows(graph, labels, top, kind)
+    yield "no clusters", reference_edge_rows(graph, []), edge_rows(graph, labels, [])
 
 
 def odd_labels_graph():

@@ -1,6 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trusskit import (
@@ -198,6 +200,43 @@ def test_weighted_family_matches_adjacency_scan(kind, alpha):
         g = build_graph(g.n, g.edges, [rng.randint(1, 9) for _ in range(g.m)])
         dec = weighted_k_classes(g, spec)
         assert_matches_reference(strong_truss_family(g, dec), g, dec)
+
+
+def test_family_matches_adjacency_scan_above_16_bit_levels():
+    # levels of 2^15 and more: a 16-bit level key would wrap and misorder
+    # the links, so cuts would read the wrong links at each level
+    spec = TriangleWeightSpec("minimum", 1)
+    high = 0
+    for g in weighted_graphs(30, 22, seed=2525, top=100_000):
+        dec = weighted_k_classes(g, spec)
+        fam = strong_truss_family(g, dec)
+        assert_matches_reference(fam, g, dec)
+        assert np.all(np.diff(fam.links[:, 0]) <= 0)
+        assert summit_strong_trusses(fam) == reference_summit_clusters(fam, 2)
+        for k in sorted({2, *dec.classes, dec.k_max + 1}):
+            assert strong_trusses_at(fam, k) == reference_clusters_at(fam, k, 2)
+        high += dec.k_max >= 1 << 15 and int(dec.trussness.min()) < 1 << 15
+    assert high   # some graphs have levels on both sides of 2^15
+
+
+def test_link_order_within_a_level_changes_nothing(dolphins):
+    # cuts and summits read only which links sit at each level; the merge
+    # log orders its own copy of the links
+    rng = np.random.default_rng(2626)
+    cases = [family_of(g) for _, g in random_graphs(60, 20, seed=2727)] + [family_of(dolphins)]
+    spec = TriangleWeightSpec("minimum", 1)
+    for g in weighted_graphs(20, 22, seed=2828):
+        cases.append((g, strong_truss_family(g, weighted_k_classes(g, spec))))
+    for g, fam in cases:
+        links = fam.links[np.lexsort((rng.random(len(fam.links)), -fam.links[:, 0]))]
+        shuffled = dataclasses.replace(fam, links=links)
+        levels = sorted({2, *fam.leaf_levels.tolist()}, reverse=True)
+        for (k, root), (k2, root2) in zip(fam.cuts(levels), shuffled.cuts(levels)):
+            assert k == k2 and np.array_equal(root, root2)
+        for k in levels:
+            assert shuffled.clusters_at(k, 2) == fam.clusters_at(k, 2)
+        assert shuffled.summit_clusters() == fam.summit_clusters()
+        assert np.array_equal(shuffled.merges, fam.merges)
 
 
 def test_strong_cuts_and_summits_match_the_replays(dolphins):
