@@ -20,6 +20,7 @@ from .graph import (
 from .triangles import SupportMap, brute_force_supports, edge_supports, triangle_list
 from .truss import (
     ClusterFamily,
+    Clusters,
     KClassDecomposition,
     TrussSet,
     iterative_deletion_oracle,

@@ -186,8 +186,14 @@ def clusters_to_node_partition(
         raise ValueError("levels length does not match clusters")
     sizes = [len(c) for c in clusters]
     eids = np.fromiter(chain.from_iterable(clusters), np.int64, count=sum(sizes))
-    owner = np.repeat(np.arange(len(clusters)), sizes)   # cluster of each listed edge
     level = np.zeros(len(clusters), np.int64) if levels is None else np.asarray(levels)
+    return Partition(label=tuple(_touch_labels(graph, eids, sizes, level).tolist()))
+
+
+def _touch_labels(graph: Graph, eids: np.ndarray, sizes, level: np.ndarray) -> np.ndarray:
+    """clusters_to_node_partition's labels, an int64 array, for clusters
+    given as runs of the given sizes of edge ids, and their levels."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)   # cluster of each listed edge
     # one touch per edge end; each vertex's best touch sorts first
     vertex, cluster, level = graph.ends[eids].ravel(), owner.repeat(2), level[owner].repeat(2)
     order = np.lexsort((cluster, -level, vertex))
@@ -196,8 +202,8 @@ def clusters_to_node_partition(
     label = np.full(graph.n, -1, dtype=np.int64)
     label[vertex[first]] = cluster[first]
     alone = label < 0
-    label[alone] = len(clusters) + np.arange(np.count_nonzero(alone))
-    return Partition(label=tuple(label.tolist()))
+    label[alone] = len(sizes) + np.arange(np.count_nonzero(alone))
+    return label
 
 
 def _level_labels(
@@ -427,12 +433,13 @@ def _batch_scores(
     spans = list(zip(batch.vertex_at, batch.vertex_at[1:]))
     if method in ("summit", "strong-summit"):
         if method == "summit":
-            pairs = summit_trusses(decomposition, graph)
+            summits = summit_trusses(decomposition, graph)
         else:
-            pairs = summit_strong_trusses(strong_truss_family(graph, decomposition))
-        clusters = [edges for _, edges in pairs]
-        levels_of = [level for level, _ in pairs]
-        label = np.array(clusters_to_node_partition(graph, clusters, levels_of).label)
+            summits = summit_strong_trusses(strong_truss_family(graph, decomposition))
+        # a vertex that summits of one level share goes to the first in store
+        # order, by smallest edge: all of a summit's edges sit at its level,
+        # so that is also the smallest cluster id the lists were ordered by
+        label = _touch_labels(graph, summits.edges, np.diff(summits.start), summits.level)
         for score in _nmi_scores(truth, label, batch.vertex_at):
             yield None, score
         return

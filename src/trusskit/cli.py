@@ -35,6 +35,7 @@ from .strong import strong_truss_family, strong_trusses_at, summit_strong_trusse
 from .triangles import edge_supports
 from .trapeze import check_schedule, trapeze_level_run
 from .truss import (
+    Clusters,
     KClassDecomposition,
     k_classes,
     summit_trusses,
@@ -51,17 +52,17 @@ class CommandError(Exception):
 # -- output helpers -------------------------------------------------------
 
 
-def renumber(clusters: list[tuple[int, frozenset[int] | list[int]]]):
-    """Assign output ids 0..C-1 in order of each cluster's first edge; each
-    cluster's edge ids become an ascending array."""
-    ordered = sorted(clusters, key=lambda kc: min(kc[1]))
-    return [(i, k, np.sort(np.fromiter(edges, np.int64))) for i, (k, edges) in enumerate(ordered)]
-
-
 def label_pairs(graph: Graph, edges) -> list[list[str]]:
     """The [u, v] external labels of each listed edge id, in one gather."""
     labels, (us, vs) = graph.labels, graph.ends[edges].T.tolist()
     return [[labels[u], labels[v]] for u, v in zip(us, vs)]
+
+
+def spans(clusters: Clusters):
+    """(index, level, lo, hi) of each cluster of a store, in store order:
+    its output index and level, and its edges' range in clusters.edges."""
+    bounds = clusters.start.tolist()
+    return enumerate(zip(clusters.level.tolist(), bounds, bounds[1:]))
 
 
 # A table is written in blocks of up to ROWS_PER_WRITE rows, each block one
@@ -70,6 +71,8 @@ def label_pairs(graph: Graph, edges) -> list[list[str]]:
 # writes, is 1-2 MB.
 ROWS_PER_WRITE = 1 << 12
 TAB, NEWLINE = ord("\t"), ord("\n")
+# the two ASCII digits of each of 0..99 as one uint16
+DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
 
 
 class Strings:
@@ -99,33 +102,36 @@ class Ints:
     """A column of integers, each written in decimal and followed by `sep`:
     a byte, or one byte per row. A negative value is an empty cell, with no
     separator: the dendrogram's missing third id. `data` is scratch for one
-    block, a (rows, width + 1) grid of right-aligned digits and the
-    separator, so a cell is its grid row past the leading zeros."""
+    block, a grid of rows of `pairs` right-aligned two-digit places, the
+    separator and a spare byte, so a cell is its grid row past the leading
+    zeros. Rows have an even length, so each pair of places is one uint16."""
 
     def __init__(self, values: np.ndarray, sep=TAB):
         self.values, self.rows = values, len(values)
-        self.width = len(str(int(values.max(initial=0))))
+        width = len(str(int(values.max(initial=0))))
+        self.pairs = (width + 1) // 2
+        # a value's digit count is how many of 0, 10, 100, ... it reaches
+        self.tens = np.array([0, *(10**j for j in range(1, width))], dtype=values.dtype)
         self.sep = np.broadcast_to(np.asarray(sep, np.uint8), (self.rows,))
         block = min(self.rows, ROWS_PER_WRITE)
-        self.data = np.empty(block * (self.width + 1), np.uint8)
-        self.last = np.arange(block) * (self.width + 1) + self.width   # each grid row's separator
+        stride = 2 * self.pairs + 2
+        self.data = np.empty(block * stride, np.uint8)
+        self.last = np.arange(block) * stride + 2 * self.pairs   # each row's separator
 
     def cells(self, region: np.ndarray, lo: int, hi: int):
-        values, width = self.values[lo:hi], self.width
-        grid = region[: (hi - lo) * (width + 1)]
-        written = values >= 0
-        digits = written.astype(np.int64)
+        values, pairs = self.values[lo:hi], self.pairs
+        grid = region[: (hi - lo) * (2 * pairs + 2)]
+        places = grid.view(np.uint16).reshape(hi - lo, pairs + 1)
         rest = values
-        # one strided 1-d write per place: numpy's floor division by a
-        # scalar is fast, its divmod and % are not
-        for place in range(width - 1, -1, -1):
-            high = rest // 10
-            np.subtract(rest, high * 10, out=grid[place :: width + 1], casting="unsafe")
-            digits += high > 0
+        # two places per floor division by a scalar, read from a table:
+        # numpy's divmod and % are slow
+        for column in range(pairs - 1, -1, -1):
+            high = rest // 100
+            places[:, column] = DIGIT_PAIRS.take(rest - high * 100)
             rest = high
-        grid += ord("0")
-        grid[width :: width + 1] = self.sep[lo:hi]
-        return self.last[: hi - lo] - digits, digits + written
+        grid[2 * pairs :: 2 * pairs + 2] = self.sep[lo:hi]
+        digits = np.searchsorted(self.tens, values, side="right")
+        return self.last[: hi - lo] - digits, digits + (digits > 0)
 
 
 def write_rows(outdir: Path, name: str, columns: list) -> None:
@@ -149,15 +155,16 @@ def write_rows(outdir: Path, name: str, columns: list) -> None:
             handle.write(block)
 
 
-def edge_rows(graph: Graph, labels: Strings, rows, kind: str | None = None) -> list:
+def edge_rows(graph: Graph, labels: Strings, sets: list[Clusters], kind: str | None = None) -> list:
     """Columns of "<k>\t[<kind>\t]<index>\t<u>\t<v>" rows, one per edge of
-    each renumbered cluster; `labels` is the column of the graph's labels."""
+    each cluster of each store in turn, indexed from 0 within its store;
+    `labels` is the column of the graph's labels."""
     prefix = "" if kind is None else f"{kind}\t"
-    heads = Strings([f"{k}\t{prefix}{idx}" for idx, k, _ in rows])
-    eids = np.concatenate([np.empty(0, np.int64), *(edges for *_, edges in rows)])
-    ends = graph.ends[eids]
+    heads = Strings([f"{k}\t{prefix}{i}" for c in sets for i, (k, *_) in spans(c)])
+    sizes = np.concatenate([np.empty(0, np.int64), *(np.diff(c.start) for c in sets)])
+    ends = graph.ends[np.concatenate([np.empty(0, np.int32), *(c.edges for c in sets)])]
     return [
-        heads.at(np.repeat(np.arange(len(rows)), [len(edges) for *_, edges in rows])),
+        heads.at(np.repeat(np.arange(len(sizes)), sizes)),
         labels.at(ends[:, 0]),
         labels.at(ends[:, 1]),
     ]
@@ -169,12 +176,18 @@ def trussness_rows(graph: Graph, labels: Strings, trussness: np.ndarray) -> list
     return [labels.at(graph.ends[:, 0]), labels.at(graph.ends[:, 1]), Ints(trussness)]
 
 
-def clusters_json(graph: Graph, rows, kind: str | None = None, name: str = "clusters") -> str:
-    """{name: [{k, index, edges as [u, v] labels, and kind when given}]}."""
-    out = [
-        {"k": k, "index": idx, "edges": label_pairs(graph, edges)} | ({"kind": kind} if kind else {})
-        for idx, k, edges in rows
-    ]
+def clusters_json(
+    graph: Graph, sets: list[Clusters], kind: str | None = None, name: str = "clusters"
+) -> str:
+    """{name: [{k, index, edges as [u, v] labels, and kind when given}]},
+    one entry per cluster of each store in turn."""
+    out = []
+    for clusters in sets:
+        pairs = label_pairs(graph, clusters.edges)
+        out += [
+            {"k": k, "index": i, "edges": pairs[lo:hi]} | ({"kind": kind} if kind else {})
+            for i, (k, lo, hi) in spans(clusters)
+        ]
     return json.dumps({name: out}, indent=2, sort_keys=True) + "\n"
 
 
@@ -198,15 +211,16 @@ def dendrogram_rows(family) -> list:
     ]
 
 
-def dot_export(graph: Graph, rows) -> str:
+def dot_export(graph: Graph, clusters: Clusters) -> str:
     """One DOT subgraph per cluster, each edge tagged with its cluster. Node
     ids are quoted labels, with each backslash and then each double quote
     escaped, so every id closes and distinct labels stay distinct."""
     lines = ["graph clusters {"]
-    for idx, k, edges in rows:
+    pairs = label_pairs(graph, clusters.edges)
+    for idx, (k, lo, hi) in spans(clusters):
         lines.append(f"  subgraph cluster_{idx} {{")
         lines.append(f'    label="k={k}";')
-        for u, v in label_pairs(graph, edges):
+        for u, v in pairs[lo:hi]:
             u, v = (x.replace("\\", "\\\\").replace('"', '\\"') for x in (u, v))
             lines.append(f'    "{u}" -- "{v}" [cluster={idx}];')
         lines.append("  }")
@@ -214,14 +228,13 @@ def dot_export(graph: Graph, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graphml_export(graph: Graph, decomposition: KClassDecomposition, rows) -> str:
+def graphml_export(graph: Graph, decomposition: KClassDecomposition, clusters: Clusters) -> str:
     # imported here: xml.sax.saxutils pulls in urllib.request, http.client,
     # ssl, email and socket, which no other subcommand needs
     from xml.sax.saxutils import quoteattr
 
     cluster_of = np.full(graph.m, -1)
-    for idx, _, edges in rows:
-        cluster_of[edges] = idx
+    cluster_of[clusters.edges] = np.repeat(np.arange(len(clusters)), np.diff(clusters.start))
     cluster_of = cluster_of.tolist()
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -296,43 +309,43 @@ def cmd_decompose(args: argparse.Namespace) -> None:
     )
 
     with staged_output(args.out) as stage:
-        rows = _decompose_outputs(args, graph, decomposition, stage)
-    print(f"{len(rows)} clusters -> {Path(args.out)}")
+        clusters = _decompose_outputs(args, graph, decomposition, stage)
+    print(f"{len(clusters)} clusters -> {Path(args.out)}")
 
 
 def _decompose_outputs(
     args: argparse.Namespace, graph: Graph, decomposition: KClassDecomposition, stage: Path
-) -> list:
+) -> Clusters:
     labels = Strings(graph.labels)
     write_rows(stage, "labels.tsv", labels_rows(labels))
     write_rows(stage, "trussness.tsv", trussness_rows(graph, labels, decomposition.trussness))
 
     if args.command in ("truss", "weighted-truss"):
-        rows = renumber([(args.k, m) for m in trusses_at(decomposition, graph, args.k).members])
+        clusters = trusses_at(decomposition, graph, args.k).members
         kind = None
         family = truss_dendrogram(decomposition, graph)
         write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
     elif args.command == "strong-truss":
         family = strong_truss_family(graph, decomposition)
-        rows = renumber([(args.k, m) for m in strong_trusses_at(family, args.k)])
+        clusters = strong_trusses_at(family, args.k)
         kind = "strong"
         write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
     elif args.strong:  # summit --strong
-        rows = renumber(summit_strong_trusses(strong_truss_family(graph, decomposition)))
+        clusters = summit_strong_trusses(strong_truss_family(graph, decomposition))
         kind = "strong"
     else:  # summit
-        rows = renumber(summit_trusses(decomposition, graph))
+        clusters = summit_trusses(decomposition, graph)
         kind = None
 
     if args.format == "tsv":
-        write_rows(stage, "clusters.tsv", edge_rows(graph, labels, rows, kind))
+        write_rows(stage, "clusters.tsv", edge_rows(graph, labels, [clusters], kind))
     else:
-        write(stage, "clusters.json", clusters_json(graph, rows, kind))
+        write(stage, "clusters.json", clusters_json(graph, [clusters], kind))
     if args.dot:
-        write(stage, "clusters.dot", dot_export(graph, rows))
+        write(stage, "clusters.dot", dot_export(graph, clusters))
     if args.graphml:
-        write(stage, "clusters.graphml", graphml_export(graph, decomposition, rows))
-    return rows
+        write(stage, "clusters.graphml", graphml_export(graph, decomposition, clusters))
+    return clusters
 
 
 def cmd_trapeze(args: argparse.Namespace) -> None:
@@ -352,24 +365,22 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
         print(f"bipartite: {is_bipartite(graph)}")
 
     run = trapeze_level_run(graph, schedule)
-    summits = renumber(list(run.summits))
     if args.command == "summit-trapeze":
-        kind, rows = "summit", summits
+        kind, sets = "summit", [run.summits]
     else:   # each reads only the family it writes: run.weak or run.strong
         kind = "weak" if args.command == "trapeze" else "strong"
-        sets = getattr(run, kind).values()
-        rows = [row for ts in sets for row in renumber([(ts.k, m) for m in ts.members])]
+        sets = [ts.members for ts in getattr(run, kind).values()]
 
     with staged_output(args.out) as stage:
         labels = Strings(graph.labels)
         write_rows(stage, "labels.tsv", labels_rows(labels))
         if args.format == "tsv":
-            write_rows(stage, "trapezes.tsv", edge_rows(graph, labels, rows, kind))
+            write_rows(stage, "trapezes.tsv", edge_rows(graph, labels, sets, kind))
         else:
-            write(stage, "trapezes.json", clusters_json(graph, rows, kind, "trapezes"))
+            write(stage, "trapezes.json", clusters_json(graph, sets, kind, "trapezes"))
         # summits always accompany a level run
-        write_rows(stage, "summits.tsv", edge_rows(graph, labels, summits, "summit"))
-    print(f"{len(rows)} entries -> {Path(args.out)}")
+        write_rows(stage, "summits.tsv", edge_rows(graph, labels, [run.summits], "summit"))
+    print(f"{sum(map(len, sets))} entries -> {Path(args.out)}")
 
 
 def cmd_bench(args: argparse.Namespace) -> None:

@@ -375,13 +375,28 @@ def _incidence(slots: np.ndarray, m: int, width: int) -> tuple[np.ndarray, np.nd
     return start, rows.astype(np.int32)
 
 
-def _label_groups(ids: np.ndarray, label: np.ndarray) -> list[list[int]]:
-    """Ascending ids grouped by equal label, groups ordered by smallest id."""
-    order = np.argsort(label, kind="stable")
-    cuts = (np.flatnonzero(np.diff(label[order])) + 1).tolist()
-    flat = ids[order].tolist()
-    groups = [flat[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(flat)])]
-    return sorted(groups, key=lambda g: g[0]) if flat else []
+def _grouped(ids: np.ndarray, label: np.ndarray, min_size: int = 1):
+    """Non-negative int32 ids grouped by equal label, ascending within a
+    group, the groups of at least min_size ordered by smallest id, by one
+    sort of (label, id) pairs packed into int64: the grouped ids (int32),
+    each group's row range in them (start, int64) and each group's label."""
+    key = np.sort(label.astype(np.int64) << 31 | ids)
+    group, ids = key >> 31, (key & (1 << 31) - 1).astype(np.int32)
+    first = np.flatnonzero(np.diff(group, prepend=-1))
+    size = np.diff(first, append=len(key))
+    keep = np.flatnonzero(size >= min_size)
+    keep = keep[np.argsort(ids[first[keep]])]
+    start = np.concatenate(([0], np.cumsum(size[keep])))
+    return ids[_ranges(first[keep], first[keep] + size[keep])], start, group[first[keep]]
+
+
+def _edge_components(graph: Graph, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The components of the subgraph that the ascending, distinct edge ids
+    induce, as grouped edge ids and row ranges (`_grouped`)."""
+    ends = graph.ends[eids]
+    label = _component_labels(graph.n, ends[:, 0], ends[:, 1])
+    edges, start, _ = _grouped(eids, label[ends[:, 0]])
+    return edges, start
 
 
 def component_edge_sets(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> list[list[int]]:
@@ -393,10 +408,9 @@ def component_edge_sets(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> l
     """
     if not isinstance(edge_ids, np.ndarray):
         edge_ids = np.fromiter(edge_ids, np.int64)
-    eids = _sorted_unique(edge_ids)
-    ends = graph.ends[eids]
-    label = _component_labels(graph.n, ends[:, 0], ends[:, 1])
-    return _label_groups(eids, label[ends[:, 0]])
+    edges, start = _edge_components(graph, _sorted_unique(edge_ids))
+    flat, bounds = edges.tolist(), start.tolist()
+    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def connected_components(graph: Graph) -> list[list[int]]:

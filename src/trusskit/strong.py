@@ -22,7 +22,7 @@ import numpy as np
 
 from . import truss
 from .graph import Graph
-from .truss import ClusterFamily, KClassDecomposition, truss_leaves
+from .truss import Clusters, ClusterFamily, KClassDecomposition, truss_leaves
 
 
 def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> ClusterFamily:
@@ -74,22 +74,24 @@ class _StrongFamily(ClusterFamily):
         return truss._replay(links, self.nodes, len(edge))
 
 
-def strong_trusses_at(family: ClusterFamily, k: int) -> list[frozenset[int]]:
+def strong_trusses_at(family: ClusterFamily, k: int) -> Clusters:
     """Strong k-trusses: clusters alive at level k with at least 2 edges,
-    from one step of the family's descent. To cut many levels, descend once
-    with `family.cuts`."""
+    from one step of the family's descent, as a store whose view is their
+    edge sets in cluster-id order. To cut many levels, descend once with
+    `family.cuts`."""
     if k < 2:
         raise ValueError("k must be at least 2")
     return family.clusters_at(k, min_size=2)
 
 
-def summit_strong_trusses(family: ClusterFamily) -> list[tuple[int, frozenset[int]]]:
+def summit_strong_trusses(family: ClusterFamily) -> Clusters:
     """Strong trusses formed at one level from edges no triangle above it
     reached.
 
     Absorbing a multi-edge cluster formed at a higher level means some edge
     already sits in a stronger truss, so such clusters are excluded.
-    Returns (formation level, edge set) pairs ordered by cluster id.
+    Returns a store of the trusses at their formation levels, whose view
+    is (level, edge set) pairs ordered by cluster id.
     """
     return family.summit_clusters(min_size=2)
 

@@ -21,13 +21,14 @@ grow across calls, so one structure serves a whole level schedule. A
 level run stores one level per edge, the highest scheduled level it
 survives, like a trussness: its weak trapezes and summits are views of
 one vertex family over those levels, its strong trapezes of one triad
-link family. Trapezes at a level are `TrussSet`s.
+link family. Trapezes at a level are `TrussSet`s, and summits a `Clusters`
+store.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,14 +36,14 @@ import numpy as np
 from .graph import (
     Graph,
     VertexRanking,
+    _edge_components,
     _incidence,
-    _label_groups,
     _ranges,
     _sorted_unique,
-    component_edge_sets,
     vertex_ranking,
 )
-from .truss import ClusterFamily, TrussSet, _leaves, _vertex_family, vertex_summits
+from .truss import Clusters, ClusterFamily, TrussSet, _at_level, _leaves, _vertex_family
+from .truss import vertex_summits
 
 LOW_APEX = 0
 MEDIAN_APEX = 1
@@ -266,8 +267,7 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
 def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
     """Maximal k-trapezes: components of the survivors of trim(k)."""
     trim(etp, k)
-    members = tuple(map(frozenset, component_edge_sets(graph, np.flatnonzero(etp.edge_alive))))
-    return TrussSet(k=k, members=members)
+    return TrussSet(k, _at_level(k, *_edge_components(graph, np.flatnonzero(etp.edge_alive))))
 
 
 def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
@@ -318,16 +318,11 @@ def _triad_family(level: np.ndarray, triads: np.ndarray) -> ClusterFamily:
 
 def _cut_sets(family: ClusterFamily, schedule) -> dict[int, TrussSet]:
     """The clusters alive at each scheduled level, from one descent of the
-    family, keyed in schedule order, members ordered by smallest edge id.
-    Every edge a level keeps closes a rectangle, so none is a lone edge."""
-    sets = {}
-    for k, root in family.cuts(schedule):
-        alive = family.leaves_at(k)
-        eids = family.leaf_order[:alive]
-        by_id = np.argsort(eids)
-        groups = _label_groups(eids[by_id], root[:alive][by_id])
-        sets[k] = TrussSet(k=k, members=tuple(map(frozenset, groups)))
-    return {k: sets[k] for k in schedule}
+    family, keyed in schedule order, each store read in its own order, by
+    smallest edge id. Every edge a level keeps closes a rectangle, so none
+    is a lone edge."""
+    sets = {k: replace(family.cut(k, root), order=None) for k, root in family.cuts(schedule)}
+    return {k: TrussSet(k, sets[k]) for k in schedule}
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +332,7 @@ class LevelRun:
     `level` holds, per edge, the highest scheduled level it survives (0 if
     none), as int32; `triads` is the ETP's (arm, arm, periphery) row array,
     which trimming never rewrites. `weak` and `strong` ({level: TrussSet})
-    and `summits` are built on first read.
+    and `summits` (a `Clusters` store) are built on first read.
     """
 
     graph: Graph = field(repr=False)
@@ -358,10 +353,11 @@ class LevelRun:
         return _cut_sets(_triad_family(self.level, self.triads), self.schedule)
 
     @cached_property
-    def summits(self) -> tuple[tuple[int, frozenset[int]], ...]:
-        """(level, edges) of each weak trapeze no edge of which survives the
-        next scheduled level, ordered by level, then by smallest edge id."""
-        return tuple(vertex_summits(self._vertices))
+    def summits(self) -> Clusters:
+        """Each weak trapeze no edge of which survives the next scheduled
+        level, at its level: a store whose view is (level, edges) pairs
+        ordered by level, then by smallest edge id."""
+        return vertex_summits(self._vertices)
 
 
 def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:
@@ -371,7 +367,8 @@ def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:
     etp = build_etp_graph(graph)
     level = np.zeros(graph.m, dtype=np.int32)
     for k in schedule:
-        level[trim(etp, k)] = k
+        trim(etp, k)
+        level[etp.edge_alive] = k
     return LevelRun(graph, tuple(schedule), level, etp.triads)
 
 

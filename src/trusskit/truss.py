@@ -10,13 +10,15 @@ and levels, and a link table built by adding classes from the top down. Its
 cuts and summits are components of the links, and its merge log (the
 dendrogram) is an int32 table built on first read: from the vertex
 spanning forest for the truss dendrogram (`forest.forest_merges`), by a
-replay of the links for other families.
+replay of the links for other families. Every cluster result is one
+`Clusters` store, built from component labels by one sort.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -26,10 +28,10 @@ from .forest import forest_merges
 from .graph import (
     Graph,
     _component_labels,
+    _edge_components,
+    _grouped,
     _incidence,
-    _label_groups,
     _ranges,
-    component_edge_sets,
     edge_nodes,
 )
 from .triangles import SupportMap, triangle_list
@@ -74,13 +76,56 @@ class KClassDecomposition:
         return {level: eids.tolist() for level, eids in groups}
 
 
+@dataclass(frozen=True, eq=False)
+class Clusters(Sequence):
+    """Edge clusters as one CSR store: cluster i holds the ascending int32
+    edge ids edges[start[i]:start[i + 1]] (start is int64) and sits at
+    level[i] (int32); clusters are ordered by smallest edge id. As a
+    sequence it reads as its `view`, built on first read: each cluster's
+    frozenset, or with `paired` a (level, frozenset) pair, in the order
+    `order` gives (store order if None). It equals stores, lists and tuples
+    whose items its view equals."""
+
+    edges: np.ndarray
+    start: np.ndarray
+    level: np.ndarray
+    order: np.ndarray | None = field(default=None, repr=False)
+    paired: bool = False
+
+    @cached_property
+    def view(self) -> tuple:
+        flat, bounds = self.edges.tolist(), self.start.tolist()
+        items = [frozenset(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        items = list(zip(self.level.tolist(), items)) if self.paired else items
+        return tuple(items if self.order is None else map(items.__getitem__, self.order.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.level)
+
+    def __getitem__(self, index):
+        return self.view[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Clusters, list, tuple)):
+            return NotImplemented
+        return self.view == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self.view)
+
+
+def _at_level(k: int, edges: np.ndarray, start: np.ndarray) -> Clusters:
+    return Clusters(edges, start, np.full(len(start) - 1, k, dtype=np.int32))
+
+
 @dataclass(frozen=True)
 class TrussSet:
     """Clusters at one support level, as disjoint edge sets: maximal
-    trusses, or weak or strong trapezes."""
+    trusses, or weak or strong trapezes. `members` is their store; it reads
+    as frozensets ordered by smallest edge id."""
 
     k: int
-    members: tuple[frozenset[int], ...]
+    members: Clusters
 
     def member_nodes(self, graph: Graph, index: int) -> set[int]:
         return edge_nodes(graph, self.members[index])
@@ -168,6 +213,10 @@ def peel_triangles(
     while remaining:
         f, peel = queue.pop()
         peel = distinct(peel)
+        # nothing pops the queue within a level: the edges a level moves to
+        # later keys are pushed once, when it ends; an entry an edge's later
+        # drop outdates goes stale
+        moved: list[tuple[np.ndarray, np.ndarray]] = []
         while len(peel):
             alive[peel] = False
             remaining -= len(peel)
@@ -183,8 +232,10 @@ def peel_triangles(
             cur[hit] = low
             later = low > f
             if later.any():
-                queue.push(low[later], hit[later])
+                moved.append((low[later], hit[later]))
             peel = hit[~later]
+        if moved:
+            queue.push(*map(np.concatenate, zip(*moved)))
     return cur + 2
 
 
@@ -216,8 +267,7 @@ def trusses_at(decomposition: KClassDecomposition, graph: Graph, k: int) -> Trus
         raise ValueError("k must be at least 2")
     _check_decomposition(decomposition, graph)
     eids = np.flatnonzero(decomposition.trussness >= k)
-    members = tuple(frozenset(c) for c in component_edge_sets(graph, eids))
-    return TrussSet(k=k, members=members)
+    return TrussSet(k, _at_level(k, *_edge_components(graph, eids)))
 
 
 def iterative_deletion_oracle(graph: Graph, k: int) -> TrussSet:
@@ -243,9 +293,8 @@ def iterative_deletion_oracle(graph: Graph, k: int) -> TrussSet:
                 nbr[lo].discard(hi)
                 nbr[hi].discard(lo)
                 changed = True
-    survivors = [e for e in range(graph.m) if alive[e]]
-    members = tuple(frozenset(c) for c in component_edge_sets(graph, survivors))
-    return TrussSet(k=k, members=members)
+    survivors = np.array([e for e in range(graph.m) if alive[e]], dtype=np.int64)
+    return TrussSet(k, _at_level(k, *_edge_components(graph, survivors)))
 
 
 _REPLAY_CHUNK = 1 << 10   # link rows converted to Python per step of a replay
@@ -364,15 +413,21 @@ class ClusterFamily:
         """How many leaves sit at levels >= k: they come first."""
         return int(np.searchsorted(-self.leaf_levels, -k, side="right"))
 
-    def clusters_at(self, k: int, min_size: int = 1) -> list[frozenset[int]]:
-        """Edge sets of the clusters alive at level k with at least min_size
-        edges, ordered by cluster id."""
-        ((_, root),) = self.cuts([k])
+    def cut(self, k: int, root: np.ndarray, min_size: int = 1) -> Clusters:
+        """The clusters alive at level k with at least min_size edges, from
+        the root array `cuts` yields for k, as a store at level k whose view
+        is in cluster-id order."""
         alive = self.leaves_at(k)
-        groups = _label_groups(np.arange(alive), root[:alive])
-        return [frozenset(self.leaf_order[g].tolist()) for g in groups if len(g) >= min_size]
+        edges, start, ids = _grouped(self.leaf_order[:alive], root[:alive], min_size)
+        return Clusters(edges, start, np.full(len(ids), k, dtype=np.int32), np.argsort(ids))
 
-    def summit_clusters(self, min_size: int = 2) -> list[tuple[int, frozenset[int]]]:
+    def clusters_at(self, k: int, min_size: int = 1) -> Clusters:
+        """The clusters alive at level k with at least min_size edges: one
+        step of `cuts`, its view the edge sets in cluster-id order."""
+        ((_, root),) = self.cuts([k])
+        return self.cut(k, root, min_size)
+
+    def summit_clusters(self, min_size: int = 2) -> Clusters:
         """Clusters formed at one level from leaves no link above it reached.
 
         Such a cluster is a component of the links at exactly its level none
@@ -381,7 +436,8 @@ class ClusterFamily:
         Read per link row: each node peaks at the top level among the rows
         it is in; a row joins its nodes only if all of them peak at its
         level, and otherwise spoils the components of those that do.
-        Returns (formation level, edge set) pairs ordered by cluster id.
+        Returns a store of the clusters at their formation levels, whose view
+        is (level, edge set) pairs in cluster-id order.
         """
         level, x, y, z = self.links.T
         has_z = z >= 0
@@ -400,11 +456,9 @@ class ClusterFamily:
         stale = np.zeros(self.nodes, dtype=bool)
         stale[label[seeds]] = True
         leaves = np.flatnonzero(((top >= 0) & ~stale[label])[: len(self.leaf_order)])
-        return [
-            (int(top[g[0]]), frozenset(self.leaf_order[g].tolist()))
-            for g in _label_groups(leaves, label[leaves])
-            if len(g) >= min_size
-        ]
+        # a cluster's label is its smallest node, a leaf: its id
+        edges, start, ids = _grouped(self.leaf_order[leaves], label[leaves], min_size)
+        return Clusters(edges, start, top[ids], np.argsort(ids), paired=True)
 
 
 class _VertexFamily(ClusterFamily):
@@ -444,12 +498,12 @@ def _vertex_family(graph: Graph, leaf_order: np.ndarray, leaf_levels: np.ndarray
     return _VertexFamily(leaf_order, leaf_levels, links, count + graph.n)
 
 
-def vertex_summits(family: ClusterFamily) -> list[tuple[int, frozenset[int]]]:
+def vertex_summits(family: ClusterFamily) -> Clusters:
     """Every component of a vertex family's edges at levels >= k whose
-    edges all sit at k, as (k, edge set) pairs ordered by k, then by
-    smallest edge id."""
+    edges all sit at k, as a store whose view is (k, edge set) pairs
+    ordered by k, then by smallest edge id."""
     summits = family.summit_clusters(min_size=1)
-    return sorted(summits, key=lambda pair: (pair[0], min(pair[1])))
+    return replace(summits, order=np.argsort(summits.level, kind="stable"))
 
 
 def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
@@ -466,14 +520,12 @@ def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> Cluste
     return family
 
 
-def summit_trusses(
-    decomposition: KClassDecomposition, graph: Graph
-) -> list[tuple[int, frozenset[int]]]:
+def summit_trusses(decomposition: KClassDecomposition, graph: Graph) -> Clusters:
     """Maximal trusses whose edges all sit exactly at the truss's own level.
 
     An edge belonging to a higher class would put the truss inside one of
-    higher support, so such members are dropped. Results are (k, edge set)
-    pairs ordered by k, then by smallest edge id; the union is
-    edge-disjoint.
+    higher support, so such members are dropped. Returns a store of the
+    trusses at their levels; its view is (k, edge set) pairs ordered by k,
+    then by smallest edge id. The union is edge-disjoint.
     """
     return vertex_summits(_vertex_family(graph, *truss_leaves(decomposition, graph)))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trusskit import Graph, KClassDecomposition, SupportMap
+from trusskit import Clusters, Graph, KClassDecomposition, SupportMap
 from trusskit.cli import main
 
 K4_PENDANT = "a b\na c\na d\nb c\nb d\nc d\nd e\n"
@@ -561,15 +562,20 @@ def writer_pairs(graph: Graph, family=None, trussness=None):
         dendrogram_rows,
         edge_rows,
         labels_rows,
-        renumber,
+        spans,
         trussness_rows,
     )
 
     decomposition = k_classes(graph, edge_supports(graph))
     trussness = decomposition.trussness if trussness is None else trussness
     family = truss_dendrogram(decomposition, graph) if family is None else family
-    rows = renumber([(3, m) for m in trusses_at(decomposition, graph, 3).members])
-    top = renumber([(2**31 - 1, m) for m in trusses_at(decomposition, graph, 2).members])
+    three = trusses_at(decomposition, graph, 3).members
+    top = trusses_at(decomposition, graph, 2).members
+    top = dataclasses.replace(top, level=np.full(len(top), 2**31 - 1, np.int32))
+    # the reference writers read (index, k, ascending edge ids) rows
+    listed = [
+        [(i, k, store.edges[lo:hi]) for i, (k, lo, hi) in spans(store)] for store in (three, top)
+    ]
     labels = Strings(graph.labels)   # one column serves every table, as in the subcommands
     yield "labels", reference_labels_rows(graph), labels_rows(labels)
     yield "trussness", reference_trussness_rows(graph, trussness), trussness_rows(
@@ -577,10 +583,15 @@ def writer_pairs(graph: Graph, family=None, trussness=None):
     )
     yield "dendrogram", reference_dendrogram_rows(family), dendrogram_rows(family)
     for kind in (None, "strong", "weak", "summit"):
-        yield f"{kind} clusters", reference_edge_rows(graph, rows, kind), edge_rows(
-            graph, labels, rows, kind
+        yield f"{kind} clusters", reference_edge_rows(graph, listed[0], kind), edge_rows(
+            graph, labels, [three], kind
         )
-        yield f"{kind} top", reference_edge_rows(graph, top, kind), edge_rows(graph, labels, top, kind)
+        yield f"{kind} top", reference_edge_rows(graph, listed[1], kind), edge_rows(
+            graph, labels, [top], kind
+        )
+        yield f"{kind} both", reference_edge_rows(
+            graph, listed[0] + listed[1], kind
+        ), edge_rows(graph, labels, [three, top], kind)
     yield "no clusters", reference_edge_rows(graph, []), edge_rows(graph, labels, [])
 
 
@@ -669,6 +680,7 @@ VIEWS = {
     "sup": SupportMap,
     "phi": KClassDecomposition,
     "classes": KClassDecomposition,
+    "view": Clusters,
 }
 
 
@@ -676,7 +688,8 @@ VIEWS = {
 def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
     """Every production path, --check-bipartite and every export included,
     runs on the arrays; only the oracles and the tests read Graph.adj or the
-    tuple and dict views of the edges, weights, supports and trussness."""
+    tuple and dict views of the edges, weights, supports and trussness, or
+    the frozensets of a cluster store."""
     owner = VIEWS[view]
 
     def refuse(obj):
@@ -699,8 +712,9 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
     runs += [[cmd, "--levels", "1,2,4", "--check-bipartite", str(DOLPHINS)]
              for cmd in ("trapeze", "strong-trapeze", "summit-trapeze")]
     runs.append(["trapeze", "--levels", "1,2", "--format", "json", str(DOLPHINS)])
-    runs.append(["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3",
-                 "--trials", "2"])
+    runs += [["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3",
+              "--trials", "2", "--method", method]
+             for method in ("truss", "strong", "summit", "strong-summit")]
     for i, argv in enumerate(runs):
         assert main([*argv, "-o", str(tmp_path / f"out{i}")]) == 0, argv
     for argv in (["stats", str(DOLPHINS)], ["stats", "--weighted", str(weighted)]):
@@ -922,6 +936,33 @@ PINNED = [
         "labels.tsv": "f7dca24bc6fdcfa7d126b3d78ef5430ac14ffe16504220d034bd53576276f260",
         "trussness.tsv": "9005c0c35599cd94ff101f1dadaf17f2852d7cffae2e1daa8288ab19bced1a6f",
     }),
+    # exports and JSON, recorded before clusters became one array store
+    (["truss", "--k", "4", "--format", "json", "--dot", "--graphml"], "dolphins", {
+        "clusters.json": "a274b47efd672188a698c3fe68bbad8b227da1687ed07c8956060c47427368f4",
+        "clusters.dot": "2a18e82295c7aaed7e4826f01ebbedb59a1090356f48ad012eece5232fcd5f3d",
+        "clusters.graphml": "903ae6a34c2add6c1319ab7cf146392de46c45d67459b302d39335bdd13fab4f",
+    }),
+    (["truss", "--k", "4", "--weighted", "--format", "json", "--dot", "--graphml"], "many-level", {
+        "clusters.json": "31cdf461f8038a097fe1b00e5ba51ec9a18c6504b88babfa4405eb4d21add265",
+        "clusters.dot": "c57137de01457c86d8c9c2eb779aeb7cad28489d420f49ab584de5641826af85",
+        "clusters.graphml": "3de89d63ec352c77bef55c4d1f37be652c384928500e1ef41a5efb96f6f04133",
+    }),
+    (["strong-trapeze", "--levels", "1,2,4,8", "--format", "json"], "dolphins", {
+        "trapezes.json": "2db0bfd0c27138f7bfdfcbdf0e4741905cb27c66b0d292d47f16dd4857e93834",
+        "summits.tsv": "dab51c6b34dcef0180fbf4f127e32fc5b01a6d1f4b753df0599e48cbd8ed8f6d",
+    }),
+    (["summit-trapeze", "--levels", "1,2,4,8", "--format", "json"], "dolphins", {
+        "trapezes.json": "9212fa0708ba4e07b3bcdd02b58e8287ce4b5f4015065366300663f9cb274e99",
+    }),
+    # bench reads no input: mixed group sizes, and two batches of two trials
+    (["bench", "--l", "8", "--sizes", "6..20", "--p", "0.7", "--mu", "0.3", "--trials", "6",
+      "--seed", "3", "--method", "summit"], None, {
+        "bench.tsv": "6bcf1505197a62c60c88fb04416a382d49a552f6ab1acf0d2f8a640998bfcd59",
+    }),
+    (["bench", "--l", "30", "--size", "20", "--p", "0.8", "--mu", "0.3", "--trials", "4",
+      "--seed", "2", "--method", "summit"], None, {
+        "bench.tsv": "5581fb1a3ededa1b630d98521c304895d2ebf994f010012bde1eb144e1e7cea2",
+    }),
 ]
 
 
@@ -929,12 +970,12 @@ PINNED = [
     "argv, source, digests", PINNED, ids=[" ".join(a) + f" {src}" for a, src, _ in PINNED]
 )
 def test_outputs_match_pinned_digests(argv, source, digests, tmp_path):
-    path = DOLPHINS
-    if source != "dolphins":
-        path = tmp_path / "w.tsv"
-        path.write_text(SOURCES[source]())
+    path = [str(DOLPHINS)] if source == "dolphins" else []
+    if source in SOURCES:
+        path = [str(tmp_path / "w.tsv")]
+        Path(path[0]).write_text(SOURCES[source]())
     out = tmp_path / "out"
-    assert main([*argv, str(path), "-o", str(out)]) == 0
+    assert main([*argv, *path, "-o", str(out)]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
