@@ -22,7 +22,6 @@ from .truss import (
     ClusterFamily,
     Clusters,
     KClassDecomposition,
-    TrussSet,
     iterative_deletion_oracle,
     k_classes,
     summit_trusses,

@@ -438,7 +438,7 @@ def _batch_scores(
             summits = summit_strong_trusses(strong_truss_family(graph, decomposition))
         # a vertex that summits of one level share goes to the first in store
         # order, by smallest edge: all of a summit's edges sit at its level,
-        # so that is also the smallest cluster id the lists were ordered by
+        # so that is also the smallest cluster id
         label = _touch_labels(graph, summits.edges, np.diff(summits.start), summits.level)
         for score in _nmi_scores(truth, label, batch.vertex_at):
             yield None, score

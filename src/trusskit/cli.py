@@ -321,7 +321,7 @@ def _decompose_outputs(
     write_rows(stage, "trussness.tsv", trussness_rows(graph, labels, decomposition.trussness))
 
     if args.command in ("truss", "weighted-truss"):
-        clusters = trusses_at(decomposition, graph, args.k).members
+        clusters = trusses_at(decomposition, graph, args.k)
         kind = None
         family = truss_dendrogram(decomposition, graph)
         write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
@@ -369,7 +369,7 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
         kind, sets = "summit", [run.summits]
     else:   # each reads only the family it writes: run.weak or run.strong
         kind = "weak" if args.command == "trapeze" else "strong"
-        sets = [ts.members for ts in getattr(run, kind).values()]
+        sets = list(getattr(run, kind).values())
 
     with staged_output(args.out) as stage:
         labels = Strings(graph.labels)

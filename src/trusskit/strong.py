@@ -9,7 +9,8 @@ many levels from one descent, which is how the benchmark scores every level
 of a trial. Summits are components of the links at one level that no higher
 link touches. Neither reads the order of the links within a level; only
 the merge log does, and it sorts and replays its own copy of the links
-when first read.
+when first read. Both return one `Clusters` store, its clusters ordered by
+smallest edge id, as every cluster result is.
 """
 
 from __future__ import annotations
@@ -76,9 +77,8 @@ class _StrongFamily(ClusterFamily):
 
 def strong_trusses_at(family: ClusterFamily, k: int) -> Clusters:
     """Strong k-trusses: clusters alive at level k with at least 2 edges,
-    from one step of the family's descent, as a store whose view is their
-    edge sets in cluster-id order. To cut many levels, descend once with
-    `family.cuts`."""
+    from one step of the family's descent, as a store at level k. To cut
+    many levels, descend once with `family.cuts`."""
     if k < 2:
         raise ValueError("k must be at least 2")
     return family.clusters_at(k, min_size=2)
@@ -90,8 +90,7 @@ def summit_strong_trusses(family: ClusterFamily) -> Clusters:
 
     Absorbing a multi-edge cluster formed at a higher level means some edge
     already sits in a stronger truss, so such clusters are excluded.
-    Returns a store of the trusses at their formation levels, whose view
-    is (level, edge set) pairs ordered by cluster id.
+    Returns a store of the trusses, each at its formation level.
     """
     return family.summit_clusters(min_size=2)
 

@@ -21,14 +21,14 @@ grow across calls, so one structure serves a whole level schedule. A
 level run stores one level per edge, the highest scheduled level it
 survives, like a trussness: its weak trapezes and summits are views of
 one vertex family over those levels, its strong trapezes of one triad
-link family. Trapezes at a level are `TrussSet`s, and summits a `Clusters`
-store.
+link family. Trapezes at a level and summits are each one `Clusters` store,
+ordered by smallest edge id.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,8 +42,7 @@ from .graph import (
     _sorted_unique,
     vertex_ranking,
 )
-from .truss import Clusters, ClusterFamily, TrussSet, _at_level, _leaves, _vertex_family
-from .truss import vertex_summits
+from .truss import Clusters, ClusterFamily, _at_level, _leaves, _vertex_family
 
 LOW_APEX = 0
 MEDIAN_APEX = 1
@@ -161,9 +160,6 @@ class ETPGraph:
         pairs = zip(order[key // n].tolist(), order[key % n].tolist())
         return dict(zip(pairs, self.periph_degree[live].tolist()))
 
-    def surviving_edges(self) -> list[int]:
-        return np.flatnonzero(self.edge_alive).tolist()
-
 
 def _stable_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """The keys sorted, and the permutation a stable argsort gives, for
@@ -199,7 +195,7 @@ def rectangle_supports(etp: ETPGraph) -> list[int]:
     return etp.support.astype(np.int64).tolist()
 
 
-def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
+def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> np.ndarray:
     """Remove edge vertices until all survivors have >= k rectangles.
 
     Each round removes every live edge with fewer than k rectangles at once
@@ -213,7 +209,7 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
     degree reads 0. k must not decrease across calls on one structure. The
     optional rng applies each round's frontier in random batches, one batch
     per round, which must not change the outcome (tested). Returns the
-    surviving edge ids.
+    surviving edge ids, ascending, as an int array.
     """
     if k < 1:
         raise ValueError("support level must be at least 1")
@@ -261,19 +257,19 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> list[int]:
         live[rows] = False
         degree[lone] = 0
     etp.current_k = k
-    return etp.surviving_edges()
+    return np.flatnonzero(alive)
 
 
-def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
-    """Maximal k-trapezes: components of the survivors of trim(k)."""
-    trim(etp, k)
-    return TrussSet(k, _at_level(k, *_edge_components(graph, np.flatnonzero(etp.edge_alive))))
+def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> Clusters:
+    """Maximal k-trapezes: components of the survivors of trim(k), as a
+    store at level k."""
+    return _at_level(k, *_edge_components(graph, trim(etp, k)))
 
 
-def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> TrussSet:
-    """Rectangle-connected clusters among the survivors of trim(k): one cut
-    of the triad family with every survivor at level k. Members are ordered
-    by their smallest edge id."""
+def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> Clusters:
+    """Rectangle-connected clusters among the survivors of trim(k), as a
+    store at level k: one cut of the triad family with every survivor at
+    level k."""
     trim(etp, k)
     level = np.where(etp.edge_alive, k, 0).astype(np.int32)
     return _cut_sets(_triad_family(level, etp.triads), [k])[k]
@@ -316,13 +312,12 @@ def _triad_family(level: np.ndarray, triads: np.ndarray) -> ClusterFamily:
     return ClusterFamily(order, leaf_levels, links, len(order))
 
 
-def _cut_sets(family: ClusterFamily, schedule) -> dict[int, TrussSet]:
+def _cut_sets(family: ClusterFamily, schedule) -> dict[int, Clusters]:
     """The clusters alive at each scheduled level, from one descent of the
-    family, keyed in schedule order, each store read in its own order, by
-    smallest edge id. Every edge a level keeps closes a rectangle, so none
-    is a lone edge."""
-    sets = {k: replace(family.cut(k, root), order=None) for k, root in family.cuts(schedule)}
-    return {k: TrussSet(k, sets[k]) for k in schedule}
+    family, keyed in schedule order. Every edge a level keeps closes a
+    rectangle, so none is a lone edge."""
+    sets = {k: family.cut(k, root) for k, root in family.cuts(schedule)}
+    return {k: sets[k] for k in schedule}
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +326,8 @@ class LevelRun:
 
     `level` holds, per edge, the highest scheduled level it survives (0 if
     none), as int32; `triads` is the ETP's (arm, arm, periphery) row array,
-    which trimming never rewrites. `weak` and `strong` ({level: TrussSet})
-    and `summits` (a `Clusters` store) are built on first read.
+    which trimming never rewrites. `weak` and `strong` (each level mapped to
+    a `Clusters` store) and `summits` (one store) are built on first read.
     """
 
     graph: Graph = field(repr=False)
@@ -345,19 +340,18 @@ class LevelRun:
         return _vertex_family(self.graph, *_leaves(self.level))
 
     @cached_property
-    def weak(self) -> dict[int, TrussSet]:
+    def weak(self) -> dict[int, Clusters]:
         return _cut_sets(self._vertices, self.schedule)
 
     @cached_property
-    def strong(self) -> dict[int, TrussSet]:
+    def strong(self) -> dict[int, Clusters]:
         return _cut_sets(_triad_family(self.level, self.triads), self.schedule)
 
     @cached_property
     def summits(self) -> Clusters:
         """Each weak trapeze no edge of which survives the next scheduled
-        level, at its level: a store whose view is (level, edges) pairs
-        ordered by level, then by smallest edge id."""
-        return vertex_summits(self._vertices)
+        level, as a store of the trapezes, each at its level."""
+        return self._vertices.summit_clusters(min_size=1)
 
 
 def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:

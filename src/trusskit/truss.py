@@ -11,14 +11,15 @@ cuts and summits are components of the links, and its merge log (the
 dendrogram) is an int32 table built on first read: from the vertex
 spanning forest for the truss dendrogram (`forest.forest_merges`), by a
 replay of the links for other families. Every cluster result is one
-`Clusters` store, built from component labels by one sort.
+`Clusters` store, built from component labels by one sort, its clusters
+ordered by smallest edge id and each carrying its level.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -32,7 +33,6 @@ from .graph import (
     _grouped,
     _incidence,
     _ranges,
-    edge_nodes,
 )
 from .triangles import SupportMap, triangle_list
 
@@ -78,26 +78,21 @@ class KClassDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class Clusters(Sequence):
-    """Edge clusters as one CSR store: cluster i holds the ascending int32
-    edge ids edges[start[i]:start[i + 1]] (start is int64) and sits at
-    level[i] (int32); clusters are ordered by smallest edge id. As a
-    sequence it reads as its `view`, built on first read: each cluster's
-    frozenset, or with `paired` a (level, frozenset) pair, in the order
-    `order` gives (store order if None). It equals stores, lists and tuples
-    whose items its view equals."""
+    """Edge clusters as one CSR store, the one form of every cluster result:
+    cluster i holds the ascending int32 edge ids edges[start[i]:start[i + 1]]
+    (start is int64) and sits at level[i] (int32); clusters are ordered by
+    smallest edge id. As a sequence it reads as its `view`, each cluster's
+    frozenset in that order, built on first read. It equals stores, lists
+    and tuples whose items its view equals."""
 
     edges: np.ndarray
     start: np.ndarray
     level: np.ndarray
-    order: np.ndarray | None = field(default=None, repr=False)
-    paired: bool = False
 
     @cached_property
-    def view(self) -> tuple:
+    def view(self) -> tuple[frozenset[int], ...]:
         flat, bounds = self.edges.tolist(), self.start.tolist()
-        items = [frozenset(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        items = list(zip(self.level.tolist(), items)) if self.paired else items
-        return tuple(items if self.order is None else map(items.__getitem__, self.order.tolist()))
+        return tuple(frozenset(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def __len__(self) -> int:
         return len(self.level)
@@ -110,25 +105,9 @@ class Clusters(Sequence):
             return NotImplemented
         return self.view == tuple(other)
 
-    def __hash__(self) -> int:
-        return hash(self.view)
-
 
 def _at_level(k: int, edges: np.ndarray, start: np.ndarray) -> Clusters:
     return Clusters(edges, start, np.full(len(start) - 1, k, dtype=np.int32))
-
-
-@dataclass(frozen=True)
-class TrussSet:
-    """Clusters at one support level, as disjoint edge sets: maximal
-    trusses, or weak or strong trapezes. `members` is their store; it reads
-    as frozensets ordered by smallest edge id."""
-
-    k: int
-    members: Clusters
-
-    def member_nodes(self, graph: Graph, index: int) -> set[int]:
-        return edge_nodes(graph, self.members[index])
 
 
 class _LevelQueue:
@@ -261,16 +240,17 @@ def _check_decomposition(decomposition: KClassDecomposition, graph: Graph) -> No
         raise ValueError("decomposition does not match graph")
 
 
-def trusses_at(decomposition: KClassDecomposition, graph: Graph, k: int) -> TrussSet:
-    """Maximal k-trusses: components of the edges with trussness >= k."""
+def trusses_at(decomposition: KClassDecomposition, graph: Graph, k: int) -> Clusters:
+    """Maximal k-trusses: components of the edges with trussness >= k, as a
+    store at level k."""
     if k < 2:
         raise ValueError("k must be at least 2")
     _check_decomposition(decomposition, graph)
     eids = np.flatnonzero(decomposition.trussness >= k)
-    return TrussSet(k, _at_level(k, *_edge_components(graph, eids)))
+    return _at_level(k, *_edge_components(graph, eids))
 
 
-def iterative_deletion_oracle(graph: Graph, k: int) -> TrussSet:
+def iterative_deletion_oracle(graph: Graph, k: int) -> Clusters:
     """Definition-checking oracle: delete under-supported edges to fixpoint.
 
     Repeatedly removes any edge with fewer than k-2 triangles among the
@@ -294,7 +274,7 @@ def iterative_deletion_oracle(graph: Graph, k: int) -> TrussSet:
                 nbr[hi].discard(lo)
                 changed = True
     survivors = np.array([e for e in range(graph.m) if alive[e]], dtype=np.int64)
-    return TrussSet(k, _at_level(k, *_edge_components(graph, survivors)))
+    return _at_level(k, *_edge_components(graph, survivors))
 
 
 _REPLAY_CHUNK = 1 << 10   # link rows converted to Python per step of a replay
@@ -415,15 +395,14 @@ class ClusterFamily:
 
     def cut(self, k: int, root: np.ndarray, min_size: int = 1) -> Clusters:
         """The clusters alive at level k with at least min_size edges, from
-        the root array `cuts` yields for k, as a store at level k whose view
-        is in cluster-id order."""
+        the root array `cuts` yields for k, as a store at level k."""
         alive = self.leaves_at(k)
-        edges, start, ids = _grouped(self.leaf_order[:alive], root[:alive], min_size)
-        return Clusters(edges, start, np.full(len(ids), k, dtype=np.int32), np.argsort(ids))
+        edges, start, _ = _grouped(self.leaf_order[:alive], root[:alive], min_size)
+        return _at_level(k, edges, start)
 
     def clusters_at(self, k: int, min_size: int = 1) -> Clusters:
         """The clusters alive at level k with at least min_size edges: one
-        step of `cuts`, its view the edge sets in cluster-id order."""
+        step of `cuts`, as a store at level k."""
         ((_, root),) = self.cuts([k])
         return self.cut(k, root, min_size)
 
@@ -436,8 +415,7 @@ class ClusterFamily:
         Read per link row: each node peaks at the top level among the rows
         it is in; a row joins its nodes only if all of them peak at its
         level, and otherwise spoils the components of those that do.
-        Returns a store of the clusters at their formation levels, whose view
-        is (level, edge set) pairs in cluster-id order.
+        Returns a store of the clusters, each at its formation level.
         """
         level, x, y, z = self.links.T
         has_z = z >= 0
@@ -458,7 +436,7 @@ class ClusterFamily:
         leaves = np.flatnonzero(((top >= 0) & ~stale[label])[: len(self.leaf_order)])
         # a cluster's label is its smallest node, a leaf: its id
         edges, start, ids = _grouped(self.leaf_order[leaves], label[leaves], min_size)
-        return Clusters(edges, start, top[ids], np.argsort(ids), paired=True)
+        return Clusters(edges, start, top[ids])
 
 
 class _VertexFamily(ClusterFamily):
@@ -498,14 +476,6 @@ def _vertex_family(graph: Graph, leaf_order: np.ndarray, leaf_levels: np.ndarray
     return _VertexFamily(leaf_order, leaf_levels, links, count + graph.n)
 
 
-def vertex_summits(family: ClusterFamily) -> Clusters:
-    """Every component of a vertex family's edges at levels >= k whose
-    edges all sit at k, as a store whose view is (k, edge set) pairs
-    ordered by k, then by smallest edge id."""
-    summits = family.summit_clusters(min_size=1)
-    return replace(summits, order=np.argsort(summits.level, kind="stable"))
-
-
 def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
     """Full dendrogram of maximal trusses by single-link agglomeration: an
     arriving edge joins the clusters of its endpoints' components.
@@ -525,7 +495,6 @@ def summit_trusses(decomposition: KClassDecomposition, graph: Graph) -> Clusters
 
     An edge belonging to a higher class would put the truss inside one of
     higher support, so such members are dropped. Returns a store of the
-    trusses at their levels; its view is (k, edge set) pairs ordered by k,
-    then by smallest edge id. The union is edge-disjoint.
+    trusses, each at its level. The union is edge-disjoint.
     """
-    return vertex_summits(_vertex_family(graph, *truss_leaves(decomposition, graph)))
+    return _vertex_family(graph, *truss_leaves(decomposition, graph)).summit_clusters(min_size=1)

@@ -158,6 +158,11 @@ class DisjointSet:
         return self.find(a) == self.find(b)
 
 
+def level_pairs(clusters) -> list[tuple[int, frozenset[int]]]:
+    """A cluster store read as (level, edge set) pairs, in store order."""
+    return list(zip(clusters.level.tolist(), clusters))
+
+
 def merge_rows(family):
     """The family's merge log as (level, survivor, absorbed ids) rows."""
     return [
@@ -168,7 +173,7 @@ def merge_rows(family):
 
 def reference_clusters_at(family, k: int, min_size: int = 1) -> list[frozenset[int]]:
     """Clusters alive at level k by replaying the merge log's rows of level
-    >= k over the leaves, ordered by cluster id."""
+    >= k over the leaves, ordered by smallest edge id."""
     leaf_edges, leaf_levels = family.leaf_order.tolist(), family.leaf_levels.tolist()
     ds = DisjointSet(len(leaf_edges))
     cid = list(range(len(leaf_edges)))
@@ -182,18 +187,19 @@ def reference_clusters_at(family, k: int, min_size: int = 1) -> list[frozenset[i
     for leaf, leaf_level in enumerate(leaf_levels):
         if leaf_level >= k:
             groups.setdefault(cid[ds.find(leaf)], []).append(leaf)
-    return [
+    clusters = [
         frozenset(leaf_edges[i] for i in groups[key])
         for key in sorted(groups)
         if len(groups[key]) >= min_size
     ]
+    return sorted(clusters, key=min)
 
 
 def reference_summit_clusters(family, min_size: int = 2) -> list[tuple[int, frozenset[int]]]:
     """Summits by a state machine over the merge log: a cluster stays pure
     while every merge in its history happened at its own formation level;
-    a pure cluster absorbed below its level is reported. Ordered by cluster
-    id."""
+    a pure cluster absorbed below its level is reported. (level, edges)
+    pairs ordered by smallest edge id."""
     leaf_edges = family.leaf_order.tolist()
     state: dict[int, tuple[int, bool, list[int]]] = {}
     summits: dict[int, tuple[int, frozenset[int]]] = {}
@@ -210,24 +216,26 @@ def reference_summit_clusters(family, min_size: int = 2) -> list[tuple[int, froz
     for key, (formed, pure, leaves) in state.items():
         if pure:
             summits[key] = (formed, frozenset(leaf_edges[i] for i in leaves))
-    return [summits[key] for key in sorted(summits) if len(summits[key][1]) >= min_size]
+    found = [summits[key] for key in sorted(summits) if len(summits[key][1]) >= min_size]
+    return sorted(found, key=lambda pair: min(pair[1]))
 
 
 def reference_level_summits(graph, schedule) -> tuple[tuple[int, frozenset[int]], ...]:
     """Trapeze summits by sets: a weak member at a scheduled level is a
-    summit when none of its edges survives the next scheduled level."""
+    summit when none of its edges survives the next scheduled level.
+    (level, edges) pairs ordered by smallest edge id."""
     etp = build_etp_graph(graph)
     weak, survivors = {}, {}
     for k in schedule:
-        survivors[k] = set(trim(etp, k))
+        survivors[k] = set(trim(etp, k).tolist())
         weak[k] = trapezes_at(graph, etp, k)
     summits = []
     for i, k in enumerate(schedule):
         nxt = survivors[schedule[i + 1]] if i + 1 < len(schedule) else set()
-        for member in weak[k].members:
+        for member in weak[k]:
             if not (member & nxt):
                 summits.append((k, member))
-    return tuple(summits)
+    return tuple(sorted(summits, key=lambda pair: min(pair[1])))
 
 
 def reference_nmi(a, b) -> float:
@@ -276,18 +284,23 @@ def reference_benchmark_rows(model, method: str, trials: int, k_range=None) -> t
         dec = k_classes(graph, edge_supports(graph))
         if method in ("summit", "strong-summit"):
             if method == "summit":
-                pairs = summit_trusses(dec, graph)
+                summits = summit_trusses(dec, graph)
             else:
-                pairs = summit_strong_trusses(strong_truss_family(graph, dec))
-            score(None, [edges for _, edges in pairs], [level for level, _ in pairs])
+                summits = summit_strong_trusses(strong_truss_family(graph, dec))
+            score(None, list(summits), summits.level.tolist())
             continue
-        family = strong_truss_family(graph, dec) if method == "strong" else None
+        if method == "strong":
+            family = strong_truss_family(graph, dec)
+            leaf_at = {e: i for i, e in enumerate(family.leaf_order.tolist())}
         levels = ks if ks is not None else list(range(2, dec.k_max + 1))
         for k in levels:
             if method == "truss":
-                score(k, list(trusses_at(dec, graph, k).members))
+                score(k, list(trusses_at(dec, graph, k)))
             else:
-                score(k, strong_trusses_at(family, k))
+                # a vertex two strong trusses share goes to the smaller
+                # cluster id, its smallest position in the leaf order
+                clusters = strong_trusses_at(family, k)
+                score(k, sorted(clusters, key=lambda c: min(leaf_at[e] for e in c)))
     return tuple(
         BenchmarkRow(method, k, sums[k] / seen[k], seen[k])
         for k in sorted(sums, key=lambda k: (k is None, k or 0))

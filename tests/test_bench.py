@@ -247,7 +247,7 @@ def test_perfect_recovery_at_group_size():
     model = PlantedModel(l=6, group_size=6, p=1.0, mu=0.0, seed=9)
     g, truth = generate_planted(model)
     dec = k_classes(g, edge_supports(g))
-    part = clusters_to_node_partition(g, list(trusses_at(dec, g, 6).members))
+    part = clusters_to_node_partition(g, list(trusses_at(dec, g, 6)))
     assert nmi(truth, part) == 1.0
 
 

@@ -569,8 +569,8 @@ def writer_pairs(graph: Graph, family=None, trussness=None):
     decomposition = k_classes(graph, edge_supports(graph))
     trussness = decomposition.trussness if trussness is None else trussness
     family = truss_dendrogram(decomposition, graph) if family is None else family
-    three = trusses_at(decomposition, graph, 3).members
-    top = trusses_at(decomposition, graph, 2).members
+    three = trusses_at(decomposition, graph, 3)
+    top = trusses_at(decomposition, graph, 2)
     top = dataclasses.replace(top, level=np.full(len(top), 2**31 - 1, np.int32))
     # the reference writers read (index, k, ascending edge ids) rows
     listed = [

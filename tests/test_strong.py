@@ -21,6 +21,7 @@ from conftest import (
     DisjointSet,
     complete_graph,
     graph_from,
+    level_pairs,
     random_graphs,
     reference_clusters_at,
     reference_summit_clusters,
@@ -68,7 +69,7 @@ def test_level_below_2_rejected():
 
 def test_summit_unique_for_k5():
     g, fam = family_of(complete_graph(5))
-    assert [(k, len(m)) for k, m in summit_strong_trusses(fam)] == [(5, 10)]
+    assert [(k, len(m)) for k, m in level_pairs(summit_strong_trusses(fam))] == [(5, 10)]
 
 
 def test_summits_across_bridge_path():
@@ -76,7 +77,7 @@ def test_summits_across_bridge_path():
     k4 = "\n".join(f"m{i} m{j}" for i in range(4) for j in range(i + 1, 4))
     g, fam = family_of(graph_from(k5 + "\n" + k4 + "\nk0 x\nx m0"))
     summits = summit_strong_trusses(fam)
-    assert sorted((k, len(m)) for k, m in summits) == [(4, 6), (5, 10)]
+    assert sorted((k, len(m)) for k, m in level_pairs(summits)) == [(4, 6), (5, 10)]
 
 
 def test_two_tier_dendrogram_summits():
@@ -88,7 +89,7 @@ def test_two_tier_dendrogram_summits():
     g, fam = family_of(graph_from(k5 + "\n" + k4 + "\n" + joins))
     assert len(strong_trusses_at(fam, 3)) == 1  # everything triangle-connected
     summits = summit_strong_trusses(fam)
-    assert sorted((k, len(m)) for k, m in summits) == [(4, 6), (5, 10)]
+    assert sorted((k, len(m)) for k, m in level_pairs(summits)) == [(4, 6), (5, 10)]
 
 
 def test_reported_clusters_satisfy_definition():
@@ -117,7 +118,7 @@ def test_strong_refines_weak(dolphins):
     dec = k_classes(dolphins, edge_supports(dolphins))
     fam = strong_truss_family(dolphins, dec)
     for k in range(3, dec.k_max + 1):
-        weak = trusses_at(dec, dolphins, k).members
+        weak = trusses_at(dec, dolphins, k)
         for cluster in strong_trusses_at(fam, k):
             assert sum(1 for w in weak if cluster <= w) == 1
 
@@ -126,7 +127,7 @@ def test_strong_summit_edge_disjoint():
     for _, g in random_graphs(30, 22, seed=1010):
         fam = strong_truss_family(g, k_classes(g, edge_supports(g)))
         seen: set[int] = set()
-        for _, member in summit_strong_trusses(fam):
+        for member in summit_strong_trusses(fam):
             assert not (member & seen)
             seen |= member
 
@@ -212,7 +213,7 @@ def test_family_matches_adjacency_scan_above_16_bit_levels():
         fam = strong_truss_family(g, dec)
         assert_matches_reference(fam, g, dec)
         assert np.all(np.diff(fam.links[:, 0]) <= 0)
-        assert summit_strong_trusses(fam) == reference_summit_clusters(fam, 2)
+        assert level_pairs(summit_strong_trusses(fam)) == reference_summit_clusters(fam, 2)
         for k in sorted({2, *dec.classes, dec.k_max + 1}):
             assert strong_trusses_at(fam, k) == reference_clusters_at(fam, k, 2)
         high += dec.k_max >= 1 << 15 and int(dec.trussness.min()) < 1 << 15
@@ -235,7 +236,7 @@ def test_link_order_within_a_level_changes_nothing(dolphins):
             assert k == k2 and np.array_equal(root, root2)
         for k in levels:
             assert shuffled.clusters_at(k, 2) == fam.clusters_at(k, 2)
-        assert shuffled.summit_clusters() == fam.summit_clusters()
+        assert level_pairs(shuffled.summit_clusters()) == level_pairs(fam.summit_clusters())
         assert np.array_equal(shuffled.merges, fam.merges)
 
 
@@ -248,6 +249,6 @@ def test_strong_cuts_and_summits_match_the_replays(dolphins):
         fam = strong_truss_family(g, dec)
         assert_matches_reference(fam, g, dec)
         # ordered lists: clusters_to_node_partition breaks ties by position
-        assert summit_strong_trusses(fam) == reference_summit_clusters(fam, 2)
+        assert level_pairs(summit_strong_trusses(fam)) == reference_summit_clusters(fam, 2)
         for k in sorted({2, *dec.classes, dec.k_max + 1}):
             assert strong_trusses_at(fam, k) == reference_clusters_at(fam, k, 2)

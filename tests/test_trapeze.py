@@ -27,6 +27,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     graph_from,
+    level_pairs,
     random_graphs,
     reference_level_summits,
 )
@@ -45,7 +46,7 @@ def test_path_prunes_to_nothing():
     g = graph_from("a b\nb c\nc d")
     etp = build_etp_graph(g)
     assert etp.alive_triads() == []
-    assert etp.surviving_edges() == []
+    assert not etp.edge_alive.any()
 
 
 def test_k23_periphery():
@@ -96,8 +97,8 @@ def test_unique_representation_totals():
 
 def test_trim_c4():
     etp = build_etp_graph(cycle_graph(4))
-    assert sorted(trim(etp, 1)) == [0, 1, 2, 3]
-    assert trim(etp, 2) == []
+    assert trim(etp, 1).tolist() == [0, 1, 2, 3]
+    assert trim(etp, 2).tolist() == []
 
 
 def test_trim_keeps_k5_drops_c4():
@@ -105,8 +106,7 @@ def test_trim_keeps_k5_drops_c4():
     c4 = [(5, 6), (6, 7), (7, 8), (5, 8)]
     g = build_graph(9, k5 + c4)
     etp = build_etp_graph(g)
-    survivors = trim(etp, 2)
-    assert sorted(survivors) == list(range(10))
+    assert trim(etp, 2).tolist() == list(range(10))
 
 
 def test_trim_monotone_contract():
@@ -142,16 +142,16 @@ def test_trapezes_at_below_the_completed_level_raise():
 def test_trim_idempotent():
     for _, g in random_graphs(20, 16, seed=1515):
         etp = build_etp_graph(g)
-        first = trim(etp, 2)
-        assert trim(etp, 2) == first
+        first = trim(etp, 2).tolist()
+        assert trim(etp, 2).tolist() == first
 
 
 def test_trim_order_invariance():
     for idx, g in random_graphs(20, 16, seed=1616):
-        baseline = sorted(trim(build_etp_graph(g), 2))
+        baseline = trim(build_etp_graph(g), 2).tolist()
         for rs in (1, 2, 3):
             etp = build_etp_graph(g)
-            assert sorted(trim(etp, 2, rng=random.Random(rs))) == baseline
+            assert trim(etp, 2, rng=random.Random(rs)).tolist() == baseline
 
 
 def test_trim_cascade_empties_structure():
@@ -162,8 +162,8 @@ def test_trim_cascade_empties_structure():
     supports = rectangle_supports(etp)
     rung = g.edge_id(g.labels.index("t1"), g.labels.index("b1"))
     assert supports[rung] == 2 and sorted(supports) == [1] * 6 + [2]
-    assert sorted(trim(etp, 1)) == list(range(g.m))
-    assert trim(etp, 2) == []
+    assert trim(etp, 1).tolist() == list(range(g.m))
+    assert trim(etp, 2).tolist() == []
     assert etp.alive_triads() == []
     assert etp.alive_periphery_degrees() == {}
 
@@ -177,7 +177,7 @@ def test_edge_without_rectangles_is_plain_deletion():
     before, triads = etp.alive_periphery_degrees(), etp.alive_triads()
     assert sum(d * (d - 1) // 2 for d in before.values()) == 3
     assert rectangle_supports(etp) == [2] * 6 + [0, 0]
-    assert sorted(trim(etp, 1)) == list(range(6))
+    assert trim(etp, 1).tolist() == list(range(6))
     assert etp.alive_periphery_degrees() == before
     assert etp.alive_triads() == triads
 
@@ -188,29 +188,29 @@ def test_periphery_degree_drop_reaches_every_edge():
     # one periphery, now of degree 4, so all of them fall at k=4
     full = complete_bipartite(2, 5)
     assert rectangle_supports(build_etp_graph(full)) == [4] * 10
-    assert sorted(trim(build_etp_graph(full), 4)) == list(range(10))
+    assert trim(build_etp_graph(full), 4).tolist() == list(range(10))
     g = build_graph(7, [e for e in full.edges if e != (0, 2)])
     co_edge = g.edge_id(1, 2)
     etp = build_etp_graph(g)
     supports = rectangle_supports(etp)
     assert supports[co_edge] == 0
     assert [s for e, s in enumerate(supports) if e != co_edge] == [3] * 8
-    survivors = trim(etp, 3)
+    survivors = trim(etp, 3).tolist()
     assert survivors == [e for e in range(g.m) if e != co_edge]
     assert list(etp.alive_periphery_degrees().values()) == [4]
-    assert trim(etp, 4) == []
+    assert trim(etp, 4).tolist() == []
 
 
 def test_trapezes_k23():
     g = complete_bipartite(2, 3)
     ts = trapezes_at(g, build_etp_graph(g), 2)
-    assert len(ts.members) == 1 and len(ts.members[0]) == 6
+    assert len(ts) == 1 and len(ts[0]) == 6
 
 
 def test_trapezes_k5_levels():
     g = complete_graph(5)
-    assert len(trapezes_at(g, build_etp_graph(g), 6).members[0]) == 10
-    assert trapezes_at(g, build_etp_graph(g), 7).members == ()
+    assert len(trapezes_at(g, build_etp_graph(g), 6)[0]) == 10
+    assert trapezes_at(g, build_etp_graph(g), 7) == ()
 
 
 def test_two_k4_with_bridge_cycles():
@@ -222,32 +222,32 @@ def test_two_k4_with_bridge_cycles():
     g = build_graph(8, k4a + k4b + bridges)
     assert brute_force_rectangles(g)[g.edge_id(0, 4)] == 2
     ts = trapezes_at(g, build_etp_graph(g), 2)
-    assert len(ts.members) == 1
-    assert len(ts.members[0]) == g.m
+    assert len(ts) == 1
+    assert len(ts[0]) == g.m
     dec = k_classes(g, edge_supports(g))
-    inside = trusses_at(dec, g, 4).members
-    assert len(inside) == 2 and all(m <= ts.members[0] for m in inside)
+    inside = trusses_at(dec, g, 4)
+    assert len(inside) == 2 and all(m <= ts[0] for m in inside)
 
 
 def test_strong_trapezes_shared_vertex():
     g = graph_from("a b\nb c\nc d\nd a\nd e\ne f\nf g\ng d")
     weak = trapezes_at(g, build_etp_graph(g), 1)
-    assert len(weak.members) == 1
+    assert len(weak) == 1
     strong = strong_trapezes_at(g, build_etp_graph(g), 1)
-    assert sorted(len(m) for m in strong.members) == [4, 4]
+    assert sorted(len(m) for m in strong) == [4, 4]
 
 
 def test_strong_trapezes_shared_edge():
     g = graph_from("a b\nb c\nc d\nd a\nc e\ne f\nf d")
     strong = strong_trapezes_at(g, build_etp_graph(g), 1)
-    assert [len(m) for m in strong.members] == [7]
+    assert [len(m) for m in strong] == [7]
 
 
 def test_strong_equals_weak_on_k23():
     g = complete_bipartite(2, 3)
     weak = trapezes_at(g, build_etp_graph(g), 2)
     strong = strong_trapezes_at(g, build_etp_graph(g), 2)
-    assert weak.members == strong.members
+    assert weak == strong
 
 
 def test_level_run_with_summits():
@@ -255,8 +255,8 @@ def test_level_run_with_summits():
     k23 = [(5 + i, 7 + j) for i in range(2) for j in range(3)]
     g = build_graph(10, k5 + k23)
     run = trapeze_level_run(g, [1, 2, 4])
-    assert [len(run.weak[k].members) for k in (1, 2, 4)] == [2, 2, 1]
-    summits = sorted((k, len(m)) for k, m in run.summits)
+    assert [len(run.weak[k]) for k in (1, 2, 4)] == [2, 2, 1]
+    summits = sorted((k, len(m)) for k, m in level_pairs(run.summits))
     assert summits == [(2, 6), (4, 10)]
 
 
@@ -273,26 +273,26 @@ def test_level_run_summits_match_set_reference():
     for _, g in graphs:
         schedule = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
         run = trapeze_level_run(g, schedule)
-        assert run.summits == reference_level_summits(g, schedule)
-        below_top += sum(k < schedule[-1] for k, _ in run.summits)
+        assert tuple(level_pairs(run.summits)) == reference_level_summits(g, schedule)
+        below_top += sum(k < schedule[-1] for k in run.summits.level.tolist())
         etp = build_etp_graph(g)
         for k in schedule:
-            assert run.weak[k].members == trapezes_at(g, build_etp_graph(g), k).members
-            assert list(run.strong[k].members) == rectangle_components(g, trim(etp, k))
+            assert run.weak[k] == trapezes_at(g, build_etp_graph(g), k)
+            assert list(run.strong[k]) == rectangle_components(g, trim(etp, k).tolist())
     assert below_top >= 15
 
 
 def test_level_run_first_level_empties_the_graph():
     g = complete_bipartite(3, 3)           # 4 rectangles on every edge
-    assert trapeze_level_run(g, [4]).summits == ((4, frozenset(range(9))),)
+    assert level_pairs(trapeze_level_run(g, [4]).summits) == [(4, frozenset(range(9)))]
     run = trapeze_level_run(g, [5, 6])
-    assert run.summits == reference_level_summits(g, [5, 6]) == ()
+    assert tuple(level_pairs(run.summits)) == reference_level_summits(g, [5, 6]) == ()
 
 
 def test_level_run_rectangle_free():
     g = graph_from("a b\nb c\nc a")
     run = trapeze_level_run(g, [1, 2])
-    assert all(ts.members == () for ts in run.weak.values())
+    assert all(ts == () for ts in run.weak.values())
     assert run.summits == ()
 
 
@@ -313,7 +313,7 @@ def test_counts_non_increasing_on_bipartite():
     edges = [(i, 10 + j) for i in range(10) for j in range(14) if rng.random() < 0.35]
     g = build_graph(24, edges)
     run = trapeze_level_run(g, [1, 2, 4, 8])
-    sizes = [sum(len(m) for m in run.weak[k].members) for k in (1, 2, 4, 8)]
+    sizes = [sum(len(m) for m in run.weak[k]) for k in (1, 2, 4, 8)]
     assert sizes == sorted(sizes, reverse=True)
 
 
@@ -322,7 +322,7 @@ def test_nesting_and_disjointness():
         previous = None
         etp = build_etp_graph(g)
         for k in (1, 2, 3, 4):
-            members = trapezes_at(g, etp, k).members
+            members = trapezes_at(g, etp, k)
             flat = [e for m in members for e in m]
             assert len(flat) == len(set(flat))
             if previous is not None:
@@ -338,8 +338,8 @@ def test_truss_implies_trapeze():
             if k > dec.k_max:
                 continue
             level = (k - 2) * (k - 3)
-            survivors = set(trim(build_etp_graph(g), level))
-            for member in trusses_at(dec, g, k).members:
+            survivors = set(trim(build_etp_graph(g), level).tolist())
+            for member in trusses_at(dec, g, k):
                 assert member <= survivors
 
 
@@ -424,17 +424,17 @@ def test_trim_matches_iterative_deletion_oracle():
         expected = {k: rectangle_deletion_oracle(g, k) for k in range(1, 7)}
         etp = build_etp_graph(g)      # one structure through the schedule
         for k in range(1, 7):
-            assert sorted(trim(etp, k)) == expected[k]
-            assert sorted(trim(build_etp_graph(g), k)) == expected[k]
-        assert sorted(trim(build_etp_graph(g), 3, rng=random.Random(5))) == expected[3]
+            assert trim(etp, k).tolist() == expected[k]
+            assert trim(build_etp_graph(g), k).tolist() == expected[k]
+        assert trim(build_etp_graph(g), 3, rng=random.Random(5)).tolist() == expected[3]
 
 
 def test_strong_trapezes_match_rectangle_components():
     for _, g in chain(oracle_graphs(), glued_graphs(40, seed=2222)):
         etp = build_etp_graph(g)
         for k in range(1, 7):
-            members = strong_trapezes_at(g, etp, k).members
-            assert list(members) == rectangle_components(g, etp.surviving_edges())
+            members = strong_trapezes_at(g, etp, k)
+            assert list(members) == rectangle_components(g, np.flatnonzero(etp.edge_alive).tolist())
 
 
 def test_triad_cap_is_checked_before_building(monkeypatch):
@@ -474,9 +474,9 @@ def test_strong_trapezes_split_when_the_bridging_rectangle_falls():
     text = "a 0\na x1\na x2\na2 0\na2 x1\na2 x2\nb 0\nb y1\nb y2\nb2 0\nb2 y1\nb2 y2\nw a\nw b"
     g = graph_from(text)
     etp = build_etp_graph(g)
-    assert len(strong_trapezes_at(g, etp, 1).members) == 1
+    assert len(strong_trapezes_at(g, etp, 1)) == 1
     strong = strong_trapezes_at(g, etp, 2)
-    assert sorted(len(m) for m in strong.members) == [6, 6]
+    assert sorted(len(m) for m in strong) == [6, 6]
     assert sorted(etp.alive_periphery_degrees().values()) == [3, 3]
 
 
@@ -515,7 +515,7 @@ def reference_trim(etp, k, rng=None):
     etp.triad_live[:] = False
     etp.triad_live[ids[degree[periph] > 0]] = True
     etp.current_k = k
-    return etp.surviving_edges()
+    return np.flatnonzero(alive).tolist()
 
 
 def random_bipartite_graphs_of_side(side, count, seed):
@@ -539,7 +539,7 @@ def test_trim_decrements_match_the_round_recount(seed):
         rng = None if seed is None else random.Random(seed)
         ref_rng = None if seed is None else random.Random(seed)
         for k in range(1, 8):
-            assert trim(etp, k, rng=rng) == reference_trim(ref, k, rng=ref_rng)
+            assert trim(etp, k, rng=rng).tolist() == reference_trim(ref, k, rng=ref_rng)
             assert etp.alive_triads() == ref.alive_triads()
             assert etp.alive_periphery_degrees() == ref.alive_periphery_degrees()
             # the kept counts are what a recount of the live triads gives

@@ -8,12 +8,18 @@ from trusskit import (
     SupportMap,
     TriangleWeightSpec,
     brute_force_supports,
+    build_etp_graph,
     build_graph,
     edge_supports,
     iterative_deletion_oracle,
     k_classes,
+    strong_trapezes_at,
     strong_truss_family,
+    strong_trusses_at,
+    summit_strong_trusses,
     summit_trusses,
+    trapeze_level_run,
+    trapezes_at,
     truss_dendrogram,
     trusses_at,
     weighted_k_classes,
@@ -31,6 +37,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     graph_from,
+    level_pairs,
     random_graphs,
     reference_clusters_at,
     reference_summit_clusters,
@@ -86,28 +93,26 @@ def test_trusses_at_rejects_small_k():
 def test_oracle_examples():
     k4 = complete_graph(4)
     ts = iterative_deletion_oracle(k4, 4)
-    assert len(ts.members) == 1 and len(ts.members[0]) == 6
-    assert iterative_deletion_oracle(cycle_graph(6), 3).members == ()
+    assert len(ts) == 1 and len(ts[0]) == 6
+    assert iterative_deletion_oracle(cycle_graph(6), 3) == ()
 
 
 def test_oracle_equivalence():
     for _, g in random_graphs(50, 25, seed=404):
         dec = decompose(g)
         for k in range(2, dec.k_max + 2):
-            fast = sorted(sorted(m) for m in trusses_at(dec, g, k).members)
-            slow = sorted(sorted(m) for m in iterative_deletion_oracle(g, k).members)
+            fast = sorted(sorted(m) for m in trusses_at(dec, g, k))
+            slow = sorted(sorted(m) for m in iterative_deletion_oracle(g, k))
             assert fast == slow
 
 
 def test_dolphins_truss_family(dolphins):
     dec = decompose(dolphins)
     assert dec.k_max == 5
-    assert len(trusses_at(dec, dolphins, 3).members) == 1
-    assert len(trusses_at(dec, dolphins, 4).members) == 4
+    assert len(trusses_at(dec, dolphins, 3)) == 1
+    assert len(trusses_at(dec, dolphins, 4)) == 4
     t5 = trusses_at(dec, dolphins, 5)
-    shapes = sorted(
-        (len(t5.member_nodes(dolphins, i)), len(m)) for i, m in enumerate(t5.members)
-    )
+    shapes = sorted((len(edge_nodes(dolphins, m)), len(m)) for m in t5)
     assert shapes == [(5, 10), (6, 14)]
     assert 6 not in dec.classes
 
@@ -117,7 +122,7 @@ def test_nesting_and_disjointness():
         dec = decompose(g)
         previous = None
         for k in range(dec.k_max, 1, -1):
-            members = trusses_at(dec, g, k).members
+            members = trusses_at(dec, g, k)
             # edge- and vertex-disjoint at fixed k
             all_edges = [e for m in members for e in m]
             assert len(all_edges) == len(set(all_edges))
@@ -134,7 +139,7 @@ def test_internal_min_degree():
     for _, g in random_graphs(30, 30, seed=606):
         dec = decompose(g)
         for k in range(3, dec.k_max + 1):
-            for member in trusses_at(dec, g, k).members:
+            for member in trusses_at(dec, g, k):
                 inside: dict[int, int] = {}
                 for e in member:
                     lo, hi = g.edges[e]
@@ -172,20 +177,20 @@ def test_dendrogram_cut_matches_trusses(dolphins):
     fam = truss_dendrogram(dec, dolphins)
     for k in range(2, dec.k_max + 1):
         cut = sorted(sorted(c) for c in fam.clusters_at(k))
-        direct = sorted(sorted(m) for m in trusses_at(dec, dolphins, k).members)
+        direct = sorted(sorted(m) for m in trusses_at(dec, dolphins, k))
         assert cut == direct
 
 
 def test_summit_k5():
     g = complete_graph(5)
     summits = summit_trusses(decompose(g), g)
-    assert [(k, len(m)) for k, m in summits] == [(5, 10)]
+    assert [(k, len(m)) for k, m in level_pairs(summits)] == [(5, 10)]
 
 
 def test_summit_pendant_excluded():
     g = graph_from("a b\na c\na d\nb c\nb d\nc d\nd e")
     summits = summit_trusses(decompose(g), g)
-    assert [(k, len(m)) for k, m in summits] == [(4, 6)]
+    assert [(k, len(m)) for k, m in level_pairs(summits)] == [(4, 6)]
 
 
 def test_summits_disjoint_k5_k4_two_path():
@@ -193,15 +198,15 @@ def test_summits_disjoint_k5_k4_two_path():
     k4 = "\n".join(f"m{i} m{j}" for i in range(4) for j in range(i + 1, 4))
     g = graph_from(k5 + "\n" + k4 + "\nk0 x\nx m0")
     summits = summit_trusses(decompose(g), g)
-    assert sorted((k, len(m)) for k, m in summits) == [(4, 6), (5, 10)]
-    a, b = summits[0][1], summits[1][1]
+    assert sorted((k, len(m)) for k, m in level_pairs(summits)) == [(4, 6), (5, 10)]
+    a, b = summits
     assert not (a & b)
 
 
 def test_summit_union_edge_disjoint():
     for _, g in random_graphs(30, 30, seed=707):
         seen: set[int] = set()
-        for _, member in summit_trusses(decompose(g), g):
+        for member in summit_trusses(decompose(g), g):
             assert not (member & seen)
             seen |= member
 
@@ -228,20 +233,20 @@ def test_dendrogram_summits_match_summit_trusses(dolphins):
     graphs = [g for _, g in random_graphs(300, 20, seed=1313)] + [dolphins]
     for g in graphs:
         dec = decompose(g)
-        got = set(truss_dendrogram(dec, g).summit_clusters())
-        want = {(k, member) for k, member in summit_trusses(dec, g) if len(member) >= 2}
+        got = set(level_pairs(truss_dendrogram(dec, g).summit_clusters()))
+        want = {(k, member) for k, member in level_pairs(summit_trusses(dec, g)) if len(member) >= 2}
         assert got == want
 
 
 def level_loop_summits(dec, g):
     """summit_trusses as a cut of every level: the trusses at k whose edges
-    all have phi == k, ordered by k, then by smallest edge id."""
+    all have phi == k, as (k, edges) pairs ordered by smallest edge id."""
     out = []
     for k in sorted(dec.classes):
-        for member in trusses_at(dec, g, k).members:
+        for member in trusses_at(dec, g, k):
             if all(dec.phi[e] == k for e in member):
                 out.append((k, member))
-    return out
+    return sorted(out, key=lambda pair: min(pair[1]))
 
 
 def many_level_cases(dolphins):
@@ -256,13 +261,13 @@ def many_level_cases(dolphins):
 
 def test_summit_trusses_match_the_level_loop(dolphins):
     for g, dec in many_level_cases(dolphins):
-        assert summit_trusses(dec, g) == level_loop_summits(dec, g)
+        assert level_pairs(summit_trusses(dec, g)) == level_loop_summits(dec, g)
 
 
 def test_dendrogram_cuts_and_summits_match_the_replays(dolphins):
     for g, dec in many_level_cases(dolphins):
         fam = truss_dendrogram(dec, g)
-        assert fam.summit_clusters() == reference_summit_clusters(fam)
+        assert level_pairs(fam.summit_clusters()) == reference_summit_clusters(fam)
         for k in sorted({2, *dec.classes, dec.k_max + 1}):
             for size in (1, 2):
                 assert fam.clusters_at(k, size) == reference_clusters_at(fam, k, size)
@@ -384,3 +389,49 @@ def test_forest_merge_log_matches_the_replay(dolphins):
         assert np.array_equal(fam.merges, want)
         deep += len(want) >= 64 and (want[:, 3] >= 0).any()
     assert deep   # some logs are long and hold three-way merges
+
+
+def assert_well_formed(store):
+    """The `Clusters` layout every producer promises: int32 edges, int64
+    row starts and int32 levels; one non-empty row range per cluster
+    covering every edge; edges ascending within a cluster, first edges
+    strictly ascending across clusters, and no edge in two clusters."""
+    edges, start, level = store.edges, store.start, store.level
+    assert (edges.dtype, start.dtype, level.dtype) == (np.int32, np.int64, np.int32)
+    assert len(start) == len(level) + 1 == len(store) + 1
+    assert start[0] == 0 and start[-1] == len(edges)
+    assert (np.diff(start) > 0).all()
+    within = np.repeat(np.arange(len(level)), np.diff(start))
+    same = within[1:] == within[:-1]
+    assert (np.diff(edges)[same] > 0).all()
+    assert (np.diff(edges[start[:-1]]) > 0).all()
+    assert len(np.unique(edges)) == len(edges)
+
+
+def test_every_producer_builds_a_well_formed_store(dolphins):
+    graphs = [g for _, g in random_graphs(40, 16, seed=3434)] + [dolphins]
+    graphs += [complete_graph(6), cycle_graph(4), build_graph(3, [])]
+    kinds = set()
+    for g in graphs:
+        dec = decompose(g)
+        fam = strong_truss_family(g, dec)
+        ks = range(2, dec.k_max + 2)
+        at_level = [(k, trusses_at(dec, g, k)) for k in ks]
+        at_level += [(k, iterative_deletion_oracle(g, k)) for k in ks]
+        at_level += [(k, truss_dendrogram(dec, g).clusters_at(k)) for k in ks]
+        at_level += [(k, strong_trusses_at(fam, k)) for k in ks]
+        schedule = [1, 2, 4]
+        etp = build_etp_graph(g)
+        at_level += [(k, trapezes_at(g, etp, k)) for k in schedule]
+        etp = build_etp_graph(g)
+        at_level += [(k, strong_trapezes_at(g, etp, k)) for k in schedule]
+        run = trapeze_level_run(g, schedule)
+        at_level += [(k, run.weak[k]) for k in schedule] + [(k, run.strong[k]) for k in schedule]
+        for k, store in at_level:
+            assert_well_formed(store)
+            assert (store.level == k).all()
+            kinds.add(len(store) > 1)
+        for store in (summit_trusses(dec, g), summit_strong_trusses(fam), run.summits):
+            assert_well_formed(store)
+            assert (store.level >= 1).all()
+    assert kinds == {False, True}   # empty or single stores, and stores of several

@@ -138,7 +138,7 @@ def test_weighted_strong_formation_levels():
     )
     dec = weighted_k_classes(g, MIN1)
     fam = strong_truss_family(g, dec)
-    levels = sorted(level for level, _ in summit_strong_trusses(fam))
+    levels = sorted(summit_strong_trusses(fam).level.tolist())
     assert levels == [3, 12]
     assert levels[1] - levels[0] == 9
 
@@ -238,10 +238,10 @@ def test_weighted_separation_beats_unweighted():
 
     k = 4
     dec_u = k_classes(g, edge_supports(g))
-    part_u = clusters_to_node_partition(g, list(trusses_at(dec_u, g, k).members))
+    part_u = clusters_to_node_partition(g, list(trusses_at(dec_u, g, k)))
     dec_w = weighted_k_classes(g, MIN1)
     k_match = 2 + 5 * (k - 2)
-    part_w = clusters_to_node_partition(g, list(trusses_at(dec_w, g, k_match).members))
+    part_w = clusters_to_node_partition(g, list(trusses_at(dec_w, g, k_match)))
     assert nmi(truth, part_w) >= nmi(truth, part_u)
 
 
