@@ -27,7 +27,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import Graph, _known_edges, build_graph
 # run_benchmark cuts its fixed levels from one descent of a family, not with
 # trusses_at or strong_trusses_at; both stay importable from this module,
 # where callers look them up to wrap them
@@ -185,7 +185,7 @@ def clusters_to_node_partition(
     if levels is not None and len(levels) != len(clusters):
         raise ValueError("levels length does not match clusters")
     sizes = [len(c) for c in clusters]
-    eids = np.fromiter(chain.from_iterable(clusters), np.int64, count=sum(sizes))
+    eids = _known_edges(graph, chain.from_iterable(clusters))
     level = np.zeros(len(clusters), np.int64) if levels is None else np.asarray(levels)
     return Partition(label=tuple(_touch_labels(graph, eids, sizes, level).tolist()))
 
@@ -433,9 +433,9 @@ def _batch_scores(
     spans = list(zip(batch.vertex_at, batch.vertex_at[1:]))
     if method in ("summit", "strong-summit"):
         if method == "summit":
-            summits = summit_trusses(decomposition, graph)
+            summits = summit_trusses(decomposition)
         else:
-            summits = summit_strong_trusses(strong_truss_family(graph, decomposition))
+            summits = summit_strong_trusses(strong_truss_family(decomposition))
         # a vertex that summits of one level share goes to the first in store
         # order, by smallest edge: all of a summit's edges sit at its level,
         # so that is also the smallest cluster id
@@ -444,9 +444,9 @@ def _batch_scores(
             yield None, score
         return
     if method == "strong":
-        family, min_size = strong_truss_family(graph, decomposition), 2
+        family, min_size = strong_truss_family(decomposition), 2
     else:
-        family, min_size = _vertex_family(graph, *truss_leaves(decomposition, graph)), 1
+        family, min_size = _vertex_family(graph, *truss_leaves(decomposition)), 1
     trussness = decomposition.trussness
     trial_levels = [
         ks if ks is not None else list(range(2, int(trussness[a:b].max(initial=0)) + 1))

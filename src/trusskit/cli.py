@@ -19,6 +19,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -73,6 +74,8 @@ ROWS_PER_WRITE = 1 << 12
 TAB, NEWLINE = ord("\t"), ord("\n")
 # the two ASCII digits of each of 0..99 as one uint16
 DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+# a code point outside XML 1.0's Char production, which no GraphML label holds
+NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class Strings:
@@ -228,11 +231,16 @@ def dot_export(graph: Graph, clusters: Clusters) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graphml_export(graph: Graph, decomposition: KClassDecomposition, clusters: Clusters) -> str:
+def graphml_export(decomposition: KClassDecomposition, clusters: Clusters) -> str:
+    """The decomposition's graph as GraphML; a label XML cannot hold is refused."""
     # imported here: xml.sax.saxutils pulls in urllib.request, http.client,
     # ssl, email and socket, which no other subcommand needs
     from xml.sax.saxutils import quoteattr
 
+    graph = decomposition.graph
+    bad = next(filter(NOT_XML.search, graph.labels), None)
+    if bad is not None:
+        raise CommandError(f"label {bad!r} holds a character XML cannot hold")
     cluster_of = np.full(graph.m, -1)
     cluster_of[clusters.edges] = np.repeat(np.arange(len(clusters)), np.diff(clusters.start))
     cluster_of = cluster_of.tolist()
@@ -309,32 +317,33 @@ def cmd_decompose(args: argparse.Namespace) -> None:
     )
 
     with staged_output(args.out) as stage:
-        clusters = _decompose_outputs(args, graph, decomposition, stage)
+        clusters = _decompose_outputs(args, decomposition, stage)
     print(f"{len(clusters)} clusters -> {Path(args.out)}")
 
 
 def _decompose_outputs(
-    args: argparse.Namespace, graph: Graph, decomposition: KClassDecomposition, stage: Path
+    args: argparse.Namespace, decomposition: KClassDecomposition, stage: Path
 ) -> Clusters:
+    graph = decomposition.graph
     labels = Strings(graph.labels)
     write_rows(stage, "labels.tsv", labels_rows(labels))
     write_rows(stage, "trussness.tsv", trussness_rows(graph, labels, decomposition.trussness))
 
     if args.command in ("truss", "weighted-truss"):
-        clusters = trusses_at(decomposition, graph, args.k)
+        clusters = trusses_at(decomposition, args.k)
         kind = None
-        family = truss_dendrogram(decomposition, graph)
+        family = truss_dendrogram(decomposition)
         write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
     elif args.command == "strong-truss":
-        family = strong_truss_family(graph, decomposition)
+        family = strong_truss_family(decomposition)
         clusters = strong_trusses_at(family, args.k)
         kind = "strong"
         write_rows(stage, "dendrogram.tsv", dendrogram_rows(family))
     elif args.strong:  # summit --strong
-        clusters = summit_strong_trusses(strong_truss_family(graph, decomposition))
+        clusters = summit_strong_trusses(strong_truss_family(decomposition))
         kind = "strong"
     else:  # summit
-        clusters = summit_trusses(decomposition, graph)
+        clusters = summit_trusses(decomposition)
         kind = None
 
     if args.format == "tsv":
@@ -344,7 +353,7 @@ def _decompose_outputs(
     if args.dot:
         write(stage, "clusters.dot", dot_export(graph, clusters))
     if args.graphml:
-        write(stage, "clusters.graphml", graphml_export(graph, decomposition, clusters))
+        write(stage, "clusters.graphml", graphml_export(decomposition, clusters))
     return clusters
 
 

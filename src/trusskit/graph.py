@@ -399,6 +399,15 @@ def _edge_components(graph: Graph, eids: np.ndarray) -> tuple[np.ndarray, np.nda
     return edges, start
 
 
+def _known_edges(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> np.ndarray:
+    """The ids as an array (an array as it is); ValueError names any outside 0..m-1."""
+    eids = edge_ids if isinstance(edge_ids, np.ndarray) else np.fromiter(edge_ids, np.int64)
+    unknown = eids[(eids < 0) | (eids >= graph.m)]
+    if len(unknown):
+        raise ValueError(f"unknown edge id {unknown[0]}")
+    return eids
+
+
 def component_edge_sets(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> list[list[int]]:
     """Connected components of the subgraph induced by the given edges.
 
@@ -406,9 +415,7 @@ def component_edge_sets(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> l
     their smallest edge id, with ids ascending within each; repeated ids
     count once. An array of ids is read as it is.
     """
-    if not isinstance(edge_ids, np.ndarray):
-        edge_ids = np.fromiter(edge_ids, np.int64)
-    edges, start = _edge_components(graph, _sorted_unique(edge_ids))
+    edges, start = _edge_components(graph, _sorted_unique(_known_edges(graph, edge_ids)))
     flat, bounds = edges.tolist(), start.tolist()
     return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -431,10 +438,7 @@ class Subgraph:
 def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Subgraph:
     """Subgraph containing exactly the given edges and their endpoints, its
     vertices numbered by first appearance along the ascending edge ids."""
-    eids = np.unique(np.fromiter(edge_ids, np.int64))
-    unknown = eids[(eids < 0) | (eids >= graph.m)]
-    if len(unknown):
-        raise ValueError(f"unknown edge id {unknown[0]}")
+    eids = np.unique(_known_edges(graph, edge_ids))
     ids, first, local = np.unique(graph.ends[eids], return_index=True, return_inverse=True)
     by_first = np.argsort(first)
     vertex_of = ids[by_first].tolist()
@@ -450,4 +454,4 @@ def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Subgraph:
 
 def edge_nodes(graph: Graph, edge_ids: Iterable[int]) -> set[int]:
     """Vertex set touched by the given edges."""
-    return set(graph.ends[np.fromiter(edge_ids, np.int64)].ravel().tolist())
+    return set(graph.ends[_known_edges(graph, edge_ids)].ravel().tolist())

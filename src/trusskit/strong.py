@@ -10,7 +10,8 @@ of a trial. Summits are components of the links at one level that no higher
 link touches. Neither reads the order of the links within a level; only
 the merge log does, and it sorts and replays its own copy of the links
 when first read. Both return one `Clusters` store, its clusters ordered by
-smallest edge id, as every cluster result is.
+smallest edge id, as every cluster result is. The family reads its graph
+from the decomposition.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .graph import Graph
 from .truss import Clusters, ClusterFamily, KClassDecomposition, truss_leaves
 
 
-def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> ClusterFamily:
-    """Agglomerative family of strong trusses from the k-classes.
+def strong_truss_family(decomposition: KClassDecomposition) -> ClusterFamily:
+    """Agglomerative family of strong trusses from the decomposition's k-classes.
 
     Within a class, edges enter in ascending edge id. Each row of the
     decomposition's triangle list is one link row (level, last leaf, first
@@ -39,7 +40,8 @@ def strong_truss_family(graph: Graph, decomposition: KClassDecomposition) -> Clu
     the one that edge does not touch. Cluster ids follow addition order and
     the lowest id survives a merge, which pins the log for snapshot tests.
     """
-    order, leaf_levels = truss_leaves(decomposition, graph)
+    graph = decomposition.graph
+    order, leaf_levels = truss_leaves(decomposition)
     leaf_of_edge = np.empty(graph.m, dtype=np.int32)
     leaf_of_edge[order] = np.arange(graph.m, dtype=np.int32)
     rows = leaf_of_edge[decomposition.triangles]

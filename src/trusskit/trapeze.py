@@ -22,7 +22,8 @@ level run stores one level per edge, the highest scheduled level it
 survives, like a trussness: its weak trapezes and summits are views of
 one vertex family over those levels, its strong trapezes of one triad
 link family. Trapezes at a level and summits are each one `Clusters` store,
-ordered by smallest edge id.
+ordered by smallest edge id. The structure holds its graph, so its readers
+take the structure alone.
 """
 
 from __future__ import annotations
@@ -260,13 +261,13 @@ def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> np.ndarray:
     return np.flatnonzero(alive)
 
 
-def trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> Clusters:
-    """Maximal k-trapezes: components of the survivors of trim(k), as a
-    store at level k."""
-    return _at_level(k, *_edge_components(graph, trim(etp, k)))
+def trapezes_at(etp: ETPGraph, k: int) -> Clusters:
+    """Maximal k-trapezes of the structure's graph: components of the
+    survivors of trim(k), as a store at level k."""
+    return _at_level(k, *_edge_components(etp.graph, trim(etp, k)))
 
 
-def strong_trapezes_at(graph: Graph, etp: ETPGraph, k: int) -> Clusters:
+def strong_trapezes_at(etp: ETPGraph, k: int) -> Clusters:
     """Rectangle-connected clusters among the survivors of trim(k), as a
     store at level k: one cut of the triad family with every survivor at
     level k."""

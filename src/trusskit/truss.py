@@ -12,7 +12,8 @@ dendrogram) is an int32 table built on first read: from the vertex
 spanning forest for the truss dendrogram (`forest.forest_merges`), by a
 replay of the links for other families. Every cluster result is one
 `Clusters` store, built from component labels by one sort, its clusters
-ordered by smallest edge id and each carrying its level.
+ordered by smallest edge id and each carrying its level. A decomposition
+carries its graph, so its readers take the decomposition alone.
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ class KClassDecomposition:
     `phi` (a tuple) and `classes` (a dict) are views of it built on first
     read. `triangles` is the triangle list it was peeled from, an int32
     (T, 3) array of edge ids; the strong-truss family reads it as links
-    rather than scanning the graph for triangles again. Decompositions are
-    equal when their trussness values are.
+    rather than scanning `graph`, the graph it was peeled from, again.
+    Decompositions are equal when their trussness values are.
     """
 
     trussness: np.ndarray
     triangles: np.ndarray = field(repr=False)
+    graph: Graph = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, KClassDecomposition) and np.array_equal(
@@ -231,23 +233,16 @@ def k_classes(graph: Graph, supports: SupportMap) -> KClassDecomposition:
     if triangles is None:
         triangles = triangle_list(graph)
     trussness = peel_triangles(graph.m, triangles, supports.support, supports.weights)
-    return KClassDecomposition(trussness, triangles)
+    return KClassDecomposition(trussness, triangles, graph)
 
 
-def _check_decomposition(decomposition: KClassDecomposition, graph: Graph) -> None:
-    """Raise ValueError unless the decomposition has one trussness per graph edge."""
-    if len(decomposition.trussness) != graph.m:
-        raise ValueError("decomposition does not match graph")
-
-
-def trusses_at(decomposition: KClassDecomposition, graph: Graph, k: int) -> Clusters:
-    """Maximal k-trusses: components of the edges with trussness >= k, as a
-    store at level k."""
+def trusses_at(decomposition: KClassDecomposition, k: int) -> Clusters:
+    """Maximal k-trusses of the decomposition's graph: components of the
+    edges with trussness >= k, as a store at level k."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    _check_decomposition(decomposition, graph)
     eids = np.flatnonzero(decomposition.trussness >= k)
-    return _at_level(k, *_edge_components(graph, eids))
+    return _at_level(k, *_edge_components(decomposition.graph, eids))
 
 
 def iterative_deletion_oracle(graph: Graph, k: int) -> Clusters:
@@ -456,12 +451,9 @@ def _leaves(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, level[order].astype(np.int32, copy=False)
 
 
-def truss_leaves(
-    decomposition: KClassDecomposition, graph: Graph
-) -> tuple[np.ndarray, np.ndarray]:
+def truss_leaves(decomposition: KClassDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Every edge in the order cluster families add them as leaves
     (descending class, ascending id within a class), and their classes."""
-    _check_decomposition(decomposition, graph)
     return _leaves(decomposition.trussness)
 
 
@@ -476,7 +468,7 @@ def _vertex_family(graph: Graph, leaf_order: np.ndarray, leaf_levels: np.ndarray
     return _VertexFamily(leaf_order, leaf_levels, links, count + graph.n)
 
 
-def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> ClusterFamily:
+def truss_dendrogram(decomposition: KClassDecomposition) -> ClusterFamily:
     """Full dendrogram of maximal trusses by single-link agglomeration: an
     arriving edge joins the clusters of its endpoints' components.
 
@@ -485,16 +477,17 @@ def truss_dendrogram(decomposition: KClassDecomposition, graph: Graph) -> Cluste
     level k reproduces trusses_at(k); merge levels never increase along the
     log.
     """
-    family = _vertex_family(graph, *truss_leaves(decomposition, graph))
+    family = _vertex_family(decomposition.graph, *truss_leaves(decomposition))
     family.merges
     return family
 
 
-def summit_trusses(decomposition: KClassDecomposition, graph: Graph) -> Clusters:
+def summit_trusses(decomposition: KClassDecomposition) -> Clusters:
     """Maximal trusses whose edges all sit exactly at the truss's own level.
 
     An edge belonging to a higher class would put the truss inside one of
     higher support, so such members are dropped. Returns a store of the
     trusses, each at its level. The union is edge-disjoint.
     """
-    return _vertex_family(graph, *truss_leaves(decomposition, graph)).summit_clusters(min_size=1)
+    family = _vertex_family(decomposition.graph, *truss_leaves(decomposition))
+    return family.summit_clusters(min_size=1)

@@ -228,7 +228,7 @@ def reference_level_summits(graph, schedule) -> tuple[tuple[int, frozenset[int]]
     weak, survivors = {}, {}
     for k in schedule:
         survivors[k] = set(trim(etp, k).tolist())
-        weak[k] = trapezes_at(graph, etp, k)
+        weak[k] = trapezes_at(etp, k)
     summits = []
     for i, k in enumerate(schedule):
         nxt = survivors[schedule[i + 1]] if i + 1 < len(schedule) else set()
@@ -284,18 +284,18 @@ def reference_benchmark_rows(model, method: str, trials: int, k_range=None) -> t
         dec = k_classes(graph, edge_supports(graph))
         if method in ("summit", "strong-summit"):
             if method == "summit":
-                summits = summit_trusses(dec, graph)
+                summits = summit_trusses(dec)
             else:
-                summits = summit_strong_trusses(strong_truss_family(graph, dec))
+                summits = summit_strong_trusses(strong_truss_family(dec))
             score(None, list(summits), summits.level.tolist())
             continue
         if method == "strong":
-            family = strong_truss_family(graph, dec)
+            family = strong_truss_family(dec)
             leaf_at = {e: i for i, e in enumerate(family.leaf_order.tolist())}
         levels = ks if ks is not None else list(range(2, dec.k_max + 1))
         for k in levels:
             if method == "truss":
-                score(k, list(trusses_at(dec, graph, k)))
+                score(k, list(trusses_at(dec, k)))
             else:
                 # a vertex two strong trusses share goes to the smaller
                 # cluster id, its smallest position in the leaf order

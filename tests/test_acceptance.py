@@ -47,9 +47,9 @@ def report(flag: bool, line: str) -> bool:
 def test_criterion_1_dolphin_fixture(dolphins):
     started = time.perf_counter()
     dec = k_classes(dolphins, edge_supports(dolphins))
-    t3 = trusses_at(dec, dolphins, 3)
-    t4 = trusses_at(dec, dolphins, 4)
-    t5 = trusses_at(dec, dolphins, 5)
+    t3 = trusses_at(dec, 3)
+    t4 = trusses_at(dec, 4)
+    t5 = trusses_at(dec, 5)
     elapsed = time.perf_counter() - started
 
     cliques = 0
@@ -133,7 +133,7 @@ def test_criterion_6_scale_smoke():
         elapsed = time.perf_counter() - started
         worst = max(worst, elapsed)
         part = clusters_to_node_partition(
-            graph, list(trusses_at(dec, graph, 4))
+            graph, list(trusses_at(dec, 4))
         )
         scores.append(nmi(truth, part))
     mean = sum(scores) / len(scores)
@@ -167,7 +167,7 @@ def test_criterion_7b_truss_oracle():
     for _, g in random_graphs(200, 30, seed=24):
         dec = k_classes(g, edge_supports(g))
         for k in range(2, dec.k_max + 2):
-            fast = sorted(sorted(m) for m in trusses_at(dec, g, k))
+            fast = sorted(sorted(m) for m in trusses_at(dec, k))
             slow = sorted(sorted(m) for m in iterative_deletion_oracle(g, k))
             assert fast == slow
     assert report(True, "criterion 7b: peel vs deletion oracle exact on 200 graphs")
@@ -192,7 +192,7 @@ def test_criterion_8_observation_suites():
         dec = k_classes(g, edge_supports(g))
         previous = None
         for k in range(dec.k_max, 1, -1):
-            members = trusses_at(dec, g, k)
+            members = trusses_at(dec, k)
             flat = [e for m in members for e in m]
             assert len(flat) == len(set(flat))  # fixed-k disjointness
             nodes = [v for m in members for v in edge_nodes(g, m)]
@@ -210,7 +210,7 @@ def test_criterion_8_observation_suites():
                         inside[hi] = inside.get(hi, 0) + 1
                     assert min(inside.values()) >= k - 1
         seen: set[int] = set()
-        for member in summit_trusses(dec, g):
+        for member in summit_trusses(dec):
             assert not (member & seen)  # summit edge-disjointness
             seen |= member
         # every k-truss (k in 4..6) survives the rectangle trim at (k-2)(k-3)
@@ -218,13 +218,13 @@ def test_criterion_8_observation_suites():
             if k > dec.k_max:
                 continue
             survivors = set(trim(build_etp_graph(g), (k - 2) * (k - 3)).tolist())
-            for member in trusses_at(dec, g, k):
+            for member in trusses_at(dec, k):
                 assert member <= survivors
         # trapeze nesting and disjointness over a short ladder
         etp = build_etp_graph(g)
         prev_members = None
         for k in (1, 2, 3):
-            members = trapezes_at(g, etp, k)
+            members = trapezes_at(etp, k)
             flat = [e for m in members for e in m]
             assert len(flat) == len(set(flat))
             if prev_members is not None:
@@ -236,19 +236,19 @@ def test_criterion_8_observation_suites():
 
 def test_criterion_9_trapeze_fixtures():
     k5 = complete_graph(5)
-    ok = len(trapezes_at(k5, build_etp_graph(k5), 6)) == 1
-    ok &= trapezes_at(k5, build_etp_graph(k5), 7) == ()
+    ok = len(trapezes_at(build_etp_graph(k5), 6)) == 1
+    ok &= trapezes_at(build_etp_graph(k5), 7) == ()
 
     k33 = complete_bipartite(3, 3)
-    ts = trapezes_at(k33, build_etp_graph(k33), 4)
+    ts = trapezes_at(build_etp_graph(k33), 4)
     ok &= len(ts) == 1 and len(ts[0]) == 9
 
     c4 = cycle_graph(4)
-    ok &= len(trapezes_at(c4, build_etp_graph(c4), 1)) == 1
-    ok &= trapezes_at(c4, build_etp_graph(c4), 2) == ()
+    ok &= len(trapezes_at(build_etp_graph(c4), 1)) == 1
+    ok &= trapezes_at(build_etp_graph(c4), 2) == ()
 
     bowtie = graph_from("a b\nb c\nc d\nd a\nd e\ne f\nf g\ng d")
-    ok &= len(trapezes_at(bowtie, build_etp_graph(bowtie), 1)) == 1
-    strong = strong_trapezes_at(bowtie, build_etp_graph(bowtie), 1)
+    ok &= len(trapezes_at(build_etp_graph(bowtie), 1)) == 1
+    strong = strong_trapezes_at(build_etp_graph(bowtie), 1)
     ok &= sorted(len(m) for m in strong) == [4, 4]
     assert report(ok, "criterion 9: trapeze fixtures exact")

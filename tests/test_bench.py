@@ -154,7 +154,7 @@ def test_partition_no_clusters():
 def test_partition_cut_vertex_goes_to_lower_id():
     text = "a0 a1\na0 a2\na0 a3\na1 a2\na1 a3\na2 a3\n"
     g = graph_from(text + text.replace("a", "b").replace("b0", "a3"))
-    fam = strong_truss_family(g, k_classes(g, edge_supports(g)))
+    fam = strong_truss_family(k_classes(g, edge_supports(g)))
     clusters = strong_trusses_at(fam, 4)
     part = clusters_to_node_partition(g, clusters)
     cut = g.labels.index("a3")
@@ -247,7 +247,7 @@ def test_perfect_recovery_at_group_size():
     model = PlantedModel(l=6, group_size=6, p=1.0, mu=0.0, seed=9)
     g, truth = generate_planted(model)
     dec = k_classes(g, edge_supports(g))
-    part = clusters_to_node_partition(g, list(trusses_at(dec, g, 6)))
+    part = clusters_to_node_partition(g, list(trusses_at(dec, 6)))
     assert nmi(truth, part) == 1.0
 
 

@@ -94,6 +94,20 @@ def test_exports_well_formed(k4_file, tmp_path):
     assert tree.tag.endswith("graphml")
 
 
+@pytest.mark.parametrize("point", ["\x00", "\x01", "\x08", "\x0e", "\x1b", "\ufffe", "\uffff"])
+def test_graphml_refuses_labels_xml_cannot_hold(point, tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    src.write_text(f"a{point} b\nb c\na{point} c\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["truss", "--k", "3", "--graphml", str(src), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(f"a{point}") in err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv"]
+    # without --graphml the same labels are written
+    assert main(["truss", "--k", "3", str(src), "-o", str(out)]) == 0
+
+
 def test_dot_escapes_quotes_in_labels(tmp_path):
     src = tmp_path / "quoted.tsv"
     src.write_text('a"1 b\nb c\na"1 c\n')
@@ -568,9 +582,9 @@ def writer_pairs(graph: Graph, family=None, trussness=None):
 
     decomposition = k_classes(graph, edge_supports(graph))
     trussness = decomposition.trussness if trussness is None else trussness
-    family = truss_dendrogram(decomposition, graph) if family is None else family
-    three = trusses_at(decomposition, graph, 3)
-    top = trusses_at(decomposition, graph, 2)
+    family = truss_dendrogram(decomposition) if family is None else family
+    three = trusses_at(decomposition, 3)
+    top = trusses_at(decomposition, 2)
     top = dataclasses.replace(top, level=np.full(len(top), 2**31 - 1, np.int32))
     # the reference writers read (index, k, ascending edge ids) rows
     listed = [

@@ -9,6 +9,7 @@ import pytest
 from trusskit import (
     EdgeListParseError,
     build_graph,
+    clusters_to_node_partition,
     connected_components,
     induced_edge_subgraph,
     load_edge_list,
@@ -21,6 +22,7 @@ from trusskit.graph import (
     _ranges,
     _scan,
     component_edge_sets,
+    edge_nodes,
 )
 from conftest import (
     DisjointSet,
@@ -360,6 +362,21 @@ def test_component_edge_sets_match_bfs():
         assert connected_components(g) == [list(range(n - 1))]
         subset = [e for e in range(g.m) if rng.random() < 0.9]
         assert component_edge_sets(g, subset + subset[:50]) == bfs_components(g, subset)
+
+
+@pytest.mark.parametrize("call", [
+    component_edge_sets,
+    edge_nodes,
+    induced_edge_subgraph,
+    lambda g, eids: clusters_to_node_partition(g, [eids]),
+], ids=["component_edge_sets", "edge_nodes", "induced_edge_subgraph", "clusters_to_node_partition"])
+@pytest.mark.parametrize("eid", [-1, 4])
+def test_unknown_edge_ids_are_refused(call, eid):
+    # -1 would wrap to the last edge and 4 = m is past it
+    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for eids in ([eid], [0, eid]):
+        with pytest.raises(ValueError, match=f"unknown edge id {eid}$"):
+            call(c4, eids)
 
 
 

@@ -33,7 +33,7 @@ K4B = K4A.replace("a", "b")
 
 
 def family_of(g):
-    return g, strong_truss_family(g, k_classes(g, edge_supports(g)))
+    return g, strong_truss_family(k_classes(g, edge_supports(g)))
 
 
 def test_two_triangles_sharing_edge():
@@ -95,7 +95,7 @@ def test_two_tier_dendrogram_summits():
 def test_reported_clusters_satisfy_definition():
     for _, g in random_graphs(25, 20, seed=808):
         dec = k_classes(g, edge_supports(g))
-        fam = strong_truss_family(g, dec)
+        fam = strong_truss_family(dec)
         for k in range(2, dec.k_max + 1):
             for cluster in strong_trusses_at(fam, k):
                 assert is_strong_truss(g, cluster, k)
@@ -104,7 +104,7 @@ def test_reported_clusters_satisfy_definition():
 def test_matches_triangle_connectivity_oracle():
     for _, g in random_graphs(40, 22, seed=909):
         dec = k_classes(g, edge_supports(g))
-        fam = strong_truss_family(g, dec)
+        fam = strong_truss_family(dec)
         for k in range(2, dec.k_max + 1):
             keep = [e for e in range(g.m) if dec.phi[e] >= k]
             oracle = [c for c in triangle_connected_components(g, keep) if len(c) >= 2]
@@ -116,16 +116,16 @@ def test_strong_refines_weak(dolphins):
     from trusskit import trusses_at
 
     dec = k_classes(dolphins, edge_supports(dolphins))
-    fam = strong_truss_family(dolphins, dec)
+    fam = strong_truss_family(dec)
     for k in range(3, dec.k_max + 1):
-        weak = trusses_at(dec, dolphins, k)
+        weak = trusses_at(dec, k)
         for cluster in strong_trusses_at(fam, k):
             assert sum(1 for w in weak if cluster <= w) == 1
 
 
 def test_strong_summit_edge_disjoint():
     for _, g in random_graphs(30, 22, seed=1010):
-        fam = strong_truss_family(g, k_classes(g, edge_supports(g)))
+        fam = strong_truss_family(k_classes(g, edge_supports(g)))
         seen: set[int] = set()
         for member in summit_strong_trusses(fam):
             assert not (member & seen)
@@ -189,7 +189,7 @@ def test_family_matches_adjacency_scan(dolphins):
     graphs.append(build_graph(7500, [(3 * t + a, 3 * t + b) for t in range(2500) for a, b in pairs]))
     for g in graphs:
         dec = k_classes(g, edge_supports(g))
-        assert_matches_reference(strong_truss_family(g, dec), g, dec)
+        assert_matches_reference(strong_truss_family(dec), g, dec)
 
 
 @pytest.mark.parametrize("kind", ["minimum", "harmonic"])
@@ -200,7 +200,7 @@ def test_weighted_family_matches_adjacency_scan(kind, alpha):
     for _, g in random_graphs(40, 18, seed=1414):
         g = build_graph(g.n, g.edges, [rng.randint(1, 9) for _ in range(g.m)])
         dec = weighted_k_classes(g, spec)
-        assert_matches_reference(strong_truss_family(g, dec), g, dec)
+        assert_matches_reference(strong_truss_family(dec), g, dec)
 
 
 def test_family_matches_adjacency_scan_above_16_bit_levels():
@@ -210,7 +210,7 @@ def test_family_matches_adjacency_scan_above_16_bit_levels():
     high = 0
     for g in weighted_graphs(30, 22, seed=2525, top=100_000):
         dec = weighted_k_classes(g, spec)
-        fam = strong_truss_family(g, dec)
+        fam = strong_truss_family(dec)
         assert_matches_reference(fam, g, dec)
         assert np.all(np.diff(fam.links[:, 0]) <= 0)
         assert level_pairs(summit_strong_trusses(fam)) == reference_summit_clusters(fam, 2)
@@ -227,7 +227,7 @@ def test_link_order_within_a_level_changes_nothing(dolphins):
     cases = [family_of(g) for _, g in random_graphs(60, 20, seed=2727)] + [family_of(dolphins)]
     spec = TriangleWeightSpec("minimum", 1)
     for g in weighted_graphs(20, 22, seed=2828):
-        cases.append((g, strong_truss_family(g, weighted_k_classes(g, spec))))
+        cases.append((g, strong_truss_family(weighted_k_classes(g, spec))))
     for g, fam in cases:
         links = fam.links[np.lexsort((rng.random(len(fam.links)), -fam.links[:, 0]))]
         shuffled = dataclasses.replace(fam, links=links)
@@ -246,7 +246,7 @@ def test_strong_cuts_and_summits_match_the_replays(dolphins):
     cases.append((dolphins, k_classes(dolphins, edge_supports(dolphins))))
     cases += [(g, weighted_k_classes(g, spec)) for g in weighted_graphs(60, 22, seed=1919)]
     for g, dec in cases:
-        fam = strong_truss_family(g, dec)
+        fam = strong_truss_family(dec)
         assert_matches_reference(fam, g, dec)
         # ordered lists: clusters_to_node_partition breaks ties by position
         assert level_pairs(summit_strong_trusses(fam)) == reference_summit_clusters(fam, 2)

@@ -124,18 +124,18 @@ def test_trapezes_at_below_the_completed_level_raise():
     text = "a 0\na x1\na x2\na2 0\na2 x1\na2 x2\nb 0\nb y1\nb y2\nb2 0\nb2 y1\nb2 y2\nw a\nw b"
     g = graph_from(text)
     etp = build_etp_graph(g)
-    weak, strong = trapezes_at(g, etp, 2), strong_trapezes_at(g, etp, 2)
-    assert weak == trapezes_at(g, build_etp_graph(g), 2)
+    weak, strong = trapezes_at(etp, 2), strong_trapezes_at(etp, 2)
+    assert weak == trapezes_at(build_etp_graph(g), 2)
     assert not etp.edge_alive.all()
     alive, support = etp.edge_alive.copy(), etp.support.copy()
     for at in (trapezes_at, strong_trapezes_at):
         with pytest.raises(ValueError, match="below the completed level 2"):
-            at(g, etp, 1)
+            at(etp, 1)
         assert np.array_equal(etp.edge_alive, alive)
         assert np.array_equal(etp.support, support)
     # at the completed level the sets come back unchanged
-    assert trapezes_at(g, etp, 2) == weak
-    assert strong_trapezes_at(g, etp, 2) == strong
+    assert trapezes_at(etp, 2) == weak
+    assert strong_trapezes_at(etp, 2) == strong
     assert np.array_equal(etp.edge_alive, alive)
     assert np.array_equal(etp.support, support)
 
@@ -203,14 +203,14 @@ def test_periphery_degree_drop_reaches_every_edge():
 
 def test_trapezes_k23():
     g = complete_bipartite(2, 3)
-    ts = trapezes_at(g, build_etp_graph(g), 2)
+    ts = trapezes_at(build_etp_graph(g), 2)
     assert len(ts) == 1 and len(ts[0]) == 6
 
 
 def test_trapezes_k5_levels():
     g = complete_graph(5)
-    assert len(trapezes_at(g, build_etp_graph(g), 6)[0]) == 10
-    assert trapezes_at(g, build_etp_graph(g), 7) == ()
+    assert len(trapezes_at(build_etp_graph(g), 6)[0]) == 10
+    assert trapezes_at(build_etp_graph(g), 7) == ()
 
 
 def test_two_k4_with_bridge_cycles():
@@ -221,32 +221,32 @@ def test_two_k4_with_bridge_cycles():
     bridges = [(0, 4), (1, 5), (2, 6)]
     g = build_graph(8, k4a + k4b + bridges)
     assert brute_force_rectangles(g)[g.edge_id(0, 4)] == 2
-    ts = trapezes_at(g, build_etp_graph(g), 2)
+    ts = trapezes_at(build_etp_graph(g), 2)
     assert len(ts) == 1
     assert len(ts[0]) == g.m
     dec = k_classes(g, edge_supports(g))
-    inside = trusses_at(dec, g, 4)
+    inside = trusses_at(dec, 4)
     assert len(inside) == 2 and all(m <= ts[0] for m in inside)
 
 
 def test_strong_trapezes_shared_vertex():
     g = graph_from("a b\nb c\nc d\nd a\nd e\ne f\nf g\ng d")
-    weak = trapezes_at(g, build_etp_graph(g), 1)
+    weak = trapezes_at(build_etp_graph(g), 1)
     assert len(weak) == 1
-    strong = strong_trapezes_at(g, build_etp_graph(g), 1)
+    strong = strong_trapezes_at(build_etp_graph(g), 1)
     assert sorted(len(m) for m in strong) == [4, 4]
 
 
 def test_strong_trapezes_shared_edge():
     g = graph_from("a b\nb c\nc d\nd a\nc e\ne f\nf d")
-    strong = strong_trapezes_at(g, build_etp_graph(g), 1)
+    strong = strong_trapezes_at(build_etp_graph(g), 1)
     assert [len(m) for m in strong] == [7]
 
 
 def test_strong_equals_weak_on_k23():
     g = complete_bipartite(2, 3)
-    weak = trapezes_at(g, build_etp_graph(g), 2)
-    strong = strong_trapezes_at(g, build_etp_graph(g), 2)
+    weak = trapezes_at(build_etp_graph(g), 2)
+    strong = strong_trapezes_at(build_etp_graph(g), 2)
     assert weak == strong
 
 
@@ -277,7 +277,7 @@ def test_level_run_summits_match_set_reference():
         below_top += sum(k < schedule[-1] for k in run.summits.level.tolist())
         etp = build_etp_graph(g)
         for k in schedule:
-            assert run.weak[k] == trapezes_at(g, build_etp_graph(g), k)
+            assert run.weak[k] == trapezes_at(build_etp_graph(g), k)
             assert list(run.strong[k]) == rectangle_components(g, trim(etp, k).tolist())
     assert below_top >= 15
 
@@ -322,7 +322,7 @@ def test_nesting_and_disjointness():
         previous = None
         etp = build_etp_graph(g)
         for k in (1, 2, 3, 4):
-            members = trapezes_at(g, etp, k)
+            members = trapezes_at(etp, k)
             flat = [e for m in members for e in m]
             assert len(flat) == len(set(flat))
             if previous is not None:
@@ -339,7 +339,7 @@ def test_truss_implies_trapeze():
                 continue
             level = (k - 2) * (k - 3)
             survivors = set(trim(build_etp_graph(g), level).tolist())
-            for member in trusses_at(dec, g, k):
+            for member in trusses_at(dec, k):
                 assert member <= survivors
 
 
@@ -433,7 +433,7 @@ def test_strong_trapezes_match_rectangle_components():
     for _, g in chain(oracle_graphs(), glued_graphs(40, seed=2222)):
         etp = build_etp_graph(g)
         for k in range(1, 7):
-            members = strong_trapezes_at(g, etp, k)
+            members = strong_trapezes_at(etp, k)
             assert list(members) == rectangle_components(g, np.flatnonzero(etp.edge_alive).tolist())
 
 
@@ -474,8 +474,8 @@ def test_strong_trapezes_split_when_the_bridging_rectangle_falls():
     text = "a 0\na x1\na x2\na2 0\na2 x1\na2 x2\nb 0\nb y1\nb y2\nb2 0\nb2 y1\nb2 y2\nw a\nw b"
     g = graph_from(text)
     etp = build_etp_graph(g)
-    assert len(strong_trapezes_at(g, etp, 1)) == 1
-    strong = strong_trapezes_at(g, etp, 2)
+    assert len(strong_trapezes_at(etp, 1)) == 1
+    strong = strong_trapezes_at(etp, 2)
     assert sorted(len(m) for m in strong) == [6, 6]
     assert sorted(etp.alive_periphery_degrees().values()) == [3, 3]
 

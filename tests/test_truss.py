@@ -1,9 +1,14 @@
+import dataclasses
+import inspect
 import random
+import typing
 
 import numpy as np
 import pytest
 
 from trusskit import (
+    ETPGraph,
+    Graph,
     KClassDecomposition,
     SupportMap,
     TriangleWeightSpec,
@@ -71,23 +76,51 @@ def test_planted_clique_lower_bound():
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda dec, g: trusses_at(dec, g, 3), id="trusses_at"),
-    pytest.param(lambda dec, g: summit_trusses(dec, g), id="summit_trusses"),
-    pytest.param(lambda dec, g: truss_dendrogram(dec, g), id="truss_dendrogram"),
-    pytest.param(lambda dec, g: strong_truss_family(g, dec), id="strong_truss_family"),
+    pytest.param(lambda dec: trusses_at(dec, 3), id="trusses_at"),
+    pytest.param(summit_trusses, id="summit_trusses"),
+    pytest.param(truss_dendrogram, id="truss_dendrogram"),
+    pytest.param(strong_truss_family, id="strong_truss_family"),
 ])
-def test_decomposition_of_another_graph_is_refused(call):
-    abc = graph_from("a b\nb c\na c")
-    two = graph_from("a b\nb c\na c\nc d\nd e\nc e")     # abc and a second triangle
-    with pytest.raises(ValueError, match="decomposition does not match graph"):
-        call(decompose(abc), two)
-    call(decompose(two), two)
+def test_readers_take_the_graph_from_the_decomposition(call):
+    joined = graph_from("a b\nb c\na c\nc d\nd e\nc e")   # two triangles sharing c
+    apart = graph_from("a b\nb c\na c\nd e\ne f\nd f")    # the same edge ids, apart
+    spec = TriangleWeightSpec("minimum", 1)
+    for g in (joined, apart):
+        assert decompose(g).graph is g and weighted_k_classes(g, spec).graph is g
+    # the two decompositions differ only in their graphs
+    assert decompose(joined) == decompose(apart)
+    rows = [np.sort(decompose(g).triangles, axis=1) for g in (joined, apart)]
+    assert np.array_equal(*rows)
+    moved = dataclasses.replace(decompose(joined), graph=apart)
+    assert call(moved) == call(decompose(apart))
+
+
+def test_no_reader_of_a_result_takes_the_graph_again():
+    """A decomposition and an ETP structure carry their graph, so no
+    public function takes a Graph beside either of them."""
+    import trusskit
+    from trusskit.cli import graphml_export
+
+    functions = [getattr(trusskit, name) for name in trusskit.__all__]
+    readers = set()
+    for fn in filter(inspect.isfunction, [*functions, truss_leaves, graphml_export]):
+        hints = typing.get_type_hints(fn)
+        hints.pop("return", None)
+        # a parameter's type, or each member of a union such as `Graph | None`
+        types = {t for hint in hints.values() for t in (hint, *typing.get_args(hint))}
+        if {KClassDecomposition, ETPGraph} & types:
+            assert Graph not in types, fn.__name__
+            readers.add(fn.__name__)
+    assert readers >= {
+        "trusses_at", "summit_trusses", "truss_dendrogram", "truss_leaves",
+        "strong_truss_family", "trapezes_at", "strong_trapezes_at", "graphml_export",
+    }
 
 
 def test_trusses_at_rejects_small_k():
     g = complete_graph(4)
     with pytest.raises(ValueError):
-        trusses_at(decompose(g), g, 1)
+        trusses_at(decompose(g), 1)
 
 
 def test_oracle_examples():
@@ -101,7 +134,7 @@ def test_oracle_equivalence():
     for _, g in random_graphs(50, 25, seed=404):
         dec = decompose(g)
         for k in range(2, dec.k_max + 2):
-            fast = sorted(sorted(m) for m in trusses_at(dec, g, k))
+            fast = sorted(sorted(m) for m in trusses_at(dec, k))
             slow = sorted(sorted(m) for m in iterative_deletion_oracle(g, k))
             assert fast == slow
 
@@ -109,9 +142,9 @@ def test_oracle_equivalence():
 def test_dolphins_truss_family(dolphins):
     dec = decompose(dolphins)
     assert dec.k_max == 5
-    assert len(trusses_at(dec, dolphins, 3)) == 1
-    assert len(trusses_at(dec, dolphins, 4)) == 4
-    t5 = trusses_at(dec, dolphins, 5)
+    assert len(trusses_at(dec, 3)) == 1
+    assert len(trusses_at(dec, 4)) == 4
+    t5 = trusses_at(dec, 5)
     shapes = sorted((len(edge_nodes(dolphins, m)), len(m)) for m in t5)
     assert shapes == [(5, 10), (6, 14)]
     assert 6 not in dec.classes
@@ -122,7 +155,7 @@ def test_nesting_and_disjointness():
         dec = decompose(g)
         previous = None
         for k in range(dec.k_max, 1, -1):
-            members = trusses_at(dec, g, k)
+            members = trusses_at(dec, k)
             # edge- and vertex-disjoint at fixed k
             all_edges = [e for m in members for e in m]
             assert len(all_edges) == len(set(all_edges))
@@ -139,7 +172,7 @@ def test_internal_min_degree():
     for _, g in random_graphs(30, 30, seed=606):
         dec = decompose(g)
         for k in range(3, dec.k_max + 1):
-            for member in trusses_at(dec, g, k):
+            for member in trusses_at(dec, k):
                 inside: dict[int, int] = {}
                 for e in member:
                     lo, hi = g.edges[e]
@@ -150,7 +183,7 @@ def test_internal_min_degree():
 
 def test_dendrogram_k5():
     g = complete_graph(5)
-    fam = truss_dendrogram(decompose(g), g)
+    fam = truss_dendrogram(decompose(g))
     assert (fam.merges[:, 0] == 5).all()
     assert [len(c) for c in fam.clusters_at(5)] == [10]
 
@@ -159,7 +192,7 @@ def test_dendrogram_bridge():
     k4 = "a0 a1\na0 a2\na0 a3\na1 a2\na1 a3\na2 a3\n"
     k4b = k4.replace("a", "b")
     g = graph_from(k4 + k4b + "a0 b0")
-    fam = truss_dendrogram(decompose(g), g)
+    fam = truss_dendrogram(decompose(g))
     assert [len(c) for c in fam.clusters_at(4)] == [6, 6]
     assert [len(c) for c in fam.clusters_at(2)] == [13]
     level2 = fam.merges[fam.merges[:, 0] == 2]
@@ -167,29 +200,29 @@ def test_dendrogram_bridge():
 
 
 def test_dendrogram_levels_never_increase(dolphins):
-    fam = truss_dendrogram(decompose(dolphins), dolphins)
+    fam = truss_dendrogram(decompose(dolphins))
     levels = fam.merges[:, 0].tolist()
     assert levels == sorted(levels, reverse=True)
 
 
 def test_dendrogram_cut_matches_trusses(dolphins):
     dec = decompose(dolphins)
-    fam = truss_dendrogram(dec, dolphins)
+    fam = truss_dendrogram(dec)
     for k in range(2, dec.k_max + 1):
         cut = sorted(sorted(c) for c in fam.clusters_at(k))
-        direct = sorted(sorted(m) for m in trusses_at(dec, dolphins, k))
+        direct = sorted(sorted(m) for m in trusses_at(dec, k))
         assert cut == direct
 
 
 def test_summit_k5():
     g = complete_graph(5)
-    summits = summit_trusses(decompose(g), g)
+    summits = summit_trusses(decompose(g))
     assert [(k, len(m)) for k, m in level_pairs(summits)] == [(5, 10)]
 
 
 def test_summit_pendant_excluded():
     g = graph_from("a b\na c\na d\nb c\nb d\nc d\nd e")
-    summits = summit_trusses(decompose(g), g)
+    summits = summit_trusses(decompose(g))
     assert [(k, len(m)) for k, m in level_pairs(summits)] == [(4, 6)]
 
 
@@ -197,7 +230,7 @@ def test_summits_disjoint_k5_k4_two_path():
     k5 = "\n".join(f"k{i} k{j}" for i in range(5) for j in range(i + 1, 5))
     k4 = "\n".join(f"m{i} m{j}" for i in range(4) for j in range(i + 1, 4))
     g = graph_from(k5 + "\n" + k4 + "\nk0 x\nx m0")
-    summits = summit_trusses(decompose(g), g)
+    summits = summit_trusses(decompose(g))
     assert sorted((k, len(m)) for k, m in level_pairs(summits)) == [(4, 6), (5, 10)]
     a, b = summits
     assert not (a & b)
@@ -206,7 +239,7 @@ def test_summits_disjoint_k5_k4_two_path():
 def test_summit_union_edge_disjoint():
     for _, g in random_graphs(30, 30, seed=707):
         seen: set[int] = set()
-        for member in summit_trusses(decompose(g), g):
+        for member in summit_trusses(decompose(g)):
             assert not (member & seen)
             seen |= member
 
@@ -233,8 +266,8 @@ def test_dendrogram_summits_match_summit_trusses(dolphins):
     graphs = [g for _, g in random_graphs(300, 20, seed=1313)] + [dolphins]
     for g in graphs:
         dec = decompose(g)
-        got = set(level_pairs(truss_dendrogram(dec, g).summit_clusters()))
-        want = {(k, member) for k, member in level_pairs(summit_trusses(dec, g)) if len(member) >= 2}
+        got = set(level_pairs(truss_dendrogram(dec).summit_clusters()))
+        want = {(k, member) for k, member in level_pairs(summit_trusses(dec)) if len(member) >= 2}
         assert got == want
 
 
@@ -243,7 +276,7 @@ def level_loop_summits(dec, g):
     all have phi == k, as (k, edges) pairs ordered by smallest edge id."""
     out = []
     for k in sorted(dec.classes):
-        for member in trusses_at(dec, g, k):
+        for member in trusses_at(dec, k):
             if all(dec.phi[e] == k for e in member):
                 out.append((k, member))
     return sorted(out, key=lambda pair: min(pair[1]))
@@ -261,12 +294,12 @@ def many_level_cases(dolphins):
 
 def test_summit_trusses_match_the_level_loop(dolphins):
     for g, dec in many_level_cases(dolphins):
-        assert level_pairs(summit_trusses(dec, g)) == level_loop_summits(dec, g)
+        assert level_pairs(summit_trusses(dec)) == level_loop_summits(dec, g)
 
 
 def test_dendrogram_cuts_and_summits_match_the_replays(dolphins):
     for g, dec in many_level_cases(dolphins):
-        fam = truss_dendrogram(dec, g)
+        fam = truss_dendrogram(dec)
         assert level_pairs(fam.summit_clusters()) == reference_summit_clusters(fam)
         for k in sorted({2, *dec.classes, dec.k_max + 1}):
             for size in (1, 2):
@@ -277,9 +310,9 @@ def test_cuts_match_a_fresh_pass_per_level(dolphins):
     rng = random.Random(2323)
     for g, dec in many_level_cases(dolphins):
         for fam in (
-            _vertex_family(g, *truss_leaves(dec, g)),
-            truss_dendrogram(dec, g),
-            strong_truss_family(g, dec),
+            _vertex_family(g, *truss_leaves(dec)),
+            truss_dendrogram(dec),
+            strong_truss_family(dec),
         ):
             level, a, b = _link_ends(fam.links)
             present = sorted({2, *dec.classes, dec.k_max + 1})
@@ -315,9 +348,9 @@ def test_views_match_the_stored_forms(dolphins):
         assert dec.classes == classes and list(dec.classes) == list(classes)
         assert type(dec.k_max) is int and dec.k_max == max(phi, default=0)
         for fam in (
-            _vertex_family(g, *truss_leaves(dec, g)),
-            truss_dendrogram(dec, g),
-            strong_truss_family(g, dec),
+            _vertex_family(g, *truss_leaves(dec)),
+            truss_dendrogram(dec),
+            strong_truss_family(dec),
         ):
             assert fam.leaf_order.dtype == fam.leaf_levels.dtype == np.int32
             assert fam.leaf_order.tolist() == leaves
@@ -336,7 +369,7 @@ def test_oracle_and_listed_results_are_equal():
         assert dec == k_classes(g, oracle)
         assert dec == weighted_k_classes(g, TriangleWeightSpec("minimum", 1))
     assert SupportMap(listed.support + 1) != listed
-    assert KClassDecomposition(dec.trussness + 1, dec.triangles) != dec
+    assert KClassDecomposition(dec.trussness + 1, dec.triangles, dec.graph) != dec
     assert dec != dec.phi
 
 
@@ -372,13 +405,13 @@ def test_forest_merge_log_matches_the_replay(dolphins):
     rng = random.Random(3131)
     cases = []
     for g in forest_graphs():
-        cases.append((g, truss_leaves(decompose(g), g)))
+        cases.append((g, truss_leaves(decompose(g))))
         level = np.array([rng.randint(0, 4) for _ in range(g.m)], dtype=np.int32)
         cases.append((g, _leaves(level)))
-    cases.append((dolphins, truss_leaves(decompose(dolphins), dolphins)))
+    cases.append((dolphins, truss_leaves(decompose(dolphins))))
     spec = TriangleWeightSpec("minimum", 1)
     for g in weighted_graphs(20, 40, seed=3232):
-        cases.append((g, truss_leaves(weighted_k_classes(g, spec), g)))
+        cases.append((g, truss_leaves(weighted_k_classes(g, spec))))
     deep = 0
     for g, leaves in cases:
         fam = _vertex_family(g, *leaves)
@@ -414,24 +447,24 @@ def test_every_producer_builds_a_well_formed_store(dolphins):
     kinds = set()
     for g in graphs:
         dec = decompose(g)
-        fam = strong_truss_family(g, dec)
+        fam = strong_truss_family(dec)
         ks = range(2, dec.k_max + 2)
-        at_level = [(k, trusses_at(dec, g, k)) for k in ks]
+        at_level = [(k, trusses_at(dec, k)) for k in ks]
         at_level += [(k, iterative_deletion_oracle(g, k)) for k in ks]
-        at_level += [(k, truss_dendrogram(dec, g).clusters_at(k)) for k in ks]
+        at_level += [(k, truss_dendrogram(dec).clusters_at(k)) for k in ks]
         at_level += [(k, strong_trusses_at(fam, k)) for k in ks]
         schedule = [1, 2, 4]
         etp = build_etp_graph(g)
-        at_level += [(k, trapezes_at(g, etp, k)) for k in schedule]
+        at_level += [(k, trapezes_at(etp, k)) for k in schedule]
         etp = build_etp_graph(g)
-        at_level += [(k, strong_trapezes_at(g, etp, k)) for k in schedule]
+        at_level += [(k, strong_trapezes_at(etp, k)) for k in schedule]
         run = trapeze_level_run(g, schedule)
         at_level += [(k, run.weak[k]) for k in schedule] + [(k, run.strong[k]) for k in schedule]
         for k, store in at_level:
             assert_well_formed(store)
             assert (store.level == k).all()
             kinds.add(len(store) > 1)
-        for store in (summit_trusses(dec, g), summit_strong_trusses(fam), run.summits):
+        for store in (summit_trusses(dec), summit_strong_trusses(fam), run.summits):
             assert_well_formed(store)
             assert (store.level >= 1).all()
     assert kinds == {False, True}   # empty or single stores, and stores of several

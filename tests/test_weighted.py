@@ -137,7 +137,7 @@ def test_weighted_strong_formation_levels():
         "a b 10\nb c 10\na c 10\nc d 1\nd e 1\nc e 1", weighted=True
     )
     dec = weighted_k_classes(g, MIN1)
-    fam = strong_truss_family(g, dec)
+    fam = strong_truss_family(dec)
     levels = sorted(summit_strong_trusses(fam).level.tolist())
     assert levels == [3, 12]
     assert levels[1] - levels[0] == 9
@@ -146,8 +146,8 @@ def test_weighted_strong_formation_levels():
 def test_unit_weights_reproduce_unweighted_family():
     for _, g in random_graphs(15, 18, seed=1212):
         dec_w = weighted_k_classes(g, MIN1)
-        fam_w = strong_truss_family(g, dec_w)
-        fam_u = strong_truss_family(g, k_classes(g, edge_supports(g)))
+        fam_w = strong_truss_family(dec_w)
+        fam_u = strong_truss_family(k_classes(g, edge_supports(g)))
         assert fam_w == fam_u
 
 
@@ -238,10 +238,10 @@ def test_weighted_separation_beats_unweighted():
 
     k = 4
     dec_u = k_classes(g, edge_supports(g))
-    part_u = clusters_to_node_partition(g, list(trusses_at(dec_u, g, k)))
+    part_u = clusters_to_node_partition(g, list(trusses_at(dec_u, k)))
     dec_w = weighted_k_classes(g, MIN1)
     k_match = 2 + 5 * (k - 2)
-    part_w = clusters_to_node_partition(g, list(trusses_at(dec_w, g, k_match)))
+    part_w = clusters_to_node_partition(g, list(trusses_at(dec_w, k_match)))
     assert nmi(truth, part_w) >= nmi(truth, part_u)
 
 
