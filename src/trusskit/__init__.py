@@ -4,9 +4,21 @@ Core pipeline: load an edge list, count per-edge support, peel to the full
 class decomposition, then read off maximal, strong, weighted, or summit
 structures at any level. Trapezes run the parallel 4-cycle pipeline and a
 planted-partition benchmark scores recovery quality by NMI.
+
+trusskit calls no BLAS routine, yet numpy's bundled OpenBLAS starts one
+spinning worker thread per core when numpy loads. So if this package is
+what first imports numpy, and no BLAS thread count is set in the
+environment, it sets OPENBLAS_NUM_THREADS to 1 first.
 """
 
-from .graph import (
+import os as _os
+import sys as _sys
+
+_THREAD_SETTINGS = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}
+if "numpy" not in _sys.modules and not _THREAD_SETTINGS & _os.environ.keys():
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .graph import (  # noqa: E402
     EdgeListParseError,
     Graph,
     Subgraph,

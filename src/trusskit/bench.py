@@ -27,7 +27,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _known_edges, build_graph
+from .graph import Graph, _known_edges, _stable_sort, build_graph
 # run_benchmark cuts its fixed levels from one descent of a family, not with
 # trusses_at or strong_trusses_at; both stay importable from this module,
 # where callers look them up to wrap them
@@ -162,7 +162,10 @@ def generate_planted(model: PlantedModel) -> tuple[Graph, Partition]:
             ok = (us != vs) & (group[us] != group[vs])
             key = np.minimum(us[ok], vs[ok]) * n + np.maximum(us[ok], vs[ok])
             # the first `need` pairs of the draw not chosen yet, in draw order
-            key = key[np.sort(np.unique(key, return_index=True)[1])]
+            ordered, order = _stable_sort(key, n * n)
+            first = np.zeros(len(key), dtype=bool)
+            first[order[np.diff(ordered, prepend=-1) != 0]] = True
+            key = key[first]
             chosen = np.concatenate((chosen, key[~np.isin(key, chosen)][:need]))
         pairs.append(np.stack(np.divmod(np.sort(chosen), n), axis=1))
 
@@ -194,9 +197,12 @@ def _touch_labels(graph: Graph, eids: np.ndarray, sizes, level: np.ndarray) -> n
     """clusters_to_node_partition's labels, an int64 array, for clusters
     given as runs of the given sizes of edge ids, and their levels."""
     owner = np.repeat(np.arange(len(sizes)), sizes)   # cluster of each listed edge
-    # one touch per edge end; each vertex's best touch sorts first
-    vertex, cluster, level = graph.ends[eids].ravel(), owner.repeat(2), level[owner].repeat(2)
-    order = np.lexsort((cluster, -level, vertex))
+    # one touch per edge end, in cluster order; each vertex's best touch
+    # sorts first under a stable sort by vertex, then level descending
+    levels, rank = np.unique(-level, return_inverse=True)
+    vertex, cluster = graph.ends[eids].ravel(), owner.repeat(2)
+    key = vertex.astype(np.int64) * len(levels) + rank.ravel()[cluster]
+    order = _stable_sort(key, graph.n * len(levels), keys=False)
     vertex, cluster = vertex[order], cluster[order]
     first = np.diff(vertex, prepend=-1) != 0
     label = np.full(graph.n, -1, dtype=np.int64)
@@ -238,24 +244,32 @@ def nmi(a: Partition, b: Partition) -> float:
         raise ValueError("partitions cover different vertex sets")
     if a.n == 0:
         raise ValueError("empty partitions")
-    return _nmi_scores(np.asarray(a.label), np.asarray(b.label), (0, a.n))[0]
+    # ranked, as the scorer takes small non-negative labels
+    truth, found = (np.unique(p.label, return_inverse=True)[1].ravel() for p in (a, b))
+    return _nmi_scores(truth, found, (0, a.n))[0]
 
 
-def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct keys numbered in order of first appearance: each
-    element's number, and each number's count and first position."""
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    number = np.empty(len(order), dtype=np.int64)
-    number[order] = np.arange(len(order))
-    return number[inverse.ravel()], counts[order], first[order]
+def _first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys, in 0..bound-1, numbered in order of first
+    appearance: each element's number, and each number's count and first
+    position."""
+    ordered, order = _stable_sort(key, bound)
+    opens = np.diff(ordered, prepend=-1) != 0
+    head = np.flatnonzero(opens)
+    first = np.zeros(len(key), dtype=bool)
+    first[order[head]] = True          # a stable sort leads each key with its first element
+    number = (np.cumsum(first) - 1)[order[head]]   # each distinct key's number, in key order
+    counts = np.empty(len(head), dtype=np.int64)
+    counts[number] = np.diff(head, append=len(key))
+    each = np.empty(len(key), dtype=np.int64)
+    each[order] = number[np.cumsum(opens) - 1]
+    return each, counts, np.flatnonzero(first)
 
 
 def _nmi_scores(truth: np.ndarray, found: np.ndarray, at: Sequence[int]) -> list[float]:
     """The NMI of each pair of labellings truth[lo:hi] and found[lo:hi],
-    for consecutive offsets lo, hi in `at`, no pair empty.
+    for consecutive offsets lo, hi in `at`, no pair empty. Labels are
+    non-negative integers, each below 2^31.
 
     The confusion-matrix form (Danon, Diaz-Guilera, Duch & Arenas, JSTAT
     2005): the two entropies and the mutual information are sums of
@@ -270,13 +284,14 @@ def _nmi_scores(truth: np.ndarray, found: np.ndarray, at: Sequence[int]) -> list
     pair = np.repeat(np.arange(pairs), sizes)
 
     def blocks(label: np.ndarray):
-        # ranked first, so the (pair, label) key fits int64 whatever the labels
-        _, label = np.unique(label, return_inverse=True)
-        return _first_seen(pair * (int(label.max(initial=0)) + 1) + label.ravel())
+        span = int(label.max(initial=0)) + 1
+        return _first_seen(pair * span + label, pairs * span)
 
     row, row_count, row_first = blocks(truth)
     col, col_count, col_first = blocks(found)
-    _, joint_count, joint_first = _first_seen(row * len(col_count) + col)
+    _, joint_count, joint_first = _first_seen(
+        row * len(col_count) + col, len(row_count) * len(col_count)
+    )
     # c / n for each block and n_ij * n / (n_i * n_j) for each joint block:
     # exact integers, one division each, as Python divides them
     args = np.concatenate((

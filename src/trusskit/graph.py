@@ -280,21 +280,28 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
         done += len(width)
         del tokens, names             # before the next block's lines are read
 
+    n = len(ids)
     key = np.frombuffer(pairs, dtype=np.int64)
-    code = np.frombuffer(codes, dtype=np.int32)
-    level = {w: i for i, w in enumerate(sorted(set(values)))}
-    heavy = np.array([-level[w] for w in values], dtype=np.int32)[code]
-    # lines grouped by pair, heaviest first, then in line order (lexsort is stable)
-    order = np.lexsort((heavy, key))
-    del heavy
-    key = key[order]
+    pair = key >> 32
+    pair *= n
+    pair += key & 0xFFFFFFFF       # lo * n + hi
+    del key, pairs
+    # lines grouped by pair and in line order within a pair, so each pair's
+    # first line leads its group
+    key, order = _stable_sort(pair, n * n)
+    del pair
     head = np.flatnonzero(np.diff(key, prepend=-1))
-    first = np.minimum.reduceat(order, head)   # each pair's first line
-    keep = head[np.argsort(first)]             # pairs in order of first appearance
-    del first
-    key = key[keep]
-    ends = np.stack((key >> 32, key & 0xFFFFFFFF), axis=1).astype(np.int32)
-    return _weighed(build_graph(len(ids), ends, None, list(ids)), code[order[keep]], values)
+    # each pair keeps its heaviest weight, read at the first line bearing it
+    level = {w: i for i, w in enumerate(sorted(set(values)))}
+    code = np.frombuffer(codes, dtype=np.int32)[order]
+    rank = np.array([level[w] for w in values], dtype=np.int32)[code]
+    top = np.maximum.reduceat(rank, head) if len(head) else rank
+    heaviest = np.flatnonzero(rank == np.repeat(top, np.diff(head, append=len(key))))
+    heaviest = heaviest[np.diff(key[heaviest], prepend=-1) != 0]
+    del rank
+    keep = _stable_sort(order[head], len(order), keys=False)   # pairs in order of first appearance
+    ends = np.stack(np.divmod(key[head[keep]], n), axis=1).astype(np.int32)
+    return _weighed(build_graph(n, ends, None, list(ids)), code[heaviest[keep]], values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,9 +321,11 @@ def vertex_ranking(graph: Graph) -> VertexRanking:
     Using labels rather than internal ids keeps the order independent of the
     input file's line order.
     """
-    label_rank = np.empty(graph.n, dtype=np.int32)
-    label_rank[sorted(range(graph.n), key=graph.labels.__getitem__)] = np.arange(graph.n)
-    order = np.lexsort((label_rank, graph.degrees)).astype(np.int32)
+    by_label = np.array(sorted(range(graph.n), key=graph.labels.__getitem__), dtype=np.int64)
+    degree = graph.degrees[by_label]
+    # stable by degree over the vertices in label order
+    order = by_label[_stable_sort(degree, int(degree.max(initial=0)) + 1, keys=False)]
+    order = order.astype(np.int32)
     rank = np.empty(graph.n, dtype=np.int32)
     rank[order] = np.arange(graph.n)
     return VertexRanking(rank=rank, order=order)
@@ -356,6 +365,33 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+_PACK_BLOCK = 1 << 14   # positions _stable_sort packs at once
+
+
+def _stable_sort(key: np.ndarray, bound: int, keys: bool = True):
+    """The permutation a stable argsort of the integer keys in 0..bound-1
+    gives, as int64, with the keys sorted before it: (keys, order); with
+    keys=False the order alone. Each key is packed with its position as
+    key << b | position, b the bits a position takes, so every key sorts as
+    one distinct int64 under numpy's plain, vectorized sort, and the order
+    is masked out in place. Where bound << b would overflow int64, a stable
+    argsort does the work."""
+    rows = len(key)
+    shift = max(rows - 1, 0).bit_length()
+    if bound << shift > 1 << 63:
+        order = np.argsort(key, kind="stable")
+        return (key[order], order) if keys else order
+    packed = np.left_shift(key, shift, dtype=np.int64)
+    # positions a block at a time: no second array as long as the keys
+    for lo in range(0, rows, _PACK_BLOCK):
+        block = packed[lo : lo + _PACK_BLOCK]
+        block |= np.arange(lo, lo + len(block))
+    packed.sort()
+    ordered = packed >> shift if keys else None
+    packed &= (1 << shift) - 1
+    return (ordered, packed) if keys else packed
+
+
 def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """The integers of every range start[i]..stop[i]-1, concatenated, as intp."""
     counts = stop - start
@@ -366,11 +402,12 @@ def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
 
 def _incidence(slots: np.ndarray, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows holding each edge, for a flat array of edge ids, `width` per
-    row: edge e is in rows[start[e]:start[e + 1]], a row once per slot it
-    fills. `start` is int64, `rows` int32."""
-    start = np.zeros(m + 1, dtype=np.int64)
+    row: edge e is in rows[start[e]:start[e + 1]], ascending, a row once per
+    slot it fills. Both are int32: the triangle and triad caps keep every
+    caller's slots below 2^31."""
+    start = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(slots, minlength=m), out=start[1:])
-    rows = np.argsort(slots)
+    rows = _stable_sort(slots, m, keys=False)
     rows //= width
     return start, rows.astype(np.int32)
 
@@ -385,7 +422,7 @@ def _grouped(ids: np.ndarray, label: np.ndarray, min_size: int = 1):
     first = np.flatnonzero(np.diff(group, prepend=-1))
     size = np.diff(first, append=len(key))
     keep = np.flatnonzero(size >= min_size)
-    keep = keep[np.argsort(ids[first[keep]])]
+    keep = keep[_stable_sort(ids[first[keep]], 1 << 31, keys=False)]
     start = np.concatenate(([0], np.cumsum(size[keep])))
     return ids[_ranges(first[keep], first[keep] + size[keep])], start, group[first[keep]]
 

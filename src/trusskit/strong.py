@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import truss
-from .graph import Graph
+from .graph import Graph, _stable_sort
 from .truss import Clusters, ClusterFamily, KClassDecomposition, truss_leaves
 
 
@@ -47,7 +47,8 @@ def strong_truss_family(decomposition: KClassDecomposition) -> ClusterFamily:
     rows = leaf_of_edge[decomposition.triangles]
     del leaf_of_edge
     rows.sort(axis=1)
-    by_level = np.argsort(-leaf_levels[rows[:, 2]], kind="stable")
+    top = int(leaf_levels.max(initial=0))
+    by_level = _stable_sort(top - leaf_levels[rows[:, 2]], top + 1, keys=False)
     links = np.empty((len(rows), 4), dtype=np.int32)
     for column, leaf in ((1, 2), (2, 0), (3, 1)):   # last, first, middle
         links[:, column] = rows[by_level, leaf]

@@ -41,6 +41,7 @@ from .graph import (
     _incidence,
     _ranges,
     _sorted_unique,
+    _stable_sort,
     vertex_ranking,
 )
 from .truss import Clusters, ClusterFamily, _at_level, _leaves, _vertex_family
@@ -89,7 +90,7 @@ class ETPGraph:
             )
 
         # upward buckets: edge ids grouped by their lower-ranked endpoint
-        by_low = np.argsort(low, kind="stable").astype(np.int32)
+        by_low = _stable_sort(low, n)[1].astype(np.int32)
         outer = high[by_low]
         up_end = np.cumsum(up)
         # low-apex: each bucket slot pairs with every later slot of its bucket
@@ -160,21 +161,6 @@ class ETPGraph:
         key = self.periph_key[live]
         pairs = zip(order[key // n].tolist(), order[key % n].tolist())
         return dict(zip(pairs, self.periph_degree[live].tolist()))
-
-
-def _stable_sort(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The keys sorted, and the permutation a stable argsort gives, for
-    keys in 0..bound-1. Packed with its row as key * len + row, each key
-    sorts as one distinct int64, so numpy's plain sort does the work;
-    where that product could overflow int64, a stable argsort does."""
-    rows = len(key)
-    if bound * rows >= 1 << 63:
-        order = np.argsort(key, kind="stable")
-        return key[order], order
-    packed = key.astype(np.int64) * rows
-    packed += np.arange(rows)
-    packed.sort()
-    return np.divmod(packed, rows)
 
 
 def build_etp_graph(graph: Graph, ranking: VertexRanking | None = None) -> ETPGraph:

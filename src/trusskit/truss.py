@@ -34,6 +34,7 @@ from .graph import (
     _grouped,
     _incidence,
     _ranges,
+    _stable_sort,
 )
 from .triangles import SupportMap, triangle_list
 
@@ -47,7 +48,8 @@ class KClassDecomposition:
     read. `triangles` is the triangle list it was peeled from, an int32
     (T, 3) array of edge ids; the strong-truss family reads it as links
     rather than scanning `graph`, the graph it was peeled from, again.
-    Decompositions are equal when their trussness values are.
+    Decompositions are equal when their graphs (the same object, or equal
+    graphs) and their trussness values are.
     """
 
     trussness: np.ndarray
@@ -55,8 +57,10 @@ class KClassDecomposition:
     graph: Graph = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, KClassDecomposition) and np.array_equal(
-            self.trussness, other.trussness
+        return (
+            isinstance(other, KClassDecomposition)
+            and (self.graph is other.graph or self.graph == other.graph)
+            and np.array_equal(self.trussness, other.trussness)
         )
 
     @property
@@ -113,28 +117,28 @@ def _at_level(k: int, edges: np.ndarray, start: np.ndarray) -> Clusters:
 
 
 class _LevelQueue:
-    """Alive edges keyed by residual support, popped one key at a time.
+    """Live edges keyed by residual support, popped one key at a time.
 
-    An entry (key, e) is current while e is alive and cur[e] == key; an
-    edge whose support drops is pushed again and its older entry goes
-    stale. Entries live in sorted runs: a pushed run absorbs every older run
-    at most twice its length, dropping stale entries, so there are O(log)
-    runs and two sorted runs merge in linear time under the stable
-    (run-detecting) sort.
+    An entry (key, e) is current while cur[e] == key; an edge whose support
+    drops is pushed again and its older entry goes stale. A peeled edge's
+    support freezes at the level that peeled it, below every key still
+    queued, so its entries go stale too. Entries live in sorted runs: a
+    pushed run absorbs every older run at most twice its length, dropping
+    stale entries, so there are O(log) runs.
     """
 
-    def __init__(self, cur: np.ndarray, alive: np.ndarray) -> None:
-        self.cur, self.alive = cur, alive
+    def __init__(self, cur: np.ndarray) -> None:
+        self.cur = cur
         self.runs: list[tuple[np.ndarray, np.ndarray]] = []
 
     def push(self, keys: np.ndarray, ids: np.ndarray) -> None:
         while self.runs and len(self.runs[-1][0]) <= 2 * len(keys):
             old_keys, old_ids = self.runs.pop()
-            keep = self.alive[old_ids] & (self.cur[old_ids] == old_keys)
+            keep = self.cur[old_ids] == old_keys
             keys = np.concatenate((old_keys[keep], keys))
             ids = np.concatenate((old_ids[keep], ids))
-        order = np.argsort(keys, kind="stable")
-        self.runs.append((keys[order], ids[order]))
+        keys, order = _stable_sort(keys, int(keys.max(initial=0)) + 1)
+        self.runs.append((keys, ids[order]))
 
     def pop(self) -> tuple[int, np.ndarray]:
         """The smallest key with a current entry, and its current ids."""
@@ -148,9 +152,13 @@ class _LevelQueue:
                     self.runs[i] = (keys[cut:], ids[cut:])
             self.runs = [run for run in self.runs if len(run[0])]
             ids = np.concatenate(out)
-            ids = ids[self.alive[ids] & (self.cur[ids] == key)]
+            ids = ids[self.cur[ids] == key]
             if len(ids):
                 return key, ids
+
+
+# the death stamp of an edge not yet peeled
+_ALIVE = np.iinfo(np.int32).max
 
 
 def peel_triangles(
@@ -163,60 +171,85 @@ def peel_triangles(
     and weighted trussness.
 
     Levels are visited in increasing order of the smallest residual support
-    f left, giving trussness k = f+2. Each sub-round removes every alive
-    edge whose residual support is at most f, kills the alive triangles
+    f left, giving trussness k = f+2. Each sub-round removes every live
+    edge whose residual support is at most f, kills the live triangles
     those edges touch, and subtracts each killed triangle's weight (1 when
     weights is None) from its surviving edges, clamped at f; the edges that
     reach f form the next sub-round. Supports and decrements are exact
     int64 arithmetic. The level queue keeps the cost of finding each level
     proportional to the edges it touches, not to m.
+
+    Each triangle is killed once, with no per-triangle state: a peeled edge
+    takes a death stamp, its place in the peel order, and of the slots a
+    sub-round visits in one live triangle, the one whose edge has the
+    row's lowest stamp kills it. A triangle killed earlier holds a lower
+    stamp than any this sub-round gives, so none of its slots kills it again.
     """
     tri = np.asarray(triangles).reshape(-1, 3)
     # the triangles of edge e are tri_of[ptr[e]:ptr[e+1]]
     ptr, tri_of = _incidence(tri.ravel(), m, 3)
-    if weights is not None:
-        weights = np.repeat(weights, 3).reshape(-1, 3)   # aligned with tri
-    stamp = np.empty(max(m, len(tri)), dtype=np.int32)
-
-    def distinct(ids: np.ndarray) -> np.ndarray:
-        # one copy of each id: whichever write won its stamp slot
-        pos = np.arange(len(ids))
-        stamp[ids] = pos
-        return ids[stamp[ids] == pos]
-
     # an edge's residual support freezes at f when it is peeled: phi = f+2
     cur = np.array(initial, dtype=np.int64)
-    alive = np.ones(m, dtype=bool)
-    tri_alive = np.ones(len(tri), dtype=bool)
-    queue = _LevelQueue(cur, alive)
+    # a live edge's stamp is free: distinct() uses it as scratch, then
+    # restores it
+    stamp = np.full(m, _ALIVE, dtype=np.int32)
+
+    def distinct(ids: np.ndarray) -> np.ndarray:
+        # one copy of each live id: whichever write won its stamp
+        pos = np.arange(len(ids), dtype=np.int32)
+        stamp[ids] = pos
+        ids = ids[stamp[ids] == pos]
+        stamp[ids] = _ALIVE
+        return ids
+
+    queue = _LevelQueue(cur)
     queue.push(cur, np.arange(m, dtype=np.int32))
-    remaining = m
-    while remaining:
+    peeled = 0
+    while peeled < m:
         f, peel = queue.pop()
         peel = distinct(peel)
         # nothing pops the queue within a level: the edges a level moves to
-        # later keys are pushed once, when it ends; an entry an edge's later
-        # drop outdates goes stale
-        moved: list[tuple[np.ndarray, np.ndarray]] = []
+        # later keys are pushed once, when it ends, at the supports they end
+        # it with; an entry an edge's later drop outdates goes stale
+        moved: list[np.ndarray] = []
         while len(peel):
-            alive[peel] = False
-            remaining -= len(peel)
-            killed = tri_of[_ranges(ptr[peel], ptr[peel + 1])]
-            killed = distinct(killed[tri_alive[killed]])
-            tri_alive[killed] = False
-            touched = tri[killed]
-            survives = alive[touched]
-            hit = touched[survives]
-            np.subtract.at(cur, hit, 1 if weights is None else weights[killed][survives])
+            mine = np.arange(peeled, peeled + len(peel), dtype=np.int32)
+            stamp[peel] = mine
+            peeled += len(peel)
+            lo, hi = ptr[peel], ptr[peel + 1]
+            killed = tri_of[_ranges(lo, hi)]
+            rows = tri.take(killed, axis=0)
+            # per row, which edges survive and the lowest stamp, read a
+            # column at a time, as each casts its edge ids to intp
+            survives = np.empty(rows.shape, dtype=bool)
+            lowest = np.full(len(rows), _ALIVE, dtype=np.int32)
+            for j in range(3):
+                stamps = stamp[rows[:, j]]
+                np.equal(stamps, _ALIVE, out=survives[:, j])
+                np.minimum(lowest, stamps, out=lowest)
+            del stamps
+            # the slot whose edge holds the row's lowest stamp kills it
+            survives &= (lowest == np.repeat(mine, hi - lo))[:, None]
+            survives = np.flatnonzero(survives)
+            hit = rows.ravel()[survives]
+            del rows
+            if weights is None:
+                np.subtract.at(cur, hit, 1)
+            else:
+                survives //= 3
+                np.subtract.at(cur, hit, weights[killed[survives]])
+            del killed, survives
             hit = distinct(hit)
             low = np.maximum(cur[hit], f)
             cur[hit] = low
             later = low > f
-            if later.any():
-                moved.append((low[later], hit[later]))
+            moved.append(hit[later])
             peel = hit[~later]
-        if moved:
-            queue.push(*map(np.concatenate, zip(*moved)))
+        moved = np.concatenate(moved)
+        # an edge moved, then peeled, in this level is frozen at f
+        moved = distinct(moved[cur[moved] > f])
+        if len(moved):
+            queue.push(cur[moved], moved)
     return cur + 2
 
 
@@ -447,7 +480,9 @@ class _VertexFamily(ClusterFamily):
 def _leaves(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The edges at levels >= 1 in descending level, ascending id within a
     level, and their levels, as int32 arrays: a family's leaves."""
-    order = np.argsort(-level, kind="stable")[: np.count_nonzero(level)].astype(np.int32)
+    top = int(level.max(initial=0))
+    order = _stable_sort(top - level, top + 1, keys=False)[: np.count_nonzero(level)]
+    order = order.astype(np.int32)
     return order, level[order].astype(np.int32, copy=False)
 
 

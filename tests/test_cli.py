@@ -735,6 +735,33 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
         assert main(argv) == 0, argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["truss", "--k", "4", str(DOLPHINS)],
+    ["summit", "--strong", str(DOLPHINS)],
+    ["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "--alpha", "3/2", "WEIGHTED"],
+    ["weighted-truss", "--k", "3", "--weight-fn", "min", "WEIGHTED"],
+    ["trapeze", "--levels", "1,2,4", str(DOLPHINS)],
+    ["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3", "--trials", "3",
+     "--method", "strong"],
+    ["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3", "--trials", "3",
+     "--method", "summit"],
+])
+def test_hot_paths_sort_with_the_one_kernel(argv, tmp_path, monkeypatch):
+    """The pipelines the benchmark runs order their arrays with
+    graph._stable_sort, numpy's plain sort over packed keys, and never
+    with np.argsort or np.lexsort, which are slower here."""
+    weighted = tmp_path / "w.tsv"
+    weighted.write_text("a b 2\nb c 3\nc a 1\nc d 5\nd a 2\nd b 1\ne a 4\ne b 1\na b 7\n")
+    argv = [str(weighted) if arg == "WEIGHTED" else arg for arg in argv]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hot path called np.argsort or np.lexsort")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "lexsort", refuse)
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 0
+
+
 BENCH_ARGS = ["bench", "--l", "4", "--size", "8", "--p", "0.9", "--mu", "0.1", "--trials", "2"]
 
 
@@ -808,6 +835,26 @@ def test_cli_import_leaves_out_the_network_modules():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's /proc")
+def test_import_starts_no_blas_workers():
+    """trusskit calls no BLAS routine, so importing it first loads numpy
+    with one OpenBLAS thread and the process keeps its one thread; a BLAS
+    thread count already set in the environment is left as set."""
+    code = (
+        "import os, trusskit; "
+        "threads = [l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')]; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), *threads)"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas} | {"PYTHONPATH": path}
+    for preset, want in (({}, "1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")):
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env | preset, check=True
+        )
+        assert result.stdout.split()[: len(want.split())] == want.split()
 
 
 def test_traced_runs_report_plain_json(tmp_path, monkeypatch):

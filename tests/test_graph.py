@@ -21,6 +21,7 @@ from trusskit.graph import (
     _incidence,
     _ranges,
     _scan,
+    _stable_sort,
     component_edge_sets,
     edge_nodes,
 )
@@ -403,6 +404,36 @@ def test_ranges_match_a_loop(dtype):
         assert got.tolist() == reference_ranges(list(start), list(stop))
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_stable_sort_matches_a_stable_argsort(dtype, monkeypatch):
+    rng = np.random.default_rng(17)
+    top = int(np.iinfo(dtype).max)
+    cases = [   # keys, bound, whether the stable argsort does the work
+        (np.empty(0, dtype), 1, False),
+        (np.zeros(9, dtype), 1, False),                    # all ties
+        (rng.integers(0, 5, 4000, dtype=dtype), 5, False),
+        # 3000 positions take 12 bits: int32 keys pack, int64 keys overflow
+        (rng.integers(0, top, 3000, dtype=dtype), top, dtype == np.int64),
+    ]
+    if dtype == np.int64:
+        edge = np.array([3, 1 << 60, 3, (1 << 61) - 1], dtype=np.int64)
+        cases += [
+            (edge, 1 << 61, False),        # four positions, two bits: just below 2^63
+            (edge, (1 << 61) + 1, True),   # one more overflows
+        ]
+    argsort = np.argsort
+    fallbacks = []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: fallbacks.append(1) or argsort(*a, **k))
+    for key, bound, falls_back in cases:
+        want = argsort(key, kind="stable")
+        del fallbacks[:]
+        keys, order = _stable_sort(key, bound)
+        assert order.dtype == np.int64 and np.array_equal(order, want)
+        assert np.array_equal(keys, key[want])
+        assert np.array_equal(_stable_sort(key, bound, keys=False), want)
+        assert len(fallbacks) == 2 * falls_back
+
+
 def reference_incidence(slots, m, width):
     return [[i // width for i, e in enumerate(slots) if e == edge] for edge in range(m)]
 
@@ -420,7 +451,7 @@ def test_incidence_matches_a_loop(width):
             cases.append((rng.integers(0, m, width * rng.integers(0, 60)).astype(dtype), m))
     for slots, m in cases:
         start, rows = _incidence(slots, m, width)
-        assert start.dtype == np.int64 and rows.dtype == np.int32
+        assert start.dtype == np.int32 and rows.dtype == np.int32
         assert len(start) == m + 1 and len(rows) == len(slots)
         want = reference_incidence(slots.tolist(), m, width)
         assert [sorted(rows[start[e] : start[e + 1]].tolist()) for e in range(m)] == want

@@ -12,6 +12,7 @@ from trusskit import (
     TriangleWeightSpec,
     build_graph,
     edge_supports,
+    iterative_deletion_oracle,
     k_classes,
     strong_truss_family,
     summit_strong_trusses,
@@ -20,6 +21,7 @@ from trusskit import (
     weighted_supports,
 )
 from trusskit.triangles import triangle_list
+from trusskit.truss import peel_triangles
 from conftest import complete_graph, graph_from, random_graphs
 from conftest import weighted_graphs as seeded_weighted_graphs
 
@@ -305,3 +307,48 @@ def test_weighted_map_equals_the_oracle_map():
             assert ws.support.dtype == np.int64
             assert type(ws.total_triangles()) is int
             assert type(weighted_k_classes(g, spec).k_max) is int
+
+
+@st.composite
+def dense_weighted_graphs(draw):
+    """Small dense graphs, where two or three edges of one triangle often
+    leave the peel in one sub-round: a clique K4-K7, a wheel, or two
+    cliques sharing an edge, with random integer weights."""
+    shape = draw(st.sampled_from(["clique", "wheel", "two cliques"]))
+    if shape == "clique":
+        n = draw(st.integers(min_value=4, max_value=7))
+        edges = list(itertools.combinations(range(n), 2))
+    elif shape == "wheel":
+        rim = draw(st.integers(min_value=3, max_value=8))
+        n = rim + 1
+        edges = [(0, v) for v in range(1, n)] + [(v, v % rim + 1) for v in range(1, n)]
+    else:
+        a, b = draw(st.integers(3, 6)), draw(st.integers(3, 6))
+        n = a + b - 2   # the second clique reuses vertices 0 and 1
+        second = [0, 1, *range(a, n)]
+        edges = sorted(
+            set(itertools.combinations(range(a), 2)) | set(itertools.combinations(second, 2))
+        )
+    weights = draw(st.lists(st.integers(1, 6), min_size=len(edges), max_size=len(edges)))
+    return build_graph(n, edges, weights)
+
+
+@given(
+    dense_weighted_graphs(),
+    st.sampled_from(["minimum", "harmonic"]),
+    st.sampled_from([1, 3, Fraction(1, 2)]),
+)
+def test_peel_kills_each_triangle_once(g, kind, alpha):
+    """peel_triangles, plain and weighted, keeps at level k exactly the
+    edges the deletion oracles keep, on graphs whose triangles lose several
+    edges in one sub-round."""
+    plain = edge_supports(g)
+    phi = peel_triangles(g.m, plain.triangles, plain.support)
+    for k in sorted({2, *phi.tolist(), *(phi + 1).tolist()}):
+        survivors = iterative_deletion_oracle(g, k).edges
+        assert sorted(survivors.tolist()) == np.flatnonzero(phi >= k).tolist()
+    spec = TriangleWeightSpec(kind, alpha)
+    heavy = weighted_supports(g, spec)
+    phi = peel_triangles(g.m, heavy.triangles, heavy.support, heavy.weights)
+    for k in sorted({2, *phi.tolist(), *(phi + 1).tolist()}):
+        assert weighted_deletion_survivors(g, spec, k) == set(np.flatnonzero(phi >= k).tolist())
