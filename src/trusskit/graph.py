@@ -6,20 +6,22 @@ table. Edges are stored once, as one int32 (m, 2) array `ends` of canonical
 weights. The tuple views `edges` and `weights` and the per-vertex adjacency
 (neighbor -> edge id) are built on demand, for the oracles and the
 per-vertex queries. The edge-list loader reads its input in blocks of
-whole lines, with no Python step per line: a numpy scan of each block's
-code points gives its line structure, one `split()` its tokens, and one
-dict lookup map their ids.
+whole lines, encoded to UTF-8, with no Python step per line or token: one
+whitespace test over a block's bytes gives its tokens and lines, each
+token packs into uint64 words, an exact key, and the keys are numbered by
+first appearance with the one stable-sort kernel, `_stable_sort`.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, filterfalse, islice
-from typing import IO, Iterable, Sequence
+from itertools import islice
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -174,28 +176,140 @@ def _weighed(graph: Graph, code: np.ndarray, values: Sequence[Weight]) -> Graph:
     return replace(graph, weight_code=place[code], weight_values=tuple(map(values.__getitem__, used)))
 
 
-LOAD_BLOCK = 1 << 9   # lines the loader scans at once
+# characters read at once; an iterable's lines are joined 1/16 as many at
+# once. A block's scratch is about 20 bytes per character, and larger
+# blocks load no faster.
+READ_BLOCK = 1 << 16
+# name tokens numbered at once, beside the distinct names before them
+NAME_BATCH = 1 << 16
 
-# str.split()'s whitespace, the code points str.isspace accepts; no code
-# point past the table is whitespace
-_SPACE_POINTS = (
-    *range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
-    0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
-)
-_SPACE = np.zeros(0x3002, dtype=bool)
-_SPACE[list(_SPACE_POINTS)] = True
-
-
-def _scan(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The code points of text, as uint32, and for each whether str.split()
-    splits there."""
-    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    return points, _SPACE[np.minimum(points, len(_SPACE) - 1)]
+# str.split()'s whitespace past ASCII: `\s` is str.isspace in a str pattern
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+# with r bytes of a token left, its word is OR-ed with _FILL[min(r, 8)]: the
+# bytes past the token read 0xFF, which UTF-8 never holds
+_FILL = np.array([(1 << 64 - 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
-def _take(tokens: list[str], at: np.ndarray) -> list[str]:
-    """The tokens at the given indexes, in index order."""
-    return list(map(tokens.__getitem__, at.ravel().tolist()))
+def _utf8(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """text as UTF-8 bytes (uint8), each whitespace code point past ASCII
+    made one space and 8 spaces added, so every token has 8 bytes to load;
+    and for each byte whether str.split() splits there: 0x09-0x0D and
+    0x1C-0x20."""
+    if not text.isascii():
+        text = _WIDE_SPACE.sub(" ", text)
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass") + b" " * 8, dtype=np.uint8)
+    return data, (data - np.uint8(0x09) < np.uint8(5)) | (data - np.uint8(0x1C) < np.uint8(5))
+
+
+def _pack(data: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens data[start:start + length], each packed big-endian into
+    uint64 words, 8 bytes to a word, its last word filled out with 0xFF
+    bytes: every token's words in turn, and each token's word count (int32).
+    Two tokens are equal exactly when their words are. data holds at least
+    7 bytes past the last token."""
+    load = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+    if length.max(initial=0) <= 8:
+        words = np.ones(len(length), dtype=np.int32)
+    else:   # a word per 8 bytes begun: a token's i-th word loads at its byte 8i
+        words = ((length + 7) >> 3).astype(np.int32)
+        step = _ranges(np.zeros_like(words), words) << 3
+        start, length = np.repeat(start, words) + step, np.repeat(length, words) - step
+    flat = load[start].astype(np.uint64)
+    flat |= np.take(_FILL, length, mode="clip")
+    return flat, words
+
+
+def _number(flat: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tokens packed by `_pack` numbered by first appearance: each token's
+    number (int32) and each number's first token. The tokens of one word
+    count are sorted stably by LSD passes of `_stable_sort` over their
+    words' 32-bit halves, last first (a half alike in all is skipped), so
+    equal tokens lie together and each run's head is a first appearance."""
+    t = len(words)
+    low, high = int(words.min(initial=1)), int(words.max(initial=0))
+    sizes = [high] if low == high else _sorted_unique(words).tolist()
+    offset = None if len(sizes) == 1 else np.cumsum(words) - words   # each token's first word
+    group = np.empty(t, dtype=np.int32)           # each token's run, over all word counts
+    heads = [np.empty(0, dtype=np.intp)]          # each run's first token, run by run
+    for size in sizes:
+        tokens = None if offset is None else np.flatnonzero(words == size)
+        rows = flat.reshape(t, size) if offset is None else flat[offset[tokens, None] + np.arange(size)]
+        order = None                              # the identity, until a pass sorts
+        for half in rows.view(np.uint32).T[::-1]:
+            if half.min() != half.max():
+                step = _stable_sort(half if order is None else half[order], 1 << 32, keys=False)
+                order = step if order is None else order[step]
+                del step
+        order = np.arange(len(rows)) if order is None else order
+        rows = np.take(rows, order, axis=0)
+        new = np.ones(len(rows), dtype=bool)
+        np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+        head = np.flatnonzero(new)
+        order = order if tokens is None else tokens[order]
+        runs = sum(map(len, heads)) + np.arange(len(head), dtype=np.int32)
+        group[order] = np.repeat(runs, np.diff(head, append=len(new)))
+        heads.append(order[head])
+        del rows, order, new
+    heads = np.concatenate(heads)
+    by_first = _stable_sort(heads, t, keys=False)   # the runs in order of their heads
+    number = np.empty(len(heads), dtype=np.int32)
+    number[by_first] = np.arange(len(heads))
+    return number[group], heads[by_first]
+
+
+def _gather(flat: np.ndarray, words: np.ndarray, tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The words and word counts of the given tokens packed by `_pack`, in turn."""
+    start = np.cumsum(words) - words
+    return flat[_ranges(start[tokens], start[tokens] + words[tokens])], words[tokens]
+
+
+def _decode(flat: np.ndarray, words: np.ndarray) -> list[str]:
+    """The text of every token packed by `_pack`."""
+    # each token's words then a line break, which no token holds
+    text = np.full((len(flat), 9), 0xFF, dtype=np.uint8)
+    text[:, :8] = flat.astype(">u8").view(np.uint8).reshape(-1, 8)
+    text[np.cumsum(words) - 1, 8] = ord("\n")
+    return text[text != 0xFF].tobytes().decode("utf-8", "surrogatepass").split("\n")[:-1]
+
+
+def _fold(
+    known: tuple[np.ndarray, np.ndarray], batch: tuple[array, array], ids: array
+) -> tuple[np.ndarray, np.ndarray]:
+    """Number the batch of packed name tokens after the known names, the
+    distinct names so far in id order, so that each known name keeps its
+    id: append the batch's ids to ids, empty the batch, and return the
+    known names with the batch's new ones after them."""
+    flat = np.concatenate((known[0], np.frombuffer(batch[0], np.uint64)))
+    words = np.concatenate((known[1], np.frombuffer(batch[1], np.int32)))
+    for store in batch:
+        del store[:]
+    number, first = _number(flat, words)
+    ids.frombytes(number[len(known[1]) :].tobytes())
+    return _gather(flat, words, first)
+
+
+def _blocks(stream: IO[str] | Iterable[str]) -> Iterator[str]:
+    """The stream's lines in texts of whole lines, each text with a line
+    break before and after every line. A stream with `read` is read
+    READ_BLOCK characters at a time and cut at its last line break; the
+    lines of any other iterable are its items, with or without their line
+    break, joined a block at a time (a line break inside one is whitespace
+    there, as `str.split` takes it)."""
+    if hasattr(stream, "read"):
+        parts: list[str] = []   # the line begun in earlier reads
+        while chunk := stream.read(READ_BLOCK):
+            cut = chunk.rfind("\n") + 1
+            if cut:
+                yield "".join(("\n", *parts, chunk[:cut]))
+                parts = [chunk[cut:]]
+            else:
+                parts.append(chunk)
+        if any(parts):
+            yield "".join(("\n", *parts, "\n"))
+        return
+    source = iter(stream)
+    while lines := list(islice(source, READ_BLOCK >> 4 or 1)):
+        yield "\n".join(["", *(line.replace("\n", " ") for line in lines), ""])
 
 
 def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> Graph:
@@ -208,84 +322,99 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     assigned by first appearance, and each weight token is parsed at its
     first line. An error names the first bad line.
 
-    Lines are read in blocks, with no Python step per line: per block, one
-    numpy scan of its code points counts each line's tokens and finds its
-    comments, one `split()` gives the tokens, and one dict lookup each
-    maps them to vertex ids and weights. Lines are those the stream
-    yields, with or without their line breaks.
+    A stream with `read` (a text-mode file, io.StringIO) is read in blocks
+    of READ_BLOCK characters, and its lines end at "\\n": a text-mode file
+    ends them as open() does, and a lone "\\r" that io.StringIO yields is
+    whitespace. The lines of any other iterable are its items. Each block
+    is encoded to UTF-8 once (`_utf8`), and one whitespace test over its
+    bytes gives every token's and line's bounds, with no Python step per
+    line or token. Each token packs into uint64 words, an exact key
+    (`_pack`). A block's weight tokens are numbered with `_stable_sort`
+    (`_number`) and each new one parsed before the next block is read;
+    the names are numbered so NAME_BATCH tokens at a time, after the
+    distinct names before them (`_fold`).
     """
-    ids: dict[str, int] = {}          # vertex name -> vertex id
-    values: list[Weight] = [1]        # 1 for an omitted weight, then one per token
-    code_of: dict[str, int] = {}      # weight token -> index in values
-    # each kept line's pair, canonical as lo << 32 | hi, and its weight's
-    # index, grown block by block
-    pairs, codes = array("q"), array("i")
     most = 3 if weighted else 2       # tokens on an edge line: 2, or 3 with a weight
-    done = read = 0                   # lines and vertex names in earlier blocks
-    source = iter(stream)
-    for lines in iter(lambda: list(islice(source, LOAD_BLOCK)), []):
-        # one text with a line break before each line, so no token spans two
-        text = "\n" + "\n".join(lines)
-        bounds = np.zeros(len(lines) + 1, dtype=np.int64)   # each line's break, then the end
-        np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1, out=bounds[1:])
-        del lines                     # its strings go before the tokens come
-        points, space = _scan(text)
-        heads = np.flatnonzero(space[:-1] & ~space[1:]) + 1   # where each token starts
-        lead = np.searchsorted(heads, bounds)   # each line's first token
-        width = lead[1:] - lead[:-1]            # each line's token count
+    # grown block by block: each name's vertex id, two names per edge line,
+    # and the packed names not yet numbered (`_fold`); each weighted edge
+    # line and its weight's index into values
+    ids, names = array("i"), (array("Q"), array("i"))
+    known = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32)   # the distinct names, by id
+    weighed = array("q"), array("i")
+    values: list[Weight] = [1]        # an omitted weight, then each distinct token's
+    parsed: dict[str, int] = {}       # each weight token read so far, its index into values
+    done = edges = 0                  # lines and edge lines in earlier blocks
+    bad = np.empty(0, dtype=np.intp)
+    for text in _blocks(stream):
+        data, space = _utf8(text)
+        del text
+        bound = np.flatnonzero(space[1:] != space[:-1]) + 1   # each token's start and stop, in turn
+        start, length = bound[0::2], bound[1::2] - bound[0::2]
+        lead = np.searchsorted(start, np.flatnonzero(data == 0x0A))   # each line's first token
+        width = np.diff(lead)                                       # each line's token count
         edge = width > 0
-        edge[edge] = points[heads[lead[:-1][edge]]] != ord("#")
+        edge[edge] = data[start[lead[:-1][edge]]] != ord("#")
         bad = np.flatnonzero(edge & ((width < 2) | (width > most)))
         if len(bad):   # no line past the first bad one is read
             edge[bad[0] :] = False
-        tokens = text.split()
         line = np.flatnonzero(edge)
         at = lead[line]
-        # every token a vertex name: no comment, weight or line past a bad one
-        names = tokens if len(tokens) == 2 * len(line) else _take(tokens, np.stack((at, at + 1), 1))
-        # one dict pass: a known name gives its vertex id, a new one its place
-        # among all names read, which no vertex id reaches; the new names then
-        # take the next ids in order of first appearance
-        place = np.fromiter(map(ids.setdefault, names, count(read)), np.int64, len(names))
-        fresh = place == np.arange(read, read + len(names))   # where a new name is first read
-        number = np.cumsum(fresh) + (len(ids) - np.count_nonzero(fresh) - 1)
-        ends = np.where(place < read, place, number.take(place - read, mode="clip")).reshape(-1, 2)
-        ids.update(zip(_take(names, np.flatnonzero(fresh)), number[fresh].tolist()))
-        read += len(names)
-        keep = ends[:, 0] != ends[:, 1]
-        line, at = line[keep], at[keep]
-        code = np.zeros(len(line), dtype=np.int32)
-        weighed = np.flatnonzero(width[line] == 3)
-        if len(weighed):
-            texts = _take(tokens, at[weighed] + 2)
-            for token in filterfalse(code_of.__contains__, dict.fromkeys(texts)):
-                try:
-                    value = Fraction(token)
-                    problem = f"non-positive weight {token}" if value <= 0 else None
-                except (ValueError, ZeroDivisionError):
-                    problem = f"bad weight {token!r}"
-                if problem:
-                    raise EdgeListParseError(done + 1 + int(line[weighed[texts.index(token)]]), problem)
-                code_of[token] = len(values)
-                values.append(value)
-            code[weighed] = np.fromiter(map(code_of.__getitem__, texts), np.int32, len(texts))
+        both = np.stack((at, at + 1), axis=1).ravel()   # each edge line's two names
+        flat, words = _pack(data, start[both], length[both])
+        for store, part in zip(names, (flat, words)):
+            store.frombytes(part.view(np.uint8))   # _pack's dtypes are the stores'
+        if len(names[1]) >= NAME_BATCH:
+            known = _fold(known, names, ids)
+        three = np.flatnonzero(width[line] == 3)   # the weighted lines
+        if len(three):
+            # but self loops, whose weights are unread: a loop's two names
+            # have alike words
+            first = (np.cumsum(words) - words)[2 * three]
+            size = np.where(words[2 * three] == words[2 * three + 1], words[2 * three], 0)
+            slot = _ranges(first, first + size)
+            loop = size > 0
+            unlike = flat[slot] != flat[slot + np.repeat(size, size)]
+            loop[np.repeat(np.arange(len(three)), size)[unlike]] = False
+            three = three[~loop]
+            flat, words = _pack(data, start[at[three] + 2], length[at[three] + 2])
+            number, first = _number(flat, words)
+            tokens = _decode(*_gather(flat, words, first))
+            for i, token in enumerate(tokens):   # each new weight token parsed at its first line
+                if token not in parsed:
+                    try:
+                        value = Fraction(token)
+                        problem = f"non-positive weight {token}" if value <= 0 else None
+                    except (ValueError, ZeroDivisionError):
+                        problem = f"bad weight {token!r}"
+                    if problem:
+                        raise EdgeListParseError(done + 1 + int(line[three[first[i]]]), problem)
+                    parsed[token] = len(values)
+                    values.append(value)
+            code = np.array([parsed[token] for token in tokens], dtype=np.int32)[number]
+            for store, part in zip(weighed, (edges + three, code)):
+                store.frombytes(part.astype(store.typecode, copy=False).view(np.uint8))
+        del data, space, bound, start, length, lead, edge, at, both, flat, words   # before the next block
+        edges += len(line)
         if len(bad):
             expected = "2 or 3" if weighted else "2"
             raise EdgeListParseError(
                 done + 1 + int(bad[0]), f"expected {expected} tokens, got {width[bad[0]]}"
             )
-        lo, hi = ends[keep].T
-        pairs.frombytes((np.minimum(lo, hi) << 32 | np.maximum(lo, hi)).tobytes())
-        codes.frombytes(code.tobytes())
         done += len(width)
-        del tokens, names             # before the next block's lines are read
 
-    n = len(ids)
-    key = np.frombuffer(pairs, dtype=np.int64)
-    pair = key >> 32
-    pair *= n
-    pair += key & 0xFFFFFFFF       # lo * n + hi
-    del key, pairs
+    labels = _decode(*_fold(known, names, ids))
+    ids = np.frombuffer(ids, dtype=np.int32)
+    n = len(labels)
+    lo, hi = ids[0::2], ids[1::2]
+    loop = lo == hi
+    # each edge line's weight: an index into values, 0 for an omitted one
+    code = np.zeros(len(lo), dtype=np.int32)
+    code[np.frombuffer(weighed[0], np.int64)] = np.frombuffer(weighed[1], np.int32)
+    del weighed
+    keep = np.flatnonzero(~loop)
+    lo, hi = lo[keep], hi[keep]
+    pair = np.minimum(lo, hi).astype(np.int64) * n + np.maximum(lo, hi)   # lo * n + hi
+    del ids, lo, hi
     # lines grouped by pair and in line order within a pair, so each pair's
     # first line leads its group
     key, order = _stable_sort(pair, n * n)
@@ -293,7 +422,7 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     head = np.flatnonzero(np.diff(key, prepend=-1))
     # each pair keeps its heaviest weight, read at the first line bearing it
     level = {w: i for i, w in enumerate(sorted(set(values)))}
-    code = np.frombuffer(codes, dtype=np.int32)[order]
+    code = code[keep[order]]
     rank = np.array([level[w] for w in values], dtype=np.int32)[code]
     top = np.maximum.reduceat(rank, head) if len(head) else rank
     heaviest = np.flatnonzero(rank == np.repeat(top, np.diff(head, append=len(key))))
@@ -301,7 +430,7 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     del rank
     keep = _stable_sort(order[head], len(order), keys=False)   # pairs in order of first appearance
     ends = np.stack(np.divmod(key[head[keep]], n), axis=1).astype(np.int32)
-    return _weighed(build_graph(n, ends, None, list(ids)), code[heaviest[keep]], values)
+    return _weighed(build_graph(n, ends, None, labels), code[heaviest[keep]], values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,7 +73,10 @@ class _StrongFamily(ClusterFamily):
         off = (first[:, 0] != last[:, 0]) & (first[:, 0] != last[:, 1])
         third = np.where(off, first[:, 0], first[:, 1])
         del first, last, off
-        links = links[np.lexsort((third, links[:, 1]))]
+        # by last leaf, then third vertex: one packed key for the one sort kernel
+        n = int(third.max(initial=-1)) + 1
+        key = links[:, 1].astype(np.int64) * n + third
+        links = links[_stable_sort(key, len(edge) * n, keys=False)]
         # looked up on the module at call time, where tests count the replays
         return truss._replay(links, self.nodes, len(edge))
 

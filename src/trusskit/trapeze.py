@@ -285,7 +285,12 @@ def _triad_family(level: np.ndarray, triads: np.ndarray) -> ClusterFamily:
     leaf_of[order] = np.arange(len(order), dtype=np.int32)
     triad_level = np.minimum(level[triads[:, 0]], level[triads[:, 1]])
     rows = np.flatnonzero(triad_level)
-    rows = rows[np.lexsort((-triad_level[rows], triads[rows, 2]))]
+    # by periphery, then level descending, packed into one key; at one level
+    # the rows come in that order
+    high = int(triad_level.max(initial=0))
+    key = triads[rows, 2].astype(np.int64) * (high + 1) + (high - triad_level[rows])
+    if np.any(key[1:] < key[:-1]):
+        rows = rows[_stable_sort(key, (int(triads[:, 2].max(initial=0)) + 1) * (high + 1), keys=False)]
     arm1, arm2, triad_level = leaf_of[triads[rows, 0]], leaf_of[triads[rows, 1]], triad_level[rows]
     opens = np.ones(len(rows), dtype=bool)      # the row leads its periphery
     np.not_equal(triads[rows[1:], 2], triads[rows[:-1], 2], out=opens[1:])
@@ -295,7 +300,8 @@ def _triad_family(level: np.ndarray, triads: np.ndarray) -> ClusterFamily:
         np.column_stack((triad_level[later], arm1[later], arm2[later], arm1[later - 1])),
         np.column_stack((triad_level[top + 1], arm1[top], arm2[top], np.full_like(top, -1))),
     )).astype(np.int32)
-    links = links[np.argsort(-links[:, 0], kind="stable")]
+    if np.any(links[1:, 0] > links[:-1, 0]):   # level descending
+        links = links[_stable_sort(high - links[:, 0], high + 1, keys=False)]
     return ClusterFamily(order, leaf_levels, links, len(order))
 
 

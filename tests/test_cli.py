@@ -394,6 +394,32 @@ def test_huge_weights_exit_1_at_the_exact_cap(fn, top, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["truss", "--k", "3"],
+    ["strong-truss", "--k", "3"],
+    ["summit"],
+    ["weighted-truss", "--k", "3"],
+    ["trapeze", "--levels", "1,2"],
+    ["strong-trapeze", "--levels", "1,2"],
+    ["summit-trapeze", "--levels", "1,2"],
+    ["stats"],
+])
+def test_input_not_utf8_exits_1_with_one_line(argv, tmp_path, capsys):
+    """A byte that is not UTF-8, past the first megabyte of good lines,
+    fails every input-reading subcommand with one stderr line, leaving no
+    output directory and no staged one."""
+    src = tmp_path / "bad.tsv"
+    good = b"".join(b"a%d b%d\n" % (i, i + 1) for i in range(100_000))
+    assert len(good) > 1 << 20
+    src.write_bytes(good + b"c \xff\n")
+    out = [] if argv[0] == "stats" else ["-o", str(tmp_path / "out")]
+    assert main([*argv, str(src), *out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "can't decode byte 0xff" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv"]
+
+
 def test_memory_error_exits_1_with_one_line(k4_file, tmp_path, capsys, monkeypatch):
     import trusskit.cli
 
@@ -737,19 +763,22 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
 
 @pytest.mark.parametrize("argv", [
     ["truss", "--k", "4", str(DOLPHINS)],
+    ["strong-truss", "--k", "4", str(DOLPHINS)],
     ["summit", "--strong", str(DOLPHINS)],
     ["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "--alpha", "3/2", "WEIGHTED"],
     ["weighted-truss", "--k", "3", "--weight-fn", "min", "WEIGHTED"],
     ["trapeze", "--levels", "1,2,4", str(DOLPHINS)],
+    ["strong-trapeze", "--levels", "1,2,4", str(DOLPHINS)],
     ["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3", "--trials", "3",
      "--method", "strong"],
     ["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3", "--trials", "3",
      "--method", "summit"],
 ])
 def test_hot_paths_sort_with_the_one_kernel(argv, tmp_path, monkeypatch):
-    """The pipelines the benchmark runs order their arrays with
-    graph._stable_sort, numpy's plain sort over packed keys, and never
-    with np.argsort or np.lexsort, which are slower here."""
+    """The pipelines the benchmark runs, the loader, and the strong merge
+    log and triad family order their arrays with graph._stable_sort,
+    numpy's plain sort over packed keys, and never with np.argsort or
+    np.lexsort, which are slower here."""
     weighted = tmp_path / "w.tsv"
     weighted.write_text("a b 2\nb c 3\nc a 1\nc d 5\nd a 2\nd b 1\ne a 4\ne b 1\na b 7\n")
     argv = [str(weighted) if arg == "WEIGHTED" else arg for arg in argv]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import trusskit.graph
 from trusskit import (
     EdgeListParseError,
     build_graph,
@@ -16,12 +17,11 @@ from trusskit import (
     vertex_ranking,
 )
 from trusskit.graph import (
-    LOAD_BLOCK,
-    _SPACE_POINTS,
+    READ_BLOCK,
     _incidence,
     _ranges,
-    _scan,
     _stable_sort,
+    _utf8,
     component_edge_sets,
     edge_nodes,
 )
@@ -146,7 +146,7 @@ def text_of(text):
     return lambda: io.StringIO(text)
 
 
-def test_loader_matches_reference(tmp_path):
+def test_loader_matches_reference(tmp_path, monkeypatch):
     rng = random.Random(29)
     for case in range(600):
         weighted, bad = case % 2 == 1, rng.choice((0.0, 0.0, 0.02, 0.1))
@@ -173,9 +173,16 @@ def test_loader_matches_reference(tmp_path):
         for weighted in (False, True):
             assert_loads_like_reference(lambda: iter(lines), weighted)
             assert_loads_like_reference(lambda: list(lines), weighted)
-    # an input of many blocks, failing on a line of a later one; a self
-    # loop's bad weight before it is never read
-    many = [f"v{i % 997} v{i * 7 % 1009}" for i in range(4 * LOAD_BLOCK + LOAD_BLOCK // 2)]
+    # an input of two full-size blocks
+    many = [f"v{i % 997} v{i * 7 % 1009}" for i in range(READ_BLOCK // 8)]
+    assert len("\n".join(many)) > READ_BLOCK
+    assert assert_loads_like_reference(text_of("\n".join(many))) is None
+    # an input of many blocks and name batches, failing on a line of a
+    # later one; a self loop's bad weight before it is never read
+    monkeypatch.setattr(trusskit.graph, "READ_BLOCK", 1 << 12)
+    monkeypatch.setattr(trusskit.graph, "NAME_BATCH", 1 << 10)
+    many = many[: trusskit.graph.READ_BLOCK // 2]
+    assert len("\n".join(many)) > 4 * trusskit.graph.READ_BLOCK
     assert assert_loads_like_reference(text_of("\n".join(many))) is None
     for at, line, weighted in (
         (len(many) - 3, "x y z", False),
@@ -196,11 +203,90 @@ def test_loader_matches_reference(tmp_path):
 
 
 def test_scan_whitespace_is_str_split_whitespace():
+    """The loader's byte rule marks exactly the bytes of the code points
+    str.isspace accepts, over every code point's UTF-8 encoding; each one
+    past ASCII turns into one space byte."""
     every = "".join(map(chr, range(0x110000)))
-    want = np.array([c.isspace() for c in every])
-    points, space = _scan(every)
-    assert points.dtype == np.uint32 and np.array_equal(space, want)
-    assert sorted(_SPACE_POINTS) == np.flatnonzero(want).tolist()
+    data, space = _utf8(every)
+    sizes = [1 if c.isspace() else len(c.encode("utf-8", "surrogatepass")) for c in every]
+    want = np.repeat([c.isspace() for c in every], sizes)
+    assert space.dtype == bool and np.array_equal(space[:-8], want) and space[-8:].all()
+    wide = "".join(c for c in every if c.isspace() and c > "\x7f")
+    assert bytes(data[: len(data) - 8]) == "".join(" " if c in wide else c for c in every).encode(
+        "utf-8", "surrogatepass"
+    )
+
+
+def test_loader_blocks_cut_anywhere(tmp_path, monkeypatch):
+    """Lines, CRLF breaks, multi-byte labels and multi-byte whitespace
+    (U+00A0, U+3000) straddle block cuts as small as one character, in a
+    stream, a text-mode file and an iterable of lines; names are numbered
+    as few as one token at a time."""
+    lines = [
+        "ü\u00a0日本{}", "\u3000😀\u3000ö\t{}", "# ü ö", "ab\u00a0cd{}", "", "ü ab{}",
+        "日本\u3000😀\u3000{}", "cd\u00a0\u00a0ab{}", "ö ü{}",
+    ]
+    for weighted in (False, True):
+        text = "\r\n".join(
+            line.format(f" {i % 4 + 1}/{i % 3 + 1}" if weighted else "") for i, line in enumerate(lines)
+        )
+        path = tmp_path / "cut.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        for block in (1, 2, 3, 5, 7, 16, 1 << 20):
+            monkeypatch.setattr(trusskit.graph, "READ_BLOCK", block)
+            monkeypatch.setattr(trusskit.graph, "NAME_BATCH", block)
+            assert assert_loads_like_reference(text_of(text), weighted) is None
+            assert assert_loads_like_reference(lambda: open(path, encoding="utf-8"), weighted) is None
+            assert assert_loads_like_reference(lambda: iter(text.splitlines(True)), weighted) is None
+
+
+def test_loader_tokens_of_many_words(monkeypatch):
+    """Names and weights of 7 to 40 bytes, ASCII and multi-byte, including
+    names alike in their first 8 bytes, load as the reference loads them,
+    numbered by the one sort kernel, all at once or a few at a time: no
+    np.argsort, np.lexsort or np.unique."""
+
+    def of_bytes(size, char):
+        wide = len(char.encode("utf-8"))
+        return char * (size // wide) + "a" * (size % wide)
+
+    rng = random.Random(5)
+    names = [of_bytes(size, char) for size in (7, 8, 9, 16, 17, 40) for char in "xé日😀"]
+    names += ["abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefghé", "abcdefgh" * 2, "abcdefgh" * 2 + "x"]
+    weights = ["1", "1.000000000000000000001", "12345678901234567/3", "0.1234567", "00000002", "2"]
+    assert {len(name.encode("utf-8")) for name in names} >= {7, 8, 9, 16, 17, 40}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loader called np.argsort, np.lexsort or np.unique")
+
+    for name in ("argsort", "lexsort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    for weighted in (False, True):
+        lines = []
+        for _ in range(400):
+            pair = [rng.choice(names), rng.choice(names)]
+            if weighted and rng.random() < 0.8:
+                pair.append(rng.choice(weights))
+            lines.append(" ".join(pair))
+        for batch in (1, 7, 1 << 16):
+            monkeypatch.setattr(trusskit.graph, "NAME_BATCH", batch)
+            assert assert_loads_like_reference(text_of("\n".join(lines)), weighted) is None
+        g = graph_from("\n".join(lines), weighted)
+        assert set(g.labels) == {name for line in lines for name in line.split()[:2]}
+
+
+def test_loader_lone_cr_in_a_stream_is_whitespace(tmp_path):
+    """io.StringIO yields a lone "\\r" inside its line, where it is
+    whitespace; a text-mode file ends the line there."""
+    assert assert_loads_like_reference(text_of("a b\rc d\n")) == 1
+    with pytest.raises(EdgeListParseError, match="^line 1: expected 2 tokens, got 4$"):
+        graph_from("a b\rc d\n")
+    path = tmp_path / "cr.tsv"
+    path.write_bytes(b"a b\rc d\n")
+    assert assert_loads_like_reference(lambda: open(path, encoding="utf-8")) is None
+    with open(path, encoding="utf-8") as handle:
+        g = load_edge_list(handle)
+    assert (g.labels, g.ends.tolist()) == (("a", "b", "c", "d"), [[0, 1], [2, 3]])
 
 
 def test_loader_weight_tokens():
@@ -217,6 +303,23 @@ def test_loader_weight_tokens():
         with pytest.raises(EdgeListParseError) as err:
             graph_from(text, weighted=True)
         assert err.value.lineno == lineno
+
+
+def test_bad_weight_fails_before_later_blocks_are_read(tmp_path):
+    """A bad weight fails in its own block: a byte that is not UTF-8 further
+    on is never decoded. A self loop's bad weight is unread, so there the
+    decode error is what is reported."""
+    filler = b"".join(b"a%d b%d 1\n" % (i, i + 1) for i in range(20_000))
+    assert len(filler) > 2 * READ_BLOCK
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"a b 1\nb c 2\nc d x\n" + filler + b"e \xff 1\n")
+    with open(path, encoding="utf-8") as handle:
+        with pytest.raises(EdgeListParseError, match="^line 3: bad weight 'x'$"):
+            load_edge_list(handle, weighted=True)
+    path.write_bytes(b"a b 1\nb c 2\nc c x\n" + filler + b"e \xff 1\n")
+    with open(path, encoding="utf-8") as handle:
+        with pytest.raises(UnicodeDecodeError):
+            load_edge_list(handle, weighted=True)
 
 
 def test_dolphins_counts(dolphins):
