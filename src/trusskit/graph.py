@@ -413,8 +413,9 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     del weighed
     keep = np.flatnonzero(~loop)
     lo, hi = lo[keep], hi[keep]
-    pair = np.minimum(lo, hi).astype(np.int64) * n + np.maximum(lo, hi)   # lo * n + hi
-    del ids, lo, hi
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)   # each line's canonical pair
+    del ids
+    pair = lo.astype(np.int64) * n + hi
     # lines grouped by pair and in line order within a pair, so each pair's
     # first line leads its group
     key, order = _stable_sort(pair, n * n)
@@ -429,7 +430,8 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     heaviest = heaviest[np.diff(key[heaviest], prepend=-1) != 0]
     del rank
     keep = _stable_sort(order[head], len(order), keys=False)   # pairs in order of first appearance
-    ends = np.stack(np.divmod(key[head[keep]], n), axis=1).astype(np.int32)
+    first = order[head[keep]]
+    ends = np.stack((lo[first], hi[first]), axis=1)
     return _weighed(build_graph(n, ends, None, labels), code[heaviest[keep]], values)
 
 
@@ -460,28 +462,41 @@ def vertex_ranking(graph: Graph) -> VertexRanking:
     return VertexRanking(rank=rank, order=order)
 
 
-def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per node of 0..n-1, the smallest node id joined to it by the links
-    (a[i], b[i]): roots hook onto the smaller root across each link, then
-    pointers jump to their roots, until no link spans two roots (after
-    Shiloach & Vishkin, J. Algorithms 1982)."""
+def _component_labels(n: int, *columns: np.ndarray) -> np.ndarray:
+    """Per node of 0..n-1, the smallest node id joined to it by the link
+    rows, given as two or three node columns: row i joins columns[0][i],
+    columns[1][i] and, with a third column, columns[2][i] (a node repeated
+    in a row adds nothing). Each row's roots hook onto the row's smallest
+    root, then pointers jump to their roots, until no row spans two roots
+    (after Shiloach & Vishkin, J. Algorithms 1982). Every node starts as
+    its own root, so the first pass reads the columns in place; each pass
+    keeps only the rows that spanned two roots, a column at a time."""
     label = np.arange(n, dtype=np.int32)   # node ids fit int32, as in Graph.ends
-    la, lb = a, b
-    while len(la):
-        # each node points at its root: the ends' roots are their old roots' labels
-        la, lb = label[la], label[lb]
-        apart = la != lb
+    ends = list(columns)
+    while len(ends[0]):
+        apart = ends[0] != ends[1]
+        for end in ends[2:]:
+            apart |= ends[0] != end
         if not apart.any():
             break
-        la, lb = la[apart], lb[apart]
-        low = np.minimum(la, lb)
-        np.minimum.at(label, la, low)
-        np.minimum.at(label, lb, low)
+        if not apart.all():
+            for i, end in enumerate(ends):
+                ends[i] = end[apart]
+        del apart
+        low = np.minimum(ends[0], ends[1], dtype=np.int32)
+        for end in ends[2:]:
+            np.minimum(low, end, out=low)
+        for end in ends:
+            np.minimum.at(label, end, low)
+        del low
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
                 break
             label = jumped
+        # each node points at its root: the ends' roots are their old roots' labels
+        for i, end in enumerate(ends):
+            ends[i] = label[end]
     return label
 
 
@@ -519,6 +534,17 @@ def _stable_sort(key: np.ndarray, bound: int, keys: bool = True):
     ordered = packed >> shift if keys else None
     packed &= (1 << shift) - 1
     return (ordered, packed) if keys else packed
+
+
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """rows, an (N, 3) array, each row sorted ascending in place by three
+    compare-exchanges of whole columns: numpy's sort along rows this short
+    costs several times as much."""
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        low = np.minimum(rows[:, i], rows[:, j])
+        np.maximum(rows[:, i], rows[:, j], out=rows[:, j])
+        rows[:, i] = low
+    return rows
 
 
 def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:

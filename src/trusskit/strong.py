@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import truss
-from .graph import Graph, _stable_sort
+from .graph import Graph, _sort_rows, _stable_sort
 from .truss import Clusters, ClusterFamily, KClassDecomposition, truss_leaves
 
 
@@ -44,9 +44,8 @@ def strong_truss_family(decomposition: KClassDecomposition) -> ClusterFamily:
     order, leaf_levels = truss_leaves(decomposition)
     leaf_of_edge = np.empty(graph.m, dtype=np.int32)
     leaf_of_edge[order] = np.arange(graph.m, dtype=np.int32)
-    rows = leaf_of_edge[decomposition.triangles]
+    rows = _sort_rows(leaf_of_edge[decomposition.triangles])
     del leaf_of_edge
-    rows.sort(axis=1)
     top = int(leaf_levels.max(initial=0))
     by_level = _stable_sort(top - leaf_levels[rows[:, 2]], top + 1, keys=False)
     links = np.empty((len(rows), 4), dtype=np.int32)

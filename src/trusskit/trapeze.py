@@ -77,9 +77,9 @@ class ETPGraph:
         self.ranking = ranking
         self.current_k = 0      # highest trim level completed
         rank = np.asarray(ranking.rank, dtype=np.int64)
-        ends = rank[graph.ends]
-        low, high = ends.min(axis=1), ends.max(axis=1)
-        del ends
+        ru, rv = rank[graph.ends[:, 0]], rank[graph.ends[:, 1]]
+        low, high = np.minimum(ru, rv), np.maximum(ru, rv)
+        del ru, rv
         up = np.bincount(low, minlength=n)      # per rank: neighbours ranked above
         down = np.bincount(high, minlength=n)   # and below
         total = int((up * (up - 1) // 2 + up * down).sum())

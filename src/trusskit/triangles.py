@@ -122,11 +122,11 @@ def _table_rows(n: int, wedges: int) -> int:
 def _triangle_chunks(graph: Graph, ranking: VertexRanking):
     n, m = graph.n, graph.m
     rank = np.asarray(ranking.rank, dtype=np.int32)
-    ends = rank[graph.ends]
+    ru, rv = rank[graph.ends[:, 0]], rank[graph.ends[:, 1]]
     # oriented edge v->a, v ranked below a, as key v*n + a, sorted; the
     # out-edges of each source v are one run, ascending in a
-    key = ends.min(axis=1).astype(np.int64) * n + ends.max(axis=1)
-    del ends
+    key = np.minimum(ru, rv).astype(np.int64) * n + np.maximum(ru, rv)
+    del ru, rv
     key, eid = _stable_sort(key, n * n)
     eid = eid.astype(np.int32)
     dst = (key % n).astype(np.int32)

@@ -348,12 +348,12 @@ def _replay(links: np.ndarray, nodes: int, leaves: int) -> np.ndarray:
     return np.frombuffer(log, dtype=np.int32).reshape(-1, 4)
 
 
-def _link_ends(links: np.ndarray, columns=(0, 1, 2)) -> tuple[np.ndarray, ...]:
-    """The given columns, 0 the level and 1 and 2 the nodes, of every link
-    a table makes: x-y for each row, and x-z, z read from column 3, for each
-    row whose z is not -1."""
-    third = links[:, 3] >= 0
-    return tuple(np.concatenate((links[:, c], links[third, c + (c == 2)])) for c in columns)
+def _link_nodes(links: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z node columns of link rows, as views of the table, y
+    standing in for the z of a row without one: three columns for the
+    row-wise component kernel. Only a table with such rows pays a copy."""
+    x, y, z = links[:, 1], links[:, 2], links[:, 3]
+    return x, y, np.where(z >= 0, z, y) if z.min(initial=0) < 0 else z
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,9 +411,9 @@ class ClusterFamily:
         for k in sorted(set(ks), reverse=True):
             stop = int(np.searchsorted(down, -k, side="right"))
             if stop > start:
-                a, b = _link_ends(self.links[start:stop], (1, 2))
+                x, y, z = _link_nodes(self.links[start:stop])
                 # join the old roots, then read every node through its root
-                root = _component_labels(self.nodes, root[a], root[b])[root]
+                root = _component_labels(self.nodes, root[x], root[y], root[z])[root]
                 start = stop
             yield k, root
 
@@ -442,23 +442,22 @@ class ClusterFamily:
         one formed higher up is none. A leaf no link reaches never forms one.
         Read per link row: each node peaks at the top level among the rows
         it is in; a row joins its nodes only if all of them peak at its
-        level, and otherwise spoils the components of those that do.
-        Returns a store of the clusters, each at its formation level.
+        level, and otherwise spoils the components of those that do. The
+        joining rows go to the component kernel as their x, y and z
+        columns, with no pairwise copy of the link ends. Returns a store of
+        the clusters, each at its formation level.
         """
-        level, x, y, z = self.links.T
-        has_z = z >= 0
+        level = self.links[:, 0]
+        ends = _link_nodes(self.links)
         top = np.full(self.nodes, -1, dtype=level.dtype)   # highest level linking each node
-        np.maximum.at(top, x, level)
-        np.maximum.at(top, y, level)
-        np.maximum.at(top, z[has_z], level[has_z])
-        x_top, y_top = top[x] == level, top[y] == level
-        z_top = has_z & (top[z] == level)   # z = -1 reads a node it then masks
-        joins = x_top & y_top & (z_top | ~has_z)
-        seeds = np.concatenate((x[x_top & ~joins], y[y_top & ~joins], z[z_top & ~joins]))
-        joins_z = joins & has_z
-        a, b = np.concatenate((x[joins], x[joins_z])), np.concatenate((y[joins], z[joins_z]))
-        del has_z, x_top, y_top, z_top, joins, joins_z    # bounds the peak on large families
-        label = _component_labels(self.nodes, a, b)
+        for end in ends:
+            np.maximum.at(top, end, level)
+        peaks = [top[end] == level for end in ends]
+        joins = peaks[0] & peaks[1] & peaks[2]
+        seeds = np.concatenate([end[peak & ~joins] for end, peak in zip(ends, peaks)])
+        del peaks    # bounds the peak on large families
+        label = _component_labels(self.nodes, *(end[joins] for end in ends))
+        del ends, joins
         stale = np.zeros(self.nodes, dtype=bool)
         stale[label[seeds]] = True
         leaves = np.flatnonzero(((top >= 0) & ~stale[label])[: len(self.leaf_order)])

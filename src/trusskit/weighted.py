@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .graph import Graph, Weight
+from .graph import Graph, Weight, _sort_rows
 from .triangles import SupportMap, triangle_list
 from .truss import KClassDecomposition, k_classes
 
@@ -63,8 +63,9 @@ def _weight_table(graph: Graph, spec: TriangleWeightSpec, triangles: np.ndarray)
     code = graph.weight_code
     tri_codes = np.zeros(triangles.shape, np.int32) if code is None else code[triangles]
     if spec.kind == "minimum":
-        return [triangle_weight(spec, w, w, w) for w in exact], tri_codes.min(axis=1)
-    rows = np.sort(tri_codes, axis=1).astype(np.int64)
+        low = np.minimum(np.minimum(tri_codes[:, 0], tri_codes[:, 1]), tri_codes[:, 2])
+        return [triangle_weight(spec, w, w, w) for w in exact], low
+    rows = _sort_rows(tri_codes).astype(np.int64)
     # number each distinct (c0, c1) pair, then each distinct (pair, c2); no
     # key exceeds T * D, so none overflows
     pair = np.unique(rows[:, 0] * len(exact) + rows[:, 1], return_inverse=True)[1]

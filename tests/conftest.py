@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,6 +125,17 @@ def weighted_graphs(count: int, max_n: int, seed: int, top: int = 1000):
     rng = random.Random(seed)
     for _, g in random_graphs(count, max_n, seed):
         yield build_graph(g.n, g.edges, [rng.randint(1, top) for _ in range(g.m)])
+
+
+def traced_peak(call, *args):
+    """call(*args) under tracemalloc: its result and the peak of the memory
+    traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class DisjointSet:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import trusskit.graph
 from trusskit import (
@@ -18,6 +19,7 @@ from trusskit import (
 )
 from trusskit.graph import (
     READ_BLOCK,
+    _component_labels,
     _incidence,
     _ranges,
     _stable_sort,
@@ -200,6 +202,24 @@ def test_loader_matches_reference(tmp_path, monkeypatch):
     for weighted in (False, True):
         lines = [f"{u} {v} {i % 7 + 1}" if weighted else f"{u} {v}" for i, (u, v) in enumerate(wide)]
         assert assert_loads_like_reference(text_of("\n".join(lines)), weighted) is None
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 9), st.integers(0, 9), st.sampled_from(("", "1", "2", "3/2", "1.0"))
+        ),
+        max_size=40,
+    ),
+    st.booleans(),
+)
+def test_loader_graph_is_build_graph_of_its_pairs(rows, weighted):
+    """On lines of pairs in either order, with repeats, self loops and
+    weights, the loader's graph equals what build_graph makes of the
+    distinct pairs in order of first appearance, each with its heaviest
+    weight: the reference loader's graph."""
+    text = "".join(f"v{u} v{v} {w if weighted else ''}\n" for u, v, w in rows)
+    assert assert_loads_like_reference(text_of(text), weighted) is None
 
 
 def test_scan_whitespace_is_str_split_whitespace():
@@ -624,3 +644,39 @@ def test_disjoint_set():
     ds.union(1, 3)
     assert ds.together(0, 4)
     assert ds.find(2) == 2
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(*[st.integers(0, n - 1)] * 3, st.booleans()), max_size=80
+            ),
+        )
+    ),
+    st.sampled_from((np.int32, np.int64)),
+)
+def test_component_labels_match_union_find(case, dtype):
+    """Two- and three-column link rows, some with z repeating y, label every
+    node with the smallest node of its union-find set; the caller's
+    columns are read, never written."""
+    n, drawn = case
+    rows = [(x, y, y if repeat else z) for x, y, z, repeat in drawn]
+    for width in (2, 3):
+        columns = [np.array([row[j] for row in rows], dtype=dtype) for j in range(width)]
+        copies = [column.copy() for column in columns]
+        ds = DisjointSet(n)
+        for row in rows:
+            for node in row[1:width]:
+                ds.union(row[0], node)
+        smallest = {}
+        for v in range(n):
+            smallest.setdefault(ds.find(v), v)
+        label = _component_labels(n, *columns)
+        assert label.dtype == np.int32
+        assert label.tolist() == [smallest[ds.find(v)] for v in range(n)]
+        assert all(np.array_equal(c, copy) for c, copy in zip(columns, copies))
+    empty = np.empty(0, dtype=np.int32)
+    for width in (2, 3):
+        assert _component_labels(n, *[empty] * width).tolist() == list(range(n))

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from itertools import chain, combinations
 
 import numpy as np
@@ -30,6 +29,7 @@ from conftest import (
     level_pairs,
     random_graphs,
     reference_level_summits,
+    traced_peak,
 )
 
 
@@ -456,12 +456,7 @@ def test_build_memory_on_sparse_bipartite_graph():
     edges = [(i, 1000 + j) for i in range(1000) for j in range(1000) if rng.random() < 0.02]
     g = build_graph(2000, edges)
     ranking = vertex_ranking(g)
-    tracemalloc.start()
-    try:
-        etp = build_etp_graph(g, ranking)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    etp, peak = traced_peak(build_etp_graph, g, ranking)
     assert len(etp.triads) > 200_000
     assert peak < 30 * 2**20
 

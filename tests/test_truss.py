@@ -1,7 +1,6 @@
 import dataclasses
 import inspect
 import random
-import tracemalloc
 import typing
 
 import numpy as np
@@ -34,7 +33,6 @@ from trusskit.forest import forest_merges
 from trusskit.graph import _component_labels, edge_nodes
 from trusskit.truss import (
     _leaves,
-    _link_ends,
     _replay,
     _vertex_family,
     truss_leaves,
@@ -47,6 +45,7 @@ from conftest import (
     random_graphs,
     reference_clusters_at,
     reference_summit_clusters,
+    traced_peak,
     weighted_graphs,
 )
 
@@ -317,7 +316,11 @@ def test_cuts_match_a_fresh_pass_per_level(dolphins):
             truss_dendrogram(dec),
             strong_truss_family(dec),
         ):
-            level, a, b = _link_ends(fam.links)
+            # the pairwise links: x-y for every row, x-z for a row with z
+            level, x, y, z = fam.links.T
+            third = z >= 0
+            level = np.concatenate((level, level[third]))
+            a, b = np.concatenate((x, x[third])), np.concatenate((y, z[third]))
             present = sorted({2, *dec.classes, dec.k_max + 1})
             ks = rng.sample(present, rng.randint(1, len(present))) * rng.randint(1, 2)
             seen = []
@@ -487,10 +490,6 @@ def test_peel_scratch_per_triangle():
     g = batch.graph
     heavy = build_graph(g.n, g.ends, np.random.default_rng(11).integers(1, 10, g.m).tolist())
     for supports in (batch.supports, weighted_supports(heavy, TriangleWeightSpec("minimum", 1))):
-        tracemalloc.start()
-        try:
-            peel_triangles(g.m, supports.triangles, supports.support, supports.weights)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        args = g.m, supports.triangles, supports.support, supports.weights
+        _, peak = traced_peak(peel_triangles, *args)
         assert peak <= 40 * len(supports.triangles)
