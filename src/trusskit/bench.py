@@ -14,7 +14,7 @@ pair) per batch instead of per trial. No triangle crosses two trials and
 the union keeps each trial's edge order, so each trial's labels give the
 blocks it would give alone, and its scores are the same floats, summed in
 trial order: the rows do not depend on the batches. `nmi` scores one pair
-with the same code.
+with the same code. The scorer numbers its blocks with `graph._first_seen`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _known_edges, _stable_sort, build_graph
+from .graph import Graph, _first_seen, _known_edges, _stable_sort, build_graph
 # run_benchmark cuts its fixed levels from one descent of a family, not with
 # trusses_at or strong_trusses_at; both stay importable from this module,
 # where callers look them up to wrap them
@@ -247,23 +247,6 @@ def nmi(a: Partition, b: Partition) -> float:
     # ranked, as the scorer takes small non-negative labels
     truth, found = (np.unique(p.label, return_inverse=True)[1].ravel() for p in (a, b))
     return _nmi_scores(truth, found, (0, a.n))[0]
-
-
-def _first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct keys, in 0..bound-1, numbered in order of first
-    appearance: each element's number, and each number's count and first
-    position."""
-    ordered, order = _stable_sort(key, bound)
-    opens = np.diff(ordered, prepend=-1) != 0
-    head = np.flatnonzero(opens)
-    first = np.zeros(len(key), dtype=bool)
-    first[order[head]] = True          # a stable sort leads each key with its first element
-    number = (np.cumsum(first) - 1)[order[head]]   # each distinct key's number, in key order
-    counts = np.empty(len(head), dtype=np.int64)
-    counts[number] = np.diff(head, append=len(key))
-    each = np.empty(len(key), dtype=np.int64)
-    each[order] = number[np.cumsum(opens) - 1]
-    return each, counts, np.flatnonzero(first)
 
 
 def _nmi_scores(truth: np.ndarray, found: np.ndarray, at: Sequence[int]) -> list[float]:

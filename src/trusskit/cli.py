@@ -434,14 +434,15 @@ def cmd_stats(args: argparse.Namespace) -> None:
     graph = load_input(args.input, weighted=args.weighted)
     supports = edge_supports(graph)
     decomposition = k_classes(graph, supports)
-    levels, sizes = np.unique(decomposition.trussness, return_counts=True)
+    sizes = np.bincount(decomposition.trussness)
+    levels = np.flatnonzero(sizes)
     stats = {
         "n": graph.n,
         "m": graph.m,
         "triangles": supports.total_triangles(),
         "max_degree": int(graph.degrees.max(initial=0)),
         "k_max": decomposition.k_max,
-        "class_sizes": dict(zip(map(str, levels.tolist()), sizes.tolist())),
+        "class_sizes": dict(zip(map(str, levels.tolist()), sizes[levels].tolist())),
     }
     print(json.dumps(stats, indent=2, sort_keys=True))
 

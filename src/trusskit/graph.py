@@ -9,7 +9,8 @@ per-vertex queries. The edge-list loader reads its input in blocks of
 whole lines, encoded to UTF-8, with no Python step per line or token: one
 whitespace test over a block's bytes gives its tokens and lines, each
 token packs into uint64 words, an exact key, and the keys are numbered by
-first appearance with the one stable-sort kernel, `_stable_sort`.
+first appearance with the one stable-sort kernel, `_stable_sort`. The one
+kernel on it, `_first_seen`, so numbers the package's integer keys.
 """
 
 from __future__ import annotations
@@ -415,24 +416,21 @@ def load_edge_list(stream: IO[str] | Iterable[str], weighted: bool = False) -> G
     lo, hi = lo[keep], hi[keep]
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)   # each line's canonical pair
     del ids
-    pair = lo.astype(np.int64) * n + hi
-    # lines grouped by pair and in line order within a pair, so each pair's
-    # first line leads its group
-    key, order = _stable_sort(pair, n * n)
-    del pair
-    head = np.flatnonzero(np.diff(key, prepend=-1))
-    # each pair keeps its heaviest weight, read at the first line bearing it
+    # each line's pair, numbered by first appearance, and each pair's first line
+    pair, _, first = _first_seen(lo.astype(np.int64) * n + hi, n * n)
+    # each pair keeps its heaviest weight, read at the first line bearing
+    # it: its line of top score, weight rank * lines + lines - 1 - line
     level = {w: i for i, w in enumerate(sorted(set(values)))}
-    code = code[keep[order]]
-    rank = np.array([level[w] for w in values], dtype=np.int32)[code]
-    top = np.maximum.reduceat(rank, head) if len(head) else rank
-    heaviest = np.flatnonzero(rank == np.repeat(top, np.diff(head, append=len(key))))
-    heaviest = heaviest[np.diff(key[heaviest], prepend=-1) != 0]
-    del rank
-    keep = _stable_sort(order[head], len(order), keys=False)   # pairs in order of first appearance
-    first = order[head[keep]]
+    lines = len(keep)
+    score = np.array([level[w] for w in values], dtype=np.int64)[code[keep]]
+    score *= lines
+    score += np.arange(lines - 1, -1, -1)
+    best = np.zeros(len(first), dtype=np.int64)
+    np.maximum.at(best, pair, score)
+    del pair, score
+    heaviest = lines - 1 - best % lines
     ends = np.stack((lo[first], hi[first]), axis=1)
-    return _weighed(build_graph(n, ends, None, labels), code[heaviest[keep]], values)
+    return _weighed(build_graph(n, ends, None, labels), code[keep[heaviest]], values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,8 +499,8 @@ def _component_labels(n: int, *columns: np.ndarray) -> np.ndarray:
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """np.unique of an integer array, by a sort and an adjacent-difference
-    mask: numpy's hash path for unique integers is slower here."""
+    """The distinct integers of an array, ascending, by a sort and a mask of
+    adjacent differences: numpy's hash path for unique integers is slower here."""
     values = np.sort(values)
     keep = np.ones(len(values), dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
@@ -534,6 +532,23 @@ def _stable_sort(key: np.ndarray, bound: int, keys: bool = True):
     ordered = packed >> shift if keys else None
     packed &= (1 << shift) - 1
     return (ordered, packed) if keys else packed
+
+
+def _first_seen(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct keys, in 0..bound-1, numbered in order of first
+    appearance: each element's number, and each number's count and first
+    position."""
+    ordered, order = _stable_sort(key, bound)
+    opens = np.diff(ordered, prepend=-1) != 0
+    head = np.flatnonzero(opens)
+    first = np.zeros(len(key), dtype=bool)
+    first[order[head]] = True          # a stable sort leads each key with its first element
+    number = (np.cumsum(first) - 1)[order[head]]   # each distinct key's number, in key order
+    counts = np.empty(len(head), dtype=np.int64)
+    counts[number] = np.diff(head, append=len(key))
+    each = np.empty(len(key), dtype=np.int64)
+    each[order] = number[np.cumsum(opens) - 1]
+    return each, counts, np.flatnonzero(first)
 
 
 def _sort_rows(rows: np.ndarray) -> np.ndarray:
@@ -630,14 +645,12 @@ class Subgraph:
 def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Subgraph:
     """Subgraph containing exactly the given edges and their endpoints, its
     vertices numbered by first appearance along the ascending edge ids."""
-    eids = np.unique(_known_edges(graph, edge_ids))
-    ids, first, local = np.unique(graph.ends[eids], return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    vertex_of = ids[by_first].tolist()
+    eids = _sorted_unique(_known_edges(graph, edge_ids))
+    ends = graph.ends[eids].ravel()
+    local, _, first = _first_seen(ends, graph.n)
+    vertex_of = ends[first].tolist()
     sub = build_graph(
-        len(vertex_of),
-        np.argsort(by_first)[local].reshape(-1, 2),
-        labels=[graph.labels[v] for v in vertex_of],
+        len(vertex_of), local.reshape(-1, 2), labels=[graph.labels[v] for v in vertex_of]
     )
     if graph.weight_code is not None:
         sub = _weighed(sub, graph.weight_code[eids], graph.weight_values)

@@ -31,6 +31,7 @@ from .graph import (
     Graph,
     _component_labels,
     _edge_components,
+    _first_seen,
     _grouped,
     _incidence,
     _ranges,
@@ -76,10 +77,9 @@ class KClassDecomposition:
     def classes(self) -> dict[int, list[int]]:
         """k -> edge ids with trussness k, ascending; keyed in order of each
         level's first edge."""
-        order = np.argsort(self.trussness, kind="stable")
-        levels, first = np.unique(self.trussness[order], return_index=True)
-        groups = sorted(zip(levels.tolist(), np.split(order, first[1:])), key=lambda lg: lg[1][0])
-        return {level: eids.tolist() for level, eids in groups}
+        number, count, first = _first_seen(self.trussness, self.k_max + 1)
+        groups = np.split(_stable_sort(number, len(count), keys=False), np.cumsum(count)[:-1])
+        return {level: eids.tolist() for level, eids in zip(self.trussness[first].tolist(), groups)}
 
 
 @dataclass(frozen=True, eq=False)

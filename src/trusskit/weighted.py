@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .graph import Graph, Weight, _sort_rows
+from .graph import Graph, Weight, _first_seen, _sort_rows
 from .triangles import SupportMap, triangle_list
 from .truss import KClassDecomposition, k_classes
 
@@ -66,13 +66,12 @@ def _weight_table(graph: Graph, spec: TriangleWeightSpec, triangles: np.ndarray)
         low = np.minimum(np.minimum(tri_codes[:, 0], tri_codes[:, 1]), tri_codes[:, 2])
         return [triangle_weight(spec, w, w, w) for w in exact], low
     rows = _sort_rows(tri_codes).astype(np.int64)
-    # number each distinct (c0, c1) pair, then each distinct (pair, c2); no
-    # key exceeds T * D, so none overflows
-    pair = np.unique(rows[:, 0] * len(exact) + rows[:, 1], return_inverse=True)[1]
-    triple = pair.reshape(-1) * len(exact) + rows[:, 2]
-    _, first, index = np.unique(triple, return_index=True, return_inverse=True)
+    # number each distinct (c0, c1) pair, then each distinct (pair, c2), by
+    # first appearance; keys stay below D * D and T * D, so none overflows
+    pair, count, _ = _first_seen(rows[:, 0] * len(exact) + rows[:, 1], len(exact) ** 2)
+    index, _, first = _first_seen(pair * len(exact) + rows[:, 2], len(count) * len(exact))
     values = [triangle_weight(spec, *map(exact.__getitem__, row)) for row in rows[first].tolist()]
-    return values, index.reshape(-1)
+    return values, index
 
 
 def weighted_supports(graph: Graph, spec: TriangleWeightSpec) -> SupportMap:

@@ -764,11 +764,14 @@ def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
 @pytest.mark.parametrize("argv", [
     ["truss", "--k", "4", str(DOLPHINS)],
     ["strong-truss", "--k", "4", str(DOLPHINS)],
+    ["summit", str(DOLPHINS)],
     ["summit", "--strong", str(DOLPHINS)],
     ["weighted-truss", "--k", "3", "--weight-fn", "harmonic", "--alpha", "3/2", "WEIGHTED"],
     ["weighted-truss", "--k", "3", "--weight-fn", "min", "WEIGHTED"],
     ["trapeze", "--levels", "1,2,4", str(DOLPHINS)],
     ["strong-trapeze", "--levels", "1,2,4", str(DOLPHINS)],
+    ["summit-trapeze", "--levels", "1,2,4", str(DOLPHINS)],
+    ["stats", "--weighted", "WEIGHTED"],
     ["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3", "--trials", "3",
      "--method", "strong"],
     ["bench", "--l", "4", "--size", "10", "--p", "0.8", "--mu", "0.3", "--trials", "3",
@@ -778,17 +781,22 @@ def test_hot_paths_sort_with_the_one_kernel(argv, tmp_path, monkeypatch):
     """The pipelines the benchmark runs, the loader, and the strong merge
     log and triad family order their arrays with graph._stable_sort,
     numpy's plain sort over packed keys, and never with np.argsort or
-    np.lexsort, which are slower here."""
+    np.lexsort, which are slower here. Outside `bench`, whose NMI scorer
+    ranks the labels and floats its callers pass, they number keys by
+    first appearance with graph._first_seen, never with np.unique."""
     weighted = tmp_path / "w.tsv"
     weighted.write_text("a b 2\nb c 3\nc a 1\nc d 5\nd a 2\nd b 1\ne a 4\ne b 1\na b 7\n")
     argv = [str(weighted) if arg == "WEIGHTED" else arg for arg in argv]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a hot path called np.argsort or np.lexsort")
+        raise AssertionError("a hot path called np.argsort, np.lexsort or np.unique")
 
     monkeypatch.setattr(np, "argsort", refuse)
     monkeypatch.setattr(np, "lexsort", refuse)
-    assert main([*argv, "-o", str(tmp_path / "out")]) == 0
+    if argv[0] != "bench":
+        monkeypatch.setattr(np, "unique", refuse)
+    out = [] if argv[0] == "stats" else ["-o", str(tmp_path / "out")]
+    assert main([*argv, *out]) == 0
 
 
 BENCH_ARGS = ["bench", "--l", "4", "--size", "8", "--p", "0.9", "--mu", "0.1", "--trials", "2"]

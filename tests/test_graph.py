@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import trusskit.graph
 from trusskit import (
@@ -20,6 +20,7 @@ from trusskit import (
 from trusskit.graph import (
     READ_BLOCK,
     _component_labels,
+    _first_seen,
     _incidence,
     _ranges,
     _stable_sort,
@@ -555,6 +556,44 @@ def test_stable_sort_matches_a_stable_argsort(dtype, monkeypatch):
         assert np.array_equal(keys, key[want])
         assert np.array_equal(_stable_sort(key, bound, keys=False), want)
         assert len(fallbacks) == 2 * falls_back
+
+
+def reference_first_seen(keys):
+    """Each key's number, each number's count and first position, by one
+    dict pass that numbers keys as they first appear."""
+    number, count, first = {}, [], []
+    for i, key in enumerate(keys):
+        if key not in number:
+            number[key] = len(count)
+            count.append(0)
+            first.append(i)
+        count[number[key]] += 1
+    return [number[key] for key in keys], count, first
+
+
+@given(
+    st.sampled_from((1, 2, 7, 1 << 31, 1 << 62)).flatmap(
+        lambda bound: st.tuples(
+            st.lists(st.integers(0, bound - 1) | st.just(bound - 1), max_size=40), st.just(bound)
+        )
+    )
+)
+@example(([], 1))
+@example(([5] * 9, 6))
+@example(([6, 0, 6, 6, 0], 7))
+@example(([3, (1 << 62) - 1, 3, 0], 1 << 62))   # 4 positions: 2^62 << 2 overflows int64
+def test_first_seen_matches_a_dict(case):
+    """Keys in 0..bound-1, int64 and, where they fit, int32, are numbered
+    as a dict numbers them by first appearance, also where the bound is
+    too wide to pack and _stable_sort falls back to np.argsort."""
+    keys, bound = case
+    want = reference_first_seen(keys)
+    for dtype in (np.int32, np.int64):
+        if bound - 1 > np.iinfo(dtype).max:
+            continue
+        each, count, first = _first_seen(np.array(keys, dtype=dtype), bound)
+        assert each.dtype == np.int64 and count.dtype == np.int64
+        assert (each.tolist(), count.tolist(), first.tolist()) == want
 
 
 def reference_incidence(slots, m, width):

@@ -5,6 +5,7 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from trusskit import (
     ETPGraph,
@@ -347,6 +348,18 @@ def reference_views(trussness):
     return phi, classes, [e for k in sorted(classes, reverse=True) for e in classes[k]]
 
 
+@given(st.lists(st.integers(2, 9) | st.just(40), max_size=60))
+def test_classes_keyed_by_each_levels_first_edge(levels):
+    """For any trussness, also with gaps between levels and none at all,
+    `classes` keys each level in order of its first edge and lists its
+    edge ids ascending, as a loop over the edges in id order builds it."""
+    trussness = np.array(levels, dtype=np.int64)
+    graph = build_graph(len(levels) + 1, [(i, i + 1) for i in range(len(levels))])
+    dec = KClassDecomposition(trussness, np.empty((0, 3), np.int32), graph)
+    _, classes, _ = reference_views(trussness)
+    assert list(dec.classes.items()) == list(classes.items())
+
+
 def test_views_match_the_stored_forms(dolphins):
     for g, dec in many_level_cases(dolphins):
         phi, classes, leaves = reference_views(dec.trussness)
@@ -474,6 +487,23 @@ def test_every_producer_builds_a_well_formed_store(dolphins):
             assert_well_formed(store)
             assert (store.level >= 1).all()
     assert kinds == {False, True}   # empty or single stores, and stores of several
+
+
+def test_forest_merges_scratch_per_edge():
+    """The truss dendrogram's merge log's traced peak over the family's
+    links, per edge, on the first batch `bench` scores (three seeded
+    planted graphs, 13,005 edges): 39.0 bytes (37.3 on the seed-11
+    truss-scale row). The peak is the log's assembly: the int32 lo, hi and
+    leaf columns (12 bytes), the keep mask (1), the rows (16 per kept
+    edge), one column gathered into them (4) and the jump tables."""
+    from trusskit import PlantedModel
+    from trusskit.bench import _batches
+
+    batch = next(_batches(PlantedModel(l=20, group_size=20, p=0.8, mu=0.3, seed=11), 60))
+    dec = k_classes(batch.graph, batch.supports)
+    family = _vertex_family(batch.graph, *truss_leaves(dec))
+    _, peak = traced_peak(forest_merges, family.links, family.nodes, len(family.leaf_order))
+    assert peak <= 44 * batch.graph.m
 
 
 def test_peel_scratch_per_triangle():
