@@ -21,20 +21,16 @@ if "numpy" not in _sys.modules and not _THREAD_SETTINGS & _os.environ.keys():
 from .graph import (  # noqa: E402
     EdgeListParseError,
     Graph,
-    Subgraph,
     VertexRanking,
     build_graph,
-    connected_components,
-    induced_edge_subgraph,
     load_edge_list,
     vertex_ranking,
 )
-from .triangles import SupportMap, brute_force_supports, edge_supports, triangle_list
+from .triangles import SupportMap, edge_supports, triangle_list
 from .truss import (
     ClusterFamily,
     Clusters,
     KClassDecomposition,
-    iterative_deletion_oracle,
     k_classes,
     summit_trusses,
     truss_dendrogram,
@@ -44,7 +40,6 @@ from .strong import (
     strong_truss_family,
     strong_trusses_at,
     summit_strong_trusses,
-    triangle_connected_components,
 )
 from .weighted import (
     TriangleWeightSpec,
@@ -55,9 +50,7 @@ from .weighted import (
 from .trapeze import (
     ETPGraph,
     LevelRun,
-    brute_force_rectangles,
     build_etp_graph,
-    rectangle_supports,
     strong_trapezes_at,
     trapeze_level_run,
     trapezes_at,

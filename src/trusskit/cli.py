@@ -364,8 +364,11 @@ def cmd_trapeze(args: argparse.Namespace) -> None:
             schedule = [int(tok) for tok in args.levels.split(",") if tok]
         except ValueError as exc:
             raise CommandError(f"bad --levels: {exc}") from exc
-    elif args.geometric > 30:
-        raise CommandError("--geometric must be at most 30: levels must be at most 2^31-1")
+    elif not 0 <= args.geometric <= 30:
+        raise CommandError(
+            f"--geometric must be from 0 to 30, got {args.geometric}: "
+            "levels 1,2,4,...,2^N must be at most 2^31-1"
+        )
     else:
         schedule = [1 << i for i in range(args.geometric + 1)]
     check_schedule(schedule)

@@ -3,14 +3,13 @@
 Vertices are dense integers 0..n-1; external string labels live in a side
 table. Edges are stored once, as one int32 (m, 2) array `ends` of canonical
 (lo, hi) rows with lo < hi, their weights as int32 codes into the distinct
-weights. The tuple views `edges` and `weights` and the per-vertex adjacency
-(neighbor -> edge id) are built on demand, for the oracles and the
-per-vertex queries. The edge-list loader reads its input in blocks of
-whole lines, encoded to UTF-8, with no Python step per line or token: one
-whitespace test over a block's bytes gives its tokens and lines, each
-token packs into uint64 words, an exact key, and the keys are numbered by
-first appearance with the one stable-sort kernel, `_stable_sort`. The one
-kernel on it, `_first_seen`, so numbers the package's integer keys.
+weights. The tuple views `edges` and `weights` are built on demand. The
+edge-list loader reads its input in blocks of whole lines, encoded to
+UTF-8, with no Python step per line or token: one whitespace test over a
+block's bytes gives its tokens and lines, each token packs into uint64
+words, an exact key, and the keys are numbered by first appearance with
+the one stable-sort kernel, `_stable_sort`. The one kernel on it,
+`_first_seen`, so numbers the package's integer keys.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ class Graph:
     `ends` is the one edge store. Edge e weighs `weight_values[weight_code[e]]`,
     or the integer 1 with no codes; the values are positive, used, sorted and
     kept as given (1 and Fraction(1) are two). Graphs are equal when their n,
-    labels, edge rows and per-edge weights are. `edges`, `weights` and `adj`
-    are views built on first use, for the oracles and the per-vertex queries.
+    labels, edge rows and per-edge weights are. `edges` and `weights` are
+    views built on first use.
     """
 
     n: int
@@ -82,41 +81,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Degree of every vertex, an int64 array of length n."""
         return np.bincount(self.ends.ravel(), minlength=self.n)
-
-    @cached_property
-    def adj(self) -> tuple[dict[int, int], ...]:
-        """Per vertex, neighbor -> edge id in ascending neighbor order."""
-        nbr: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, (lo, hi) in enumerate(self.ends.tolist()):
-            nbr[lo].append((hi, eid))
-            nbr[hi].append((lo, eid))
-        return tuple(dict(sorted(pairs)) for pairs in nbr)
-
-    def _vertex(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range for n={self.n}")
-        return v
-
-    def degree(self, v: int) -> int:
-        return int(self.degrees[self._vertex(v)])
-
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors of v in ascending vertex order."""
-        return list(self.adj[self._vertex(v)])
-
-    def edge_id(self, u: int, v: int) -> int | None:
-        """Edge id for the pair (u, v) in either order, or None; None also
-        for ids outside 0..n-1."""
-        return self.adj[u].get(v) if 0 <= u < self.n else None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edge_id(u, v) is not None
-
-    def edge_label_pair(self, eid: int) -> tuple[str, str]:
-        if not 0 <= eid < self.m:
-            raise IndexError(f"edge {eid} out of range for m={self.m}")
-        lo, hi = self.ends[eid].tolist()
-        return self.labels[lo], self.labels[hi]
 
 
 def build_graph(
@@ -613,50 +577,3 @@ def _known_edges(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> np.ndarr
     if len(unknown):
         raise ValueError(f"unknown edge id {unknown[0]}")
     return eids
-
-
-def component_edge_sets(graph: Graph, edge_ids: np.ndarray | Iterable[int]) -> list[list[int]]:
-    """Connected components of the subgraph induced by the given edges.
-
-    Returns lists of the original edge ids, one per component, ordered by
-    their smallest edge id, with ids ascending within each; repeated ids
-    count once. An array of ids is read as it is.
-    """
-    edges, start = _edge_components(graph, _sorted_unique(_known_edges(graph, edge_ids)))
-    flat, bounds = edges.tolist(), start.tolist()
-    return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
-def connected_components(graph: Graph) -> list[list[int]]:
-    """Partition edge ids by connected component, in the order of
-    component_edge_sets. Isolated vertices carry no edges and do not appear."""
-    return component_edge_sets(graph, range(graph.m))
-
-
-@dataclass(frozen=True)
-class Subgraph:
-    """Graph induced by an edge subset, with maps back to the parent."""
-
-    graph: Graph
-    vertex_of: tuple[int, ...]  # new vertex id -> original vertex id
-    edge_of: tuple[int, ...]    # new edge id -> original edge id
-
-
-def induced_edge_subgraph(graph: Graph, edge_ids: Iterable[int]) -> Subgraph:
-    """Subgraph containing exactly the given edges and their endpoints, its
-    vertices numbered by first appearance along the ascending edge ids."""
-    eids = _sorted_unique(_known_edges(graph, edge_ids))
-    ends = graph.ends[eids].ravel()
-    local, _, first = _first_seen(ends, graph.n)
-    vertex_of = ends[first].tolist()
-    sub = build_graph(
-        len(vertex_of), local.reshape(-1, 2), labels=[graph.labels[v] for v in vertex_of]
-    )
-    if graph.weight_code is not None:
-        sub = _weighed(sub, graph.weight_code[eids], graph.weight_values)
-    return Subgraph(graph=sub, vertex_of=tuple(vertex_of), edge_of=tuple(eids.tolist()))
-
-
-def edge_nodes(graph: Graph, edge_ids: Iterable[int]) -> set[int]:
-    """Vertex set touched by the given edges."""
-    return set(graph.ends[_known_edges(graph, edge_ids)].ravel().tolist())

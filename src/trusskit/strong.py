@@ -16,14 +16,13 @@ from the decomposition.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import truss
-from .graph import Graph, _sort_rows, _stable_sort
+from .graph import _sort_rows, _stable_sort
 from .truss import Clusters, ClusterFamily, KClassDecomposition, truss_leaves
 
 
@@ -99,48 +98,3 @@ def summit_strong_trusses(family: ClusterFamily) -> Clusters:
     """
     return family.summit_clusters(min_size=2)
 
-
-def triangle_connected_components(graph: Graph, edge_ids: list[int]) -> list[frozenset[int]]:
-    """Oracle: breadth-first search over shared triangles, restricted to the
-    given edges. Quadratic-ish; test use only."""
-    eids = sorted(set(edge_ids))
-    eidset = set(eids)
-    seen: set[int] = set()
-    components: list[frozenset[int]] = []
-    for start in eids:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            e = queue.popleft()
-            u, v = graph.edges[e]
-            for w, e_uw in graph.adj[u].items():
-                if e_uw not in eidset:
-                    continue
-                e_vw = graph.adj[v].get(w)
-                if e_vw is None or e_vw not in eidset:
-                    continue
-                for nxt in (e_uw, e_vw):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        comp.add(nxt)
-                        queue.append(nxt)
-        components.append(frozenset(comp))
-    return components
-
-
-def is_strong_truss(graph: Graph, edge_ids: frozenset[int], k: int) -> bool:
-    """Direct definition check: internal support >= k-2 on every edge and
-    the edge set triangle-connected within itself."""
-    nbr: dict[int, set[int]] = {}
-    for eid in edge_ids:
-        lo, hi = graph.edges[eid]
-        nbr.setdefault(lo, set()).add(hi)
-        nbr.setdefault(hi, set()).add(lo)
-    for eid in edge_ids:
-        lo, hi = graph.edges[eid]
-        if len(nbr[lo] & nbr[hi]) < k - 2:
-            return False
-    return len(triangle_connected_components(graph, sorted(edge_ids))) == 1

@@ -46,9 +46,6 @@ from .graph import (
 )
 from .truss import Clusters, ClusterFamily, _at_level, _leaves, _vertex_family
 
-LOW_APEX = 0
-MEDIAN_APEX = 1
-
 # Most triads one structure may hold. A triad costs 13 bytes in the
 # structure, up to about 50 more while it is built, and 8 more per live
 # triad and 4 per periphery for trim's index.
@@ -74,7 +71,6 @@ class ETPGraph:
     def __init__(self, graph: Graph, ranking: VertexRanking):
         n, m = graph.n, graph.m
         self.graph = graph
-        self.ranking = ranking
         self.current_k = 0      # highest trim level completed
         rank = np.asarray(ranking.rank, dtype=np.int64)
         ru, rv = rank[graph.ends[:, 0]], rank[graph.ends[:, 1]]
@@ -140,28 +136,6 @@ class ETPGraph:
         self.edge_triads = ids[rows]
         self.edge_alive = np.diff(self.edge_start) > 0
 
-    # -- inspection ------------------------------------------------------
-
-    def alive_triads(self) -> list[tuple[int, int, int, int]]:
-        """Live triads as (arm edge, arm edge, periphery, kind) tuples."""
-        rank, edges = self.ranking.rank, self.graph.edges
-        out = []
-        for e1, e2, p in self.triads[self.triad_live].tolist():
-            (a, b), (c, d) = edges[e1], edges[e2]
-            apex = a if a in (c, d) else b
-            outer = {a, b, c, d} - {apex}
-            kind = LOW_APEX if all(rank[apex] < rank[v] for v in outer) else MEDIAN_APEX
-            out.append((e1, e2, p, kind))
-        return out
-
-    def alive_periphery_degrees(self) -> dict[tuple[int, int], int]:
-        """Live degree per live periphery, keyed by its outer vertex pair."""
-        n, order = self.graph.n, np.asarray(self.ranking.order)
-        live = np.flatnonzero(self.periph_degree)
-        key = self.periph_key[live]
-        pairs = zip(order[key // n].tolist(), order[key % n].tolist())
-        return dict(zip(pairs, self.periph_degree[live].tolist()))
-
 
 def build_etp_graph(graph: Graph, ranking: VertexRanking | None = None) -> ETPGraph:
     """Construct and prune the edge-triad-periphery structure.
@@ -172,14 +146,6 @@ def build_etp_graph(graph: Graph, ranking: VertexRanking | None = None) -> ETPGr
     if ranking is None:
         ranking = vertex_ranking(graph)
     return ETPGraph(graph, ranking)
-
-
-def rectangle_supports(etp: ETPGraph) -> list[int]:
-    """Exact 4-cycle count per graph edge: sum of (d(p) - 1) over the
-    peripheries reachable from the edge. Call before trimming."""
-    if etp.current_k > 0:
-        raise ValueError("rectangle supports require an untrimmed structure")
-    return etp.support.astype(np.int64).tolist()
 
 
 def trim(etp: ETPGraph, k: int, rng: random.Random | None = None) -> np.ndarray:
@@ -358,25 +324,3 @@ def trapeze_level_run(graph: Graph, schedule: list[int]) -> LevelRun:
         level[etp.edge_alive] = k
     return LevelRun(graph, tuple(schedule), level, etp.triads)
 
-
-def brute_force_rectangles(graph: Graph) -> list[int]:
-    """Testing oracle: count simple 4-cycles per edge from common-neighbor
-    pairs. A cycle u-w1-v-w2 is tallied from the diagonal (u, v) holding the
-    cycle's minimum vertex so each rectangle counts once. Small graphs only.
-    """
-    nbr = [set(a) for a in graph.adj]
-    counts = [0] * graph.m
-    n = graph.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            common = sorted(nbr[u] & nbr[v])
-            if len(common) < 2:
-                continue
-            for i in range(len(common) - 1):
-                w1 = common[i]
-                if w1 < u:
-                    continue
-                for w2 in common[i + 1 :]:
-                    for a, b in ((u, w1), (w1, v), (v, w2), (w2, u)):
-                        counts[graph.adj[a][b]] += 1
-    return counts

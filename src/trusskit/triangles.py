@@ -16,7 +16,7 @@ chunks it adds, a binary search over the sorted oriented edge keys finds
 the same edges. Plain and weighted supports are a `SupportMap` holding the
 list: its per-edge row counts, or its rows' weights summed (weighted.py).
 The truss peel walks the list, weighted or not, and the strong-truss family
-reads it as links. A direct common-neighbor oracle backs the tests.
+reads it as links.
 """
 
 from __future__ import annotations
@@ -188,14 +188,4 @@ def edge_supports(graph: Graph, ranking: VertexRanking | None = None) -> Support
     # per column, so bincount's index copy stays a third of the list
     support = sum(np.bincount(triangles[:, j], minlength=graph.m) for j in range(3))
     return SupportMap(support, triangles)
-
-
-def brute_force_supports(graph: Graph) -> SupportMap:
-    """Testing oracle: common-neighbor intersection per edge.
-
-    Intended for small graphs (m up to a few thousand).
-    """
-    nbr = [set(a) for a in graph.adj]
-    support = [len(nbr[lo] & nbr[hi]) for lo, hi in graph.edges]
-    return SupportMap(np.array(support, dtype=np.int64))
 

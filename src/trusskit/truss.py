@@ -257,7 +257,7 @@ def k_classes(graph: Graph, supports: SupportMap) -> KClassDecomposition:
     """Trussness of every edge from its triangle supports.
 
     Reuses the triangle list the supports were counted from, and the row
-    weights of weighted supports; supports from elsewhere (the oracle) get
+    weights of weighted supports; supports from elsewhere (a test oracle) get
     a fresh listing.
     """
     if len(supports.support) != graph.m:
@@ -276,33 +276,6 @@ def trusses_at(decomposition: KClassDecomposition, k: int) -> Clusters:
         raise ValueError("k must be at least 2")
     eids = np.flatnonzero(decomposition.trussness >= k)
     return _at_level(k, *_edge_components(decomposition.graph, eids))
-
-
-def iterative_deletion_oracle(graph: Graph, k: int) -> Clusters:
-    """Definition-checking oracle: delete under-supported edges to fixpoint.
-
-    Repeatedly removes any edge with fewer than k-2 triangles among the
-    survivors, then returns the components of what remains. Small graphs
-    only; the peeling path is the production route.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    nbr = [set(a) for a in graph.adj]
-    alive = [True] * graph.m
-    need = k - 2
-    changed = True
-    while changed:
-        changed = False
-        for eid, (lo, hi) in enumerate(graph.edges):
-            if not alive[eid]:
-                continue
-            if len(nbr[lo] & nbr[hi]) < need:
-                alive[eid] = False
-                nbr[lo].discard(hi)
-                nbr[hi].discard(lo)
-                changed = True
-    survivors = np.array([e for e in range(graph.m) if alive[e]], dtype=np.int64)
-    return _at_level(k, *_edge_components(graph, survivors))
 
 
 _REPLAY_CHUNK = 1 << 10   # link rows converted to Python per step of a replay

@@ -12,14 +12,10 @@ import pytest
 
 from trusskit import (
     PlantedModel,
-    brute_force_rectangles,
-    brute_force_supports,
     build_etp_graph,
     build_graph,
     edge_supports,
-    iterative_deletion_oracle,
     k_classes,
-    rectangle_supports,
     run_benchmark,
     strong_trapezes_at,
     summit_trusses,
@@ -28,8 +24,14 @@ from trusskit import (
     trusses_at,
     weighted_k_classes,
 )
-from trusskit.graph import edge_nodes
 from trusskit.weighted import TriangleWeightSpec
+from oracles import (
+    brute_force_rectangles,
+    brute_force_supports,
+    edge_nodes,
+    iterative_deletion_oracle,
+    rectangle_supports,
+)
 from conftest import complete_bipartite, complete_graph, cycle_graph, graph_from, random_graphs
 
 # the 10-group/size-10 reference row: the reported average edge count (~426)

@@ -12,6 +12,7 @@ import pytest
 
 from trusskit import Clusters, Graph, KClassDecomposition, SupportMap
 from trusskit.cli import main
+from oracles import adjacency
 
 K4_PENDANT = "a b\na c\na d\nb c\nb d\nc d\nd e\n"
 C4_BOWTIE = "a b\nb c\nc d\nd a\nd e\ne f\nf g\ng d\n"  # two 4-cycles sharing d
@@ -241,6 +242,21 @@ def test_trapeze_bad_levels_fail_before_any_work(args, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "levels" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("geometric", ["-1", "-30", "31"])
+def test_trapeze_geometric_out_of_range_names_the_flag(geometric, tmp_path, capsys):
+    src = tmp_path / "g.tsv"
+    src.write_text(C4_BOWTIE)
+    out = tmp_path / "out"
+    assert main(["trapeze", "--geometric", geometric, str(src), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --geometric must be from 0 to 30, got {geometric}: "
+        "levels 1,2,4,...,2^N must be at most 2^31-1\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.tsv"]
 
 
 def test_bench_subcommand(tmp_path, capsys):
@@ -714,7 +730,6 @@ def test_output_path_that_is_a_file_exits_1_with_one_line(k4_file, tmp_path, cap
 
 
 VIEWS = {
-    "adj": Graph,
     "edges": Graph,
     "weights": Graph,
     "sup": SupportMap,
@@ -724,12 +739,16 @@ VIEWS = {
 }
 
 
-@pytest.mark.parametrize("view", list(VIEWS))
+@pytest.mark.parametrize("view", ["adj", *VIEWS])
 def test_no_subcommand_builds_the_adjacency(tmp_path, monkeypatch, view):
     """Every production path, --check-bipartite and every export included,
-    runs on the arrays; only the oracles and the tests read Graph.adj or the
-    tuple and dict views of the edges, weights, supports and trussness, or
-    the frozensets of a cluster store."""
+    runs on the arrays; only the oracles and the tests read the tuple and
+    dict views of the edges, weights, supports and trussness, or the
+    frozensets of a cluster store. The per-vertex adjacency is not in the
+    library at all: it is `oracles.adjacency`."""
+    if view == "adj":
+        assert not hasattr(Graph, "adj")
+        return
     owner = VIEWS[view]
 
     def refuse(obj):
@@ -1120,7 +1139,7 @@ def bfs_bipartite(graph: Graph) -> bool:
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in graph.adj[v]:
+            for w in adjacency(graph)[v]:
                 if color[w] < 0:
                     color[w] = 1 - color[v]
                     stack.append(w)

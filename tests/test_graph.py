@@ -1,6 +1,5 @@
 import io
 import random
-from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +11,6 @@ from trusskit import (
     EdgeListParseError,
     build_graph,
     clusters_to_node_partition,
-    connected_components,
-    induced_edge_subgraph,
     load_edge_list,
     vertex_ranking,
 )
@@ -25,8 +22,19 @@ from trusskit.graph import (
     _ranges,
     _stable_sort,
     _utf8,
+)
+from oracles import (
+    adjacency,
+    bfs_components,
     component_edge_sets,
+    connected_components,
+    degree,
+    edge_id,
+    edge_label_pair,
     edge_nodes,
+    has_edge,
+    induced_edge_subgraph,
+    neighbors,
 )
 from conftest import (
     DisjointSet,
@@ -351,31 +359,31 @@ def test_dolphins_counts(dolphins):
 def test_edges_canonical_and_indexed(dolphins):
     for eid, (lo, hi) in enumerate(dolphins.edges):
         assert lo < hi
-        assert dolphins.edge_id(lo, hi) == eid
-        assert dolphins.edge_id(hi, lo) == eid
+        assert edge_id(dolphins, lo, hi) == eid
+        assert edge_id(dolphins, hi, lo) == eid
     g = build_graph(3, [(0, 2)])
     for u, v in ((-1, 0), (0, -1), (3, 0), (0, 3), (5, 0), (-3, 2)):
-        assert g.edge_id(u, v) is None
-        assert not g.has_edge(u, v)
+        assert edge_id(g, u, v) is None
+        assert not has_edge(g, u, v)
     # ids outside the range raise instead of wrapping around to the end
-    assert (g.degree(2), g.neighbors(2), g.edge_label_pair(0)) == (1, [0], ("0", "2"))
+    assert (degree(g, 2), neighbors(g, 2), edge_label_pair(g, 0)) == (1, [0], ("0", "2"))
     for v in (-1, -3, -4, 3, 5):
         with pytest.raises(IndexError, match=f"vertex {v} out of range"):
-            g.degree(v)
+            degree(g, v)
         with pytest.raises(IndexError, match=f"vertex {v} out of range"):
-            g.neighbors(v)
+            neighbors(g, v)
     for eid in (-1, -2, 1, 7):
         with pytest.raises(IndexError, match=f"edge {eid} out of range"):
-            g.edge_label_pair(eid)
+            edge_label_pair(g, eid)
 
 
 def test_degree_sum(dolphins):
-    assert sum(dolphins.degree(v) for v in range(dolphins.n)) == 2 * dolphins.m
+    assert sum(degree(dolphins, v) for v in range(dolphins.n)) == 2 * dolphins.m
 
 
 def test_neighbors_sorted(dolphins):
     for v in range(dolphins.n):
-        nbrs = dolphins.neighbors(v)
+        nbrs = neighbors(dolphins, v)
         assert nbrs == sorted(nbrs)
 
 
@@ -438,31 +446,6 @@ def test_components_partition_property():
         comps = connected_components(g)
         seen = [e for c in comps for e in c]
         assert sorted(seen) == list(range(g.m))
-
-
-def bfs_components(graph, edge_ids):
-    """Edge-id components by breadth-first search over the given edges."""
-    incident: dict[int, list[int]] = {}
-    for e in set(edge_ids):
-        for v in graph.edges[e]:
-            incident.setdefault(v, []).append(e)
-    seen: set[int] = set()
-    comps = []
-    for start in sorted(set(edge_ids)):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp, queue = [], deque([start])
-        while queue:
-            e = queue.popleft()
-            comp.append(e)
-            for v in graph.edges[e]:
-                for f in incident[v]:
-                    if f not in seen:
-                        seen.add(f)
-                        queue.append(f)
-        comps.append(sorted(comp))
-    return comps
 
 
 def test_component_edge_sets_match_bfs():
@@ -634,7 +617,7 @@ def test_induced_k4_minus_edge():
     g = complete_graph(4)
     sub = induced_edge_subgraph(g, [e for e in range(g.m) if e != 0])
     assert sub.graph.m == 5
-    assert sorted(len(a) for a in sub.graph.adj) == [2, 2, 3, 3]
+    assert sorted(len(a) for a in adjacency(sub.graph)) == [2, 2, 3, 3]
     assert sub.graph.weight_code is None
 
 

@@ -13,10 +13,9 @@ from trusskit import (
     strong_truss_family,
     strong_trusses_at,
     summit_strong_trusses,
-    triangle_connected_components,
     weighted_k_classes,
 )
-from trusskit.strong import is_strong_truss
+from oracles import adjacency, is_strong_truss, triangle_connected_components
 from conftest import (
     DisjointSet,
     complete_graph,
@@ -138,7 +137,7 @@ def reference_family(graph, decomposition):
     survivor, absorbed0, absorbed1 or -1), by scanning the adjacency at
     each arriving edge: the lower-degree endpoint's neighbours, ascending,
     that close a triangle with two edges already present."""
-    adj = graph.adj
+    adj = adjacency(graph)
     present = bytearray(graph.m)
     leaf_of_edge = [0] * graph.m
     leaf_edges, leaf_levels, merges = [], [], []

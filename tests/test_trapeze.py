@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from trusskit import (
-    brute_force_rectangles,
     build_etp_graph,
     build_graph,
     edge_supports,
-    induced_edge_subgraph,
     k_classes,
-    rectangle_supports,
     strong_trapezes_at,
     trapeze_level_run,
     trapezes_at,
@@ -20,7 +17,17 @@ from trusskit import (
     vertex_ranking,
 )
 import trusskit.trapeze
-from trusskit.trapeze import LOW_APEX, MEDIAN_APEX, _stable_sort
+from trusskit.trapeze import _stable_sort
+from oracles import (
+    LOW_APEX,
+    MEDIAN_APEX,
+    alive_periphery_degrees,
+    alive_triads,
+    brute_force_rectangles,
+    edge_id,
+    induced_edge_subgraph,
+    rectangle_supports,
+)
 from conftest import (
     complete_bipartite,
     complete_graph,
@@ -35,23 +42,23 @@ from conftest import (
 
 def test_c4_structure():
     etp = build_etp_graph(cycle_graph(4))
-    triads = etp.alive_triads()
+    triads = alive_triads(etp)
     assert len(triads) == 2
     assert sorted(t[3] for t in triads) == [LOW_APEX, MEDIAN_APEX]
-    degrees = etp.alive_periphery_degrees()
+    degrees = alive_periphery_degrees(etp)
     assert list(degrees.values()) == [2]
 
 
 def test_path_prunes_to_nothing():
     g = graph_from("a b\nb c\nc d")
     etp = build_etp_graph(g)
-    assert etp.alive_triads() == []
+    assert alive_triads(etp) == []
     assert not etp.edge_alive.any()
 
 
 def test_k23_periphery():
     etp = build_etp_graph(complete_bipartite(2, 3))
-    degrees = etp.alive_periphery_degrees()
+    degrees = alive_periphery_degrees(etp)
     assert list(degrees.values()) == [3]
     total = sum(d * (d - 1) // 2 for d in degrees.values())
     assert total == 3
@@ -91,7 +98,7 @@ def test_bipartite_supports_match_oracle():
 def test_unique_representation_totals():
     for _, g in random_graphs(40, 20, seed=1414):
         etp = build_etp_graph(g)
-        triad_pairs = sum(d * (d - 1) // 2 for d in etp.alive_periphery_degrees().values())
+        triad_pairs = sum(d * (d - 1) // 2 for d in alive_periphery_degrees(etp).values())
         assert triad_pairs == sum(brute_force_rectangles(g)) // 4
 
 
@@ -160,12 +167,12 @@ def test_trim_cascade_empties_structure():
     g = graph_from("t0 t1\nt1 t2\nb0 b1\nb1 b2\nt0 b0\nt1 b1\nt2 b2")
     etp = build_etp_graph(g)
     supports = rectangle_supports(etp)
-    rung = g.edge_id(g.labels.index("t1"), g.labels.index("b1"))
+    rung = edge_id(g, g.labels.index("t1"), g.labels.index("b1"))
     assert supports[rung] == 2 and sorted(supports) == [1] * 6 + [2]
     assert trim(etp, 1).tolist() == list(range(g.m))
     assert trim(etp, 2).tolist() == []
-    assert etp.alive_triads() == []
-    assert etp.alive_periphery_degrees() == {}
+    assert alive_triads(etp) == []
+    assert alive_periphery_degrees(etp) == {}
 
 
 def test_edge_without_rectangles_is_plain_deletion():
@@ -174,12 +181,12 @@ def test_edge_without_rectangles_is_plain_deletion():
     tail = [(4, 5), (5, 6)]
     g = build_graph(7, [(i, 2 + j) for i in range(2) for j in range(3)] + tail)
     etp = build_etp_graph(g)
-    before, triads = etp.alive_periphery_degrees(), etp.alive_triads()
+    before, triads = alive_periphery_degrees(etp), alive_triads(etp)
     assert sum(d * (d - 1) // 2 for d in before.values()) == 3
     assert rectangle_supports(etp) == [2] * 6 + [0, 0]
     assert trim(etp, 1).tolist() == list(range(6))
-    assert etp.alive_periphery_degrees() == before
-    assert etp.alive_triads() == triads
+    assert alive_periphery_degrees(etp) == before
+    assert alive_triads(etp) == triads
 
 
 def test_periphery_degree_drop_reaches_every_edge():
@@ -190,14 +197,14 @@ def test_periphery_degree_drop_reaches_every_edge():
     assert rectangle_supports(build_etp_graph(full)) == [4] * 10
     assert trim(build_etp_graph(full), 4).tolist() == list(range(10))
     g = build_graph(7, [e for e in full.edges if e != (0, 2)])
-    co_edge = g.edge_id(1, 2)
+    co_edge = edge_id(g, 1, 2)
     etp = build_etp_graph(g)
     supports = rectangle_supports(etp)
     assert supports[co_edge] == 0
     assert [s for e, s in enumerate(supports) if e != co_edge] == [3] * 8
     survivors = trim(etp, 3).tolist()
     assert survivors == [e for e in range(g.m) if e != co_edge]
-    assert list(etp.alive_periphery_degrees().values()) == [4]
+    assert list(alive_periphery_degrees(etp).values()) == [4]
     assert trim(etp, 4).tolist() == []
 
 
@@ -220,7 +227,7 @@ def test_two_k4_with_bridge_cycles():
     k4b = [(4 + i, 4 + j) for i, j in k4a]
     bridges = [(0, 4), (1, 5), (2, 6)]
     g = build_graph(8, k4a + k4b + bridges)
-    assert brute_force_rectangles(g)[g.edge_id(0, 4)] == 2
+    assert brute_force_rectangles(g)[edge_id(g, 0, 4)] == 2
     ts = trapezes_at(build_etp_graph(g), 2)
     assert len(ts) == 1
     assert len(ts[0]) == g.m
@@ -376,7 +383,7 @@ def rectangle_components(g, edge_ids):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             for w1, w2 in combinations(sorted(nbr[u] & nbr[v]), 2):
-                cycle = [g.edge_id(u, w1), g.edge_id(w1, v), g.edge_id(v, w2), g.edge_id(w2, u)]
+                cycle = [edge_id(g, u, w1), edge_id(g, w1, v), edge_id(g, v, w2), edge_id(g, w2, u)]
                 in_cycle.update(cycle)
                 for e in cycle[1:]:
                     parent[find(e)] = find(cycle[0])
@@ -472,7 +479,7 @@ def test_strong_trapezes_split_when_the_bridging_rectangle_falls():
     assert len(strong_trapezes_at(etp, 1)) == 1
     strong = strong_trapezes_at(etp, 2)
     assert sorted(len(m) for m in strong) == [6, 6]
-    assert sorted(etp.alive_periphery_degrees().values()) == [3, 3]
+    assert sorted(alive_periphery_degrees(etp).values()) == [3, 3]
 
 
 def recount(m, arm1, arm2, periph, npe):
@@ -535,8 +542,8 @@ def test_trim_decrements_match_the_round_recount(seed):
         ref_rng = None if seed is None else random.Random(seed)
         for k in range(1, 8):
             assert trim(etp, k, rng=rng).tolist() == reference_trim(ref, k, rng=ref_rng)
-            assert etp.alive_triads() == ref.alive_triads()
-            assert etp.alive_periphery_degrees() == ref.alive_periphery_degrees()
+            assert alive_triads(etp) == alive_triads(ref)
+            assert alive_periphery_degrees(etp) == alive_periphery_degrees(ref)
             # the kept counts are what a recount of the live triads gives
             live = etp.triads[etp.triad_live]
             _, support = recount(g.m, live[:, 0], live[:, 1], live[:, 2], len(etp.periph_key))

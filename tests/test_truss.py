@@ -13,11 +13,9 @@ from trusskit import (
     KClassDecomposition,
     SupportMap,
     TriangleWeightSpec,
-    brute_force_supports,
     build_etp_graph,
     build_graph,
     edge_supports,
-    iterative_deletion_oracle,
     k_classes,
     strong_trapezes_at,
     strong_truss_family,
@@ -31,13 +29,14 @@ from trusskit import (
     weighted_k_classes,
 )
 from trusskit.forest import forest_merges
-from trusskit.graph import _component_labels, edge_nodes
+from trusskit.graph import _component_labels
 from trusskit.truss import (
     _leaves,
     _replay,
     _vertex_family,
     truss_leaves,
 )
+from oracles import brute_force_supports, edge_id, edge_nodes, iterative_deletion_oracle
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -254,7 +253,7 @@ def test_networkx_k_truss_differential():
         reference = nx.Graph(g.edges)
         for k in range(2, dec.k_max + 2):
             truss = nx.k_truss(reference, k)
-            expected = {g.edge_id(u, v) for u, v in truss.edges}
+            expected = {edge_id(g, u, v) for u, v in truss.edges}
             assert expected == {e for e in range(g.m) if dec.phi[e] >= k}
 
 

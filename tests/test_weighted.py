@@ -12,7 +12,6 @@ from trusskit import (
     TriangleWeightSpec,
     build_graph,
     edge_supports,
-    iterative_deletion_oracle,
     k_classes,
     strong_truss_family,
     summit_strong_trusses,
@@ -22,6 +21,7 @@ from trusskit import (
 )
 from trusskit.triangles import triangle_list
 from trusskit.truss import peel_triangles
+from oracles import adjacency, iterative_deletion_oracle
 from conftest import complete_graph, graph_from, random_graphs
 from conftest import weighted_graphs as seeded_weighted_graphs
 
@@ -92,13 +92,13 @@ def test_k3_min_weights():
 def brute_weighted(g, spec):
     sup = [0] * g.m
     for a in range(g.n):
-        for b in g.adj[a]:
+        for b in adjacency(g)[a]:
             if b <= a:
                 continue
-            for c in g.adj[b]:
-                if c <= b or c not in g.adj[a]:
+            for c in adjacency(g)[b]:
+                if c <= b or c not in adjacency(g)[a]:
                     continue
-                eids = (g.adj[a][b], g.adj[b][c], g.adj[a][c])
+                eids = (adjacency(g)[a][b], adjacency(g)[b][c], adjacency(g)[a][c])
                 wt = triangle_weight(spec, *(g.weights[e] for e in eids))
                 for e in eids:
                     sup[e] += wt
@@ -170,7 +170,7 @@ def test_peeling_soundness_against_deletion_oracle():
         g = build_graph(n, edges, weights)
         dec = weighted_k_classes(g, MIN1)
         for k in range(2, dec.k_max + 2):
-            nbr = [dict(a) for a in g.adj]
+            nbr = [dict(a) for a in adjacency(g)]
             alive = set(range(g.m))
             changed = True
             while changed:
@@ -250,7 +250,7 @@ def test_weighted_separation_beats_unweighted():
 def weighted_deletion_survivors(g, spec, k):
     """Oracle: delete edges whose weighted support among survivors is
     below k-2, to a fixpoint."""
-    nbr = [dict(a) for a in g.adj]
+    nbr = [dict(a) for a in adjacency(g)]
     alive = set(range(g.m))
     changed = True
     while changed:
